@@ -83,12 +83,14 @@ from .entangle import (
     supports,
 )
 from .qc import (
+    MAX_LINES,
     BooleanFunction,
     Gate,
     ParitySatResult,
     Register,
     TeleportTrace,
     apply,
+    apply_ef,
     deutsch,
     ef_gate,
     line_probs,

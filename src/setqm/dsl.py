@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ParseError, ZeroInitial
-from .gf2 import BitVec
+from .errors import ParseError, RegisterTooWide, ZeroInitial, ZeroState
 from . import qc
 
 _ONE_LINE_GATES = ("I", "X", "H0", "H1", "XH0", "XH1")
@@ -84,7 +83,7 @@ def _bad(tok: _Token, message: str) -> ParseError:
 
 
 def _int_token(tok: _Token, what: str) -> int:
-    if not tok.text.isdigit():
+    if not (tok.text.isascii() and tok.text.isdigit()):
         raise _bad(tok, f"expected {what}")
     return int(tok.text)
 
@@ -115,6 +114,8 @@ def parse(text: str) -> CircuitAst:
     n = _int_token(head[1], "a positive line count")
     if n < 1:
         raise _bad(head[1], "line count must be positive")
+    if n > qc.MAX_LINES:
+        raise RegisterTooWide(f"line {head[1].line}: {n} lines exceed the limit of {qc.MAX_LINES}")
 
     initial: tuple[str, ...] | None = None
     steps: list[Step] = []
@@ -262,12 +263,10 @@ def run(ast: CircuitAst, seed: int | None = None) -> RunResult:
     The generator is only consulted when a measurement is genuinely random;
     measurements with a certain outcome never draw from it.
     """
-    state = 0
-    for bs in ast.initial:
-        state ^= 1 << int(bs, 2)
-    if state == 0:
-        raise ZeroInitial("initial ket expression cancels to the zero vector")
-    reg = qc.Register(ast.lines, BitVec(1 << ast.lines, state))
+    try:
+        reg = qc.Register.from_bitstrings(ast.lines, ast.initial)
+    except ZeroState:
+        raise ZeroInitial("initial ket expression cancels to the zero vector") from None
 
     rng = random.Random(seed)
     trace = [TraceEntry("init", reg)]
@@ -293,8 +292,7 @@ def run(ast: CircuitAst, seed: int | None = None) -> RunResult:
             reg = qc.apply(qc.standard_gate(name), reg, min(step.control, step.target))
             trace.append(TraceEntry(f"gate CNOT {step.control} {step.target}", reg))
         elif isinstance(step, EfStep):
-            f = qc.BooleanFunction.from_bits(step.table)
-            reg = qc.apply(qc.ef_gate(f), reg)
+            reg = qc.apply_ef(qc.BooleanFunction.from_bits(step.table), reg)
             trace.append(TraceEntry(f"gate EF {step.table}", reg))
         else:
             if step.line is None:

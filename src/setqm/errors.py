@@ -63,6 +63,10 @@ class WrongArity(SetQMError):
     """Boolean function has the wrong number of arguments for this algorithm."""
 
 
+class RegisterTooWide(SetQMError, ValueError):
+    """Register has more lines than the simulator's width limit."""
+
+
 class LineOutOfRange(SetQMError):
     """Register line index outside 0..lines-1."""
 

@@ -4,6 +4,10 @@ A register of n lines is a nonzero vector in Z2^(2^n); basis index k is
 the n-bit string of k with line 0 as the most significant bit (Alice on
 top). Gates are any nonsingular GF(2) matrices, so a nonzero state can
 never be driven to zero.
+
+Gates act locally on the packed state: the kets whose gate lines spell j
+are masked out, shifted down to j = 0 and shifted back up once per set
+entry of column j. No matrix of the register's full width is built.
 """
 
 from __future__ import annotations
@@ -11,18 +15,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable
 
 from .errors import (
     ImpossibleOutcome,
     LineOutOfRange,
+    RegisterTooWide,
     SizeMismatch,
     Singular,
     UnknownGate,
     WrongArity,
     ZeroState,
 )
-from .gf2 import BitVec, GF2Matrix, is_nonsingular, kron, mat_apply, mat_mul
+from .gf2 import BitVec, GF2Matrix, is_nonsingular, kron
+
+MAX_LINES = 20  # a register of n lines is a 2^n-bit int; 20 lines is 128 KiB
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,15 @@ class Gate:
     def width(self) -> int:
         return self.matrix.rows.bit_length() - 1
 
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Row indices of the set entries of each column: local value j goes to each i."""
+        cols: list[list[int]] = [[] for _ in range(self.matrix.cols)]
+        for i, row in enumerate(self.matrix.row_bits):
+            for j in _set_bits(row):
+                cols[j].append(i)
+        return tuple(tuple(c) for c in cols)
+
 
 _GATE_ROWS = {
     "I": [[1, 0], [0, 1]],
@@ -57,13 +74,42 @@ _GATE_ROWS = {
 }
 
 
+_LIBRARY = {name: Gate(name, GF2Matrix.from_rows(rows)) for name, rows in _GATE_ROWS.items()}
+
+
 def standard_gate(name: str) -> Gate:
     """One of the named library gates (the six 2x2 ones plus the two Cnots)."""
     try:
-        rows = _GATE_ROWS[name]
+        return _LIBRARY[name]
     except KeyError:
         raise UnknownGate(f"no gate named {name!r}") from None
-    return Gate(name, GF2Matrix.from_rows(rows))
+
+
+def _set_bits(x: int) -> Iterable[int]:
+    """Positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
+@lru_cache(maxsize=64)
+def _block_mask(lines: int, pos: int, width: int) -> int:
+    """Basis indices of an n-line register whose bits pos..pos+width-1 are all 0.
+
+    One run of 2^pos ones every 2^(pos+width) bits, doubled up to 2^lines
+    bits; the indices whose bits spell j are this mask shifted by j << pos.
+    """
+    mask, span = (1 << (1 << pos)) - 1, 1 << (pos + width)
+    while span < 1 << lines:
+        mask |= mask << span
+        span <<= 1
+    return mask
+
+
+def _check_width(lines: int) -> None:
+    if lines > MAX_LINES:
+        raise RegisterTooWide(f"{lines} lines exceed the limit of {MAX_LINES}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +122,7 @@ class Register:
     def __post_init__(self):
         if self.lines < 1:
             raise ValueError("register needs at least one line")
+        _check_width(self.lines)
         if self.state.length != 1 << self.lines:
             raise SizeMismatch("state length must be 2^lines")
         if self.state.is_zero:
@@ -83,14 +130,17 @@ class Register:
 
     @classmethod
     def basis(cls, lines: int, index: int) -> Register:
+        _check_width(lines)
         return cls(lines, BitVec.from_indices(1 << lines, [index]))
 
     @classmethod
     def from_indices(cls, lines: int, indices: Iterable[int]) -> Register:
+        _check_width(lines)
         return cls(lines, BitVec.from_indices(1 << lines, indices))
 
     @classmethod
     def from_bitstrings(cls, lines: int, strings: Iterable[str]) -> Register:
+        _check_width(lines)
         bits = BitVec.zero(1 << lines)
         for s in strings:
             if len(s) != lines or set(s) - {"0", "1"}:
@@ -118,45 +168,70 @@ class Register:
 
 
 def apply(g: Gate, r: Register, line: int = 0) -> Register:
-    """Apply the gate to the contiguous lines starting at `line`, identity elsewhere."""
+    """Apply the gate to the contiguous lines starting at `line`, identity elsewhere.
+
+    Column-driven: the kets whose local value is j are moved to every i with
+    a set entry in column j. The cost is one mask-and-shift per local value
+    plus one shift-and-XOR per set entry of a column whose kets are present.
+    """
     if not 0 <= line <= r.lines - g.width:
         raise SizeMismatch(
             f"gate {g.name} spans lines {line}..{line + g.width - 1}, register has {r.lines}"
         )
-    full = g.matrix
-    if line > 0:
-        full = kron(GF2Matrix.identity(1 << line), full)
-    after = r.lines - line - g.width
-    if after > 0:
-        full = kron(full, GF2Matrix.identity(1 << after))
-    return Register(r.lines, mat_apply(full, r.state))
+    pos = r.lines - line - g.width
+    bits = r.state.bits
+    block = _block_mask(r.lines, pos, g.width)
+    out = 0
+    for j, column in enumerate(g.columns):
+        part = (bits >> (j << pos)) & block
+        if part:
+            for i in column:
+                out ^= part << (i << pos)
+    return Register(r.lines, BitVec(r.state.length, out))
+
+
+def _line_mask(r: Register, line: int, value: int) -> int:
+    """Basis indices of the register whose bit on `line` is `value` (none if not a bit)."""
+    if not 0 <= line < r.lines:
+        raise LineOutOfRange(f"line {line} outside 0..{r.lines - 1}")
+    if value not in (0, 1):
+        return 0
+    pos = r.lines - 1 - line
+    return _block_mask(r.lines, pos, 1) << (value << pos)
 
 
 def line_probs(r: Register, line: int) -> dict[int, Fraction]:
     """Born probabilities of each bit value on one line."""
-    if not 0 <= line < r.lines:
-        raise LineOutOfRange(f"line {line} outside 0..{r.lines - 1}")
-    support = r.support()
-    ones = sum(1 for k in support if r.line_value(k, line))
-    total = len(support)
+    ones = (r.state.bits & _line_mask(r, line, 1)).bit_count()
+    total = r.state.weight()
     return {0: Fraction(total - ones, total), 1: Fraction(ones, total)}
+
+
+def _nth_set_bit(x: int, n: int) -> int:
+    """Position of the n-th set bit of x, counting from 0 at the lowest."""
+    lo, hi = 0, x.bit_length()  # n set bits lie below lo, more than n below hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (x & ((1 << mid) - 1)).bit_count() > n:
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 def measure_line(r: Register, line: int, rng: random.Random) -> tuple[int, Register]:
     """Measure one line: uniform draw over the support, collapse to the matching kets."""
-    support = r.support()
-    k = support[rng.randrange(len(support))]
-    return measure_line_given(r, line, r.line_value(k, line))
+    ones = _line_mask(r, line, 1)
+    k = _nth_set_bit(r.state.bits, rng.randrange(r.state.weight()))
+    return measure_line_given(r, line, (ones >> k) & 1)
 
 
 def measure_line_given(r: Register, line: int, outcome: int) -> tuple[int, Register]:
     """Deterministic variant: collapse onto a chosen outcome of nonzero probability."""
-    if not 0 <= line < r.lines:
-        raise LineOutOfRange(f"line {line} outside 0..{r.lines - 1}")
-    kept = [k for k in r.support() if r.line_value(k, line) == outcome]
+    kept = r.state.bits & _line_mask(r, line, outcome)
     if not kept:
         raise ImpossibleOutcome(f"outcome {outcome} on line {line} has probability 0")
-    return outcome, Register.from_indices(r.lines, kept)
+    return outcome, Register(r.lines, BitVec(r.state.length, kept))
 
 
 @dataclass(frozen=True)
@@ -233,23 +308,33 @@ class BooleanFunction:
         return "".join(str(b) for b in self.table)
 
 
+# X^f(p,1) H_f(p,0) is a library gate, indexed by f(p,0) + 2 f(p,1)
+_EF_FACTORS = ("H0", "H1", "XH0", "XH1")
+
+
+def _ef_factors(f: BooleanFunction) -> tuple[Gate, ...]:
+    """The 2x2 factors X^f(p,1) H_f(p,0) of the evaluation gate, prefix p on line p."""
+    t = f.table
+    return tuple(
+        _LIBRARY[_EF_FACTORS[t[2 * p] + 2 * t[2 * p + 1]]] for p in range(1 << (f.arity - 1))
+    )
+
+
 def ef_gate(f: BooleanFunction) -> Gate:
     """The function-evaluation gate: X^f(p,1) H_f(p,0) tensored over prefixes p.
 
     Prefixes run over Z2^(arity-1) in lexicographic order, first prefix
-    outermost, giving 2^(arity-1) factors of size 2x2.
+    outermost, giving 2^(arity-1) factors of size 2x2. This full matrix is
+    the reference for `apply_ef`, which applies the factors one line at a time.
     """
-    factors = []
-    for p in range(1 << (f.arity - 1)):
-        h = _GATE_ROWS["H1" if f.table[2 * p] else "H0"]
-        m = GF2Matrix.from_rows(h)
-        if f.table[2 * p + 1]:
-            m = mat_mul(GF2Matrix.from_rows(_GATE_ROWS["X"]), m)
-        factors.append(m)
-    matrix = factors[0]
-    for m in factors[1:]:
-        matrix = kron(matrix, m)
-    return Gate(f"EF[{f.bits}]", matrix)
+    return Gate(f"EF[{f.bits}]", reduce(kron, (g.matrix for g in _ef_factors(f))))
+
+
+def apply_ef(f: BooleanFunction, r: Register) -> Register:
+    """Same as apply(ef_gate(f), r), one 2x2 factor per line, without building the gate."""
+    for line, g in enumerate(_ef_factors(f)):
+        r = apply(g, r, line)
+    return r
 
 
 @dataclass(frozen=True)
@@ -288,11 +373,11 @@ def parity_sat(f: BooleanFunction) -> ParitySatResult:
     h0 = standard_gate("H0")
     for line in range(lines):
         reg = apply(h0, reg, line)
-    reg = apply(ef_gate(f), reg)
-    support = reg.support()
-    if len(support) != 1:
+    reg = apply_ef(f, reg)
+    bits = reg.state.bits
+    if bits & (bits - 1):
         raise AssertionError("post-evaluation state must be a single basis ket")
-    index = support[0]
+    index = bits.bit_length() - 1
     slices = tuple((index >> (lines - 1 - j)) & 1 for j in range(lines))
     parity = index.bit_count() & 1
     return ParitySatResult(parity, slices, index, lines, reg, oracle_calls=1)

@@ -181,6 +181,22 @@ def test_run_parse_error_position(capsys, tmp_path):
     assert "ParseError" in err and "line 2" in err
 
 
+def test_run_too_wide_exits_1(capsys, tmp_path):
+    wide = tmp_path / "wide.qc2"
+    wide.write_text("lines 40\ngate X 0\n")
+    code, out, err = run_cli(capsys, "run", str(wide))
+    assert code == 1 and out == ""
+    assert err.startswith("RegisterTooWide:") and "Traceback" not in err
+
+
+def test_run_non_ascii_line_count_exits_1(capsys, tmp_path):
+    bad = tmp_path / "digit.qc2"
+    bad.write_text("lines ²\ngate X 0\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "run", str(bad))
+    assert code == 1
+    assert err.startswith("ParseError:") and "line 1, col 7" in err
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["born", "{a}", "--frame"])

@@ -11,7 +11,8 @@ from setqm.dsl import (
     render,
     run,
 )
-from setqm.errors import ParseError, ZeroInitial
+from setqm.errors import ParseError, RegisterTooWide, ZeroInitial
+from setqm.qc import MAX_LINES
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
@@ -69,6 +70,26 @@ def test_parse_errors():
         parse("lines 1\ninit 0\n")  # no steps
     with pytest.raises(ParseError):
         parse("lines 1\nfrobnicate 0\n")
+
+
+def test_parse_rejects_non_ascii_digits():
+    for digits in ("²", "٣", "1²"):
+        with pytest.raises(ParseError) as err:
+            parse(f"lines {digits}\ngate X 0\n")
+        assert (err.value.line, err.value.column, err.value.token) == (1, 7, digits)
+    with pytest.raises(ParseError) as err:
+        parse("lines 2\ngate X ¹\n")
+    assert (err.value.line, err.value.column) == (2, 8)
+
+
+def test_parse_rejects_too_many_lines():
+    with pytest.raises(RegisterTooWide):
+        parse("lines 40\ngate X 0\n")
+    with pytest.raises(RegisterTooWide):
+        parse(f"lines {MAX_LINES + 1}\nmeasure 0\n")
+    assert parse(f"lines {MAX_LINES}\nmeasure 0\n").lines == MAX_LINES
+    with pytest.raises(RegisterTooWide):  # an AST built without the parser
+        run(CircuitAst(40, ("1" * 40,), (MeasureStep(0),)))
 
 
 def test_comments_and_blank_lines():

@@ -1,0 +1,181 @@
+"""The local gate kernel and popcount measurement against the full-width references."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from setqm.errors import ImpossibleOutcome, LineOutOfRange, RegisterTooWide, SizeMismatch
+from setqm.gf2 import BitVec, GF2Matrix, kron, mat_apply
+from setqm.qc import (
+    MAX_LINES,
+    BooleanFunction,
+    Gate,
+    Register,
+    apply,
+    apply_ef,
+    ef_gate,
+    line_probs,
+    measure_line,
+    measure_line_given,
+    parity_sat,
+    standard_gate,
+)
+
+ONE_LINE = ("I", "X", "H0", "H1", "XH0", "XH1")
+FAST = settings(max_examples=40, deadline=None)
+
+
+def reference_apply(g: Gate, r: Register, line: int) -> Register:
+    """mat_apply of I (x) g (x) I: the full-width matrix the kernel replaces."""
+    full = g.matrix
+    if line > 0:
+        full = kron(GF2Matrix.identity(1 << line), full)
+    after = r.lines - line - g.width
+    if after > 0:
+        full = kron(full, GF2Matrix.identity(1 << after))
+    return Register(r.lines, mat_apply(full, r.state))
+
+
+@st.composite
+def registers(draw, min_lines=1, max_lines=10):
+    lines = draw(st.integers(min_lines, max_lines))
+    bits = draw(st.integers(1, (1 << (1 << lines)) - 1))
+    return Register(lines, BitVec(1 << lines, bits))
+
+
+@st.composite
+def nonsingular(draw, width):
+    """A random nonsingular 2^width matrix: the identity under random row additions."""
+    n = 1 << width
+    rows = [1 << i for i in range(n)]
+    for _ in range(draw(st.integers(0, 4 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            rows[i] ^= rows[j]
+    return Gate("random", GF2Matrix(n, n, tuple(rows)))
+
+
+@FAST
+@given(registers())
+def test_library_gates_match_kron_on_every_line(r):
+    for name in ONE_LINE:
+        g = standard_gate(name)
+        for line in range(r.lines):
+            assert apply(g, r, line) == reference_apply(g, r, line)
+
+
+@FAST
+@given(registers(min_lines=2))
+def test_cnot_both_directions_match_kron(r):
+    for name in ("CNOT_A", "CNOT_B"):
+        g = standard_gate(name)
+        for line in range(r.lines - 1):
+            assert apply(g, r, line) == reference_apply(g, r, line)
+
+
+@FAST
+@given(st.data())
+def test_wide_gate_on_dense_and_sparse_states(data):
+    # a 3-line gate has 8 local values; states with fewer than 8 kets leave
+    # some of them absent
+    g = data.draw(nonsingular(3))
+    lines = data.draw(st.integers(3, 8))
+    weight = data.draw(st.sampled_from((1, 2, 5, 40)))
+    kets = data.draw(st.sets(st.integers(0, (1 << lines) - 1), min_size=1, max_size=weight))
+    r = Register.from_indices(lines, kets)
+    for line in range(lines - 2):
+        assert apply(g, r, line) == reference_apply(g, r, line)
+
+
+@FAST
+@given(st.integers(1, 3), st.data())
+def test_ef_factor_path_matches_full_ef_gate(arity, data):
+    f = BooleanFunction(arity, tuple(data.draw(st.lists(st.integers(0, 1), min_size=1 << arity,
+                                                       max_size=1 << arity))))
+    width = 1 << (arity - 1)
+    r = data.draw(registers(min_lines=width, max_lines=width + 2))
+    want = reference_apply(ef_gate(f), r, 0)
+    assert apply_ef(f, r) == want
+    assert apply(ef_gate(f), r) == want
+
+
+def test_ef_factor_path_checks_the_span():
+    with pytest.raises(SizeMismatch):
+        apply_ef(BooleanFunction.from_bits("1101"), Register.basis(1, 0))
+
+
+@FAST
+@given(registers(), st.data())
+def test_line_probs_and_collapse_match_support_walk(r, data):
+    line = data.draw(st.integers(0, r.lines - 1))
+    support = r.support()
+    ones = [k for k in support if r.line_value(k, line)]
+    zeros = [k for k in support if not r.line_value(k, line)]
+    assert line_probs(r, line) == {0: Fraction(len(zeros), len(support)),
+                                   1: Fraction(len(ones), len(support))}
+    for outcome, kept in ((0, zeros), (1, ones)):
+        if kept:
+            assert measure_line_given(r, line, outcome) == (
+                outcome, Register.from_indices(r.lines, kept))
+        else:
+            with pytest.raises(ImpossibleOutcome):
+                measure_line_given(r, line, outcome)
+
+
+@FAST
+@given(registers(), st.data(), st.integers(0, 2**32))
+def test_measure_line_makes_the_same_single_draw(r, data, seed):
+    line = data.draw(st.integers(0, r.lines - 1))
+    rng = random.Random(seed)
+    outcome, after = measure_line(r, line, rng)
+    reference = random.Random(seed)
+    support = r.support()
+    k = support[reference.randrange(len(support))]
+    assert outcome == r.line_value(k, line)
+    assert after == measure_line_given(r, line, outcome)[1]
+    assert rng.getstate() == reference.getstate()
+
+
+def test_measure_checks_line_and_outcome():
+    r = Register.from_indices(2, [0, 3])
+    with pytest.raises(LineOutOfRange):
+        line_probs(r, 2)
+    with pytest.raises(LineOutOfRange):
+        measure_line(r, -1, random.Random(0))
+    with pytest.raises(ImpossibleOutcome):
+        measure_line_given(r, 0, 2)
+
+
+def test_library_gates_are_built_once():
+    assert standard_gate("H0") is standard_gate("H0")
+    assert standard_gate("CNOT_B").columns == ((0,), (3,), (2,), (1,))
+
+
+def test_register_width_limit():
+    assert MAX_LINES == 20
+    for build in (
+        lambda: Register.basis(MAX_LINES + 1, (1 << (MAX_LINES + 1)) - 1),
+        lambda: Register.from_indices(40, [(1 << 40) - 1]),
+        lambda: Register.from_bitstrings(40, ["1" * 40]),
+        lambda: Register(40, BitVec(1 << 40, 1)),
+    ):
+        with pytest.raises(RegisterTooWide):
+            build()
+    assert issubclass(RegisterTooWide, ValueError)
+    assert Register.basis(MAX_LINES, 0).state.length == 1 << MAX_LINES
+
+
+def test_parity_sat_arity_5_on_16_lines():
+    rng = random.Random(5)
+    table = tuple(rng.randrange(2) for _ in range(32))
+    result = parity_sat(BooleanFunction(5, table))
+    slices = tuple((table[2 * p] + table[2 * p + 1]) % 2 for p in range(16))
+    assert result.lines == 16
+    assert result.slice_parities == slices
+    assert result.parity == sum(table) % 2
+    assert result.state.state.bits == 1 << result.measured_index
+    with pytest.raises(RegisterTooWide):
+        parity_sat(BooleanFunction(6, (0,) * 64))

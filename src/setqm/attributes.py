@@ -17,11 +17,13 @@ from .errors import (
     ImpossibleOutcome,
     IncompatibleAttributes,
     NotComplete,
+    NotTotal,
     UniverseMismatch,
     ZeroState,
 )
+from .gf2 import BitVec
 from .partitions import Partition, join
-from .space import SubsetKet, Universe
+from .space import SubsetKet, Universe, rat_json
 
 Rational = Fraction | int | str
 
@@ -35,12 +37,12 @@ class Attribute:
 
     def __post_init__(self):
         if len(self.values) != self.universe.size:
-            raise ValueError("attribute must assign a value to every element")
+            raise NotTotal("attribute must assign a value to every element")
 
     @classmethod
     def from_values(cls, universe: Universe, values: Mapping[str, Rational]) -> Attribute:
         if set(values) != set(universe.labels):
-            raise ValueError("attribute must be total on the universe")
+            raise NotTotal("attribute must be total on the universe")
         return cls(universe, tuple(Fraction(values[x]) for x in universe.labels))
 
     @classmethod
@@ -57,15 +59,11 @@ class Attribute:
 
     def level_set(self, r: Rational) -> SubsetKet:
         r = Fraction(r)
-        return self.universe.subset(
-            x for x, v in zip(self.universe.labels, self.values) if v == r
-        )
+        mask = sum(1 << j for j, v in enumerate(self.values) if v == r)
+        return SubsetKet(self.universe, BitVec(self.universe.size, mask))
 
     def to_json(self) -> dict[str, str]:
-        return {
-            x: f"{v.numerator}/{v.denominator}"
-            for x, v in zip(self.universe.labels, self.values)
-        }
+        return {x: rat_json(v) for x, v in zip(self.universe.labels, self.values)}
 
 
 @dataclass(frozen=True)

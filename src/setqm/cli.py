@@ -28,14 +28,10 @@ from .density import (
 )
 from .dynamics import double_slit
 from .entangle import bell_violation
-from .errors import ParseError, SetQMError
+from .errors import SetQMError
 from .partitions import Partition, logical_entropy, shannon_entropy
 from .qc import BooleanFunction, parity_sat, teleport
-from .space import BasisFrame, SubsetKet, Universe, born, bracket, ket_table
-
-
-def _rat(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"
+from .space import BasisFrame, SubsetKet, Universe, born, bracket, ket_table, rat_json
 
 
 def _universe(dim: int) -> Universe:
@@ -122,7 +118,7 @@ def _cmd_born(args) -> int:
         args,
         _fmt_probs(probs),
         {"state": list(s.labels), "frame": args.frame,
-         "probabilities": {k: _rat(v) for k, v in probs.items()}},
+         "probabilities": {k: rat_json(v) for k, v in probs.items()}},
     )
     return 0
 
@@ -146,9 +142,9 @@ def _cmd_measure(args) -> int:
         args,
         text,
         {
-            "probabilities": {_rat(r): _rat(p) for r, p in probs.items()},
-            "eigenvalue": _rat(outcome.eigenvalue),
-            "probability": _rat(outcome.probability),
+            "probabilities": {rat_json(r): rat_json(p) for r, p in probs.items()},
+            "eigenvalue": rat_json(outcome.eigenvalue),
+            "probability": rat_json(outcome.probability),
             "post_state": list(outcome.post_state.labels),
         },
     )
@@ -163,7 +159,7 @@ def _cmd_entropy(args) -> int:
     _emit(
         args,
         f"h = {h}\nH = {hs:.4f}",
-        {"partition": p.to_json(), "logical": _rat(h), "shannon": hs},
+        {"partition": p.to_json(), "logical": rat_json(h), "shannon": hs},
     )
     return 0
 
@@ -182,8 +178,8 @@ def _cmd_density(args) -> int:
     _emit(
         args,
         text,
-        {"matrix": rho.to_json(), "purity": _rat(purity(rho)),
-         "logical_entropy": _rat(logical_entropy_rho(rho))},
+        {"matrix": rho.to_json(), "purity": rat_json(purity(rho)),
+         "logical_entropy": rat_json(logical_entropy_rho(rho))},
     )
     return 0
 
@@ -204,7 +200,7 @@ def _cmd_measure_density(args) -> int:
         args,
         text,
         {"before": before.to_json(), "after": after.to_json(),
-         "entropy_increase": _rat(gain)},
+         "entropy_increase": rat_json(gain)},
     )
     return 0
 
@@ -216,7 +212,7 @@ def _cmd_double_slit(args) -> int:
         args,
         _fmt_probs(dist),
         {"measured_at_slits": args.measure_at_slits,
-         "distribution": {k: _rat(v) for k, v in dist.items()}},
+         "distribution": {k: rat_json(v) for k, v in dist.items()}},
     )
     return 0
 
@@ -254,7 +250,7 @@ def _cmd_bell(args) -> int:
     payload = {
         "state": [list(p) for p in state.sorted_pairs()],
         "state_outcome": {
-            str(s): {label: _rat(born(s, f)[label]) for f in frames for label in f.labels}
+            str(s): {label: rat_json(born(s, f)[label]) for f in frames for label in f.labels}
             for s in given
         },
         **report.to_json(),
@@ -403,9 +399,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"ParseError: {exc}", file=sys.stderr)
-        return 1
     except SetQMError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

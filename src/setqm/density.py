@@ -1,9 +1,10 @@
-"""Density matrices with exact rational entries.
+"""Density matrices as weighted blocks.
 
 rho(S) is the uniform block on a subset, rho(p) the mixture over a
-partition's blocks. Entry (j,k) is nonzero exactly when u_j and u_k
-share a block, so off-diagonal entries record which pairs still cohere;
-measurement zeroes the pairs it distinguishes.
+partition's blocks, and measurement only splits blocks, so every matrix
+here is a sum of w_B |B><B| over disjoint blocks B. Entry (j,k) is w_B
+when u_j and u_k share block B, else 0: off-diagonal entries record which
+pairs still cohere, and measuring zeroes the pairs it distinguishes.
 """
 
 from __future__ import annotations
@@ -11,39 +12,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .attributes import Attribute
-from .errors import ShapeMismatch, UniverseMismatch, ZeroState
+from .attributes import Attribute, inverse_image_partition
+from .errors import InvalidBlocks, ShapeMismatch, UniverseMismatch, ZeroState
+from .gf2 import BitVec
 from .partitions import Partition
-from .space import SubsetKet, Universe
+from .space import SubsetKet, Universe, rat_json
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Symmetric trace-1 matrix of exact rationals, indexed by universe elements."""
+    """Sum of w_B |B><B| over disjoint nonempty blocks B (bitmasks), with trace 1.
+
+    Blocks are ordered by least element index; elements in no block have
+    an all-zero row and column.
+    """
 
     universe: Universe
-    entries: tuple[tuple[Fraction, ...], ...]
+    blocks: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        n = self.universe.size
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
-            raise ShapeMismatch("entries must form an |U| x |U| matrix")
-        for j in range(n):
-            for k in range(j):
-                if self.entries[j][k] != self.entries[k][j]:
-                    raise ValueError("density matrix must be symmetric")
-        if sum(self.entries[j][j] for j in range(n)) != 1:
-            raise ValueError("density matrix must have trace 1")
+        union = 0
+        for mask, weight in self.blocks:
+            if mask < 0 or mask >> self.universe.size:
+                raise ShapeMismatch("block mask outside the universe")
+            if not mask or union & mask:
+                raise InvalidBlocks("blocks must be nonempty and pairwise disjoint")
+            if weight <= 0:
+                raise InvalidBlocks("block weights must be positive")
+            union |= mask
+        if sum(mask.bit_count() * weight for mask, weight in self.blocks) != 1:
+            raise InvalidBlocks("density matrix must have trace 1")
+        ordered = sorted(((m, Fraction(w)) for m, w in self.blocks), key=lambda b: b[0] & -b[0])
+        object.__setattr__(self, "blocks", tuple(ordered))
 
     @property
     def dim(self) -> int:
         return self.universe.size
 
-    def entry(self, j: int, k: int) -> Fraction:
-        return self.entries[j][k]
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The |U| x |U| grid, built afresh on each access."""
+        zero = Fraction(0)
+        rows = [(zero,) * self.dim] * self.dim
+        for mask, weight in self.blocks:
+            row = tuple(weight if (mask >> k) & 1 else zero for k in range(self.dim))
+            for j, e in enumerate(row):
+                if e:
+                    rows[j] = row
+        return tuple(rows)
 
     def to_json(self) -> list[list[str]]:
-        return [[f"{e.numerator}/{e.denominator}" for e in row] for row in self.entries]
+        return [[rat_json(e) for e in row] for row in self.entries]
 
     def to_text(self) -> str:
         cells = [[str(e) for e in row] for row in self.entries]
@@ -55,38 +74,21 @@ class DensityMatrix:
 
 
 def rho_of_partition(p: Partition) -> DensityMatrix:
-    """Entry (j,k) is 1/|U| when u_j and u_k share a block, else 0."""
-    n = p.universe.size
-    block_masks = [b.bits.bits for b in p.blocks]
-    rows = []
-    for j in range(n):
-        mask = next(m for m in block_masks if (m >> j) & 1)
-        rows.append(tuple(
-            Fraction(1, n) if (mask >> k) & 1 else Fraction(0) for k in range(n)
-        ))
-    return DensityMatrix(p.universe, tuple(rows))
+    """Every block of p with weight 1/|U|."""
+    w = Fraction(1, p.universe.size)
+    return DensityMatrix(p.universe, tuple((b.bits.bits, w) for b in p.blocks))
 
 
 def rho_of_subset(s: SubsetKet) -> DensityMatrix:
-    """Entry (j,k) is 1/|S| when u_j and u_k both lie in S, else 0."""
+    """The single block S with weight 1/|S|."""
     if s.is_zero:
         raise ZeroState("no density matrix for the zero ket")
-    n = s.universe.size
-    size = s.cardinality
-    mask = s.bits.bits
-    rows = tuple(
-        tuple(
-            Fraction(1, size) if (mask >> j) & 1 and (mask >> k) & 1 else Fraction(0)
-            for k in range(n)
-        )
-        for j in range(n)
-    )
-    return DensityMatrix(s.universe, rows)
+    return DensityMatrix(s.universe, ((s.bits.bits, Fraction(1, s.cardinality)),))
 
 
 def purity(rho: DensityMatrix) -> Fraction:
-    """Trace of the squared matrix; by symmetry the sum of squared entries."""
-    return sum((e * e for row in rho.entries for e in row), Fraction(0))
+    """tr[rho^2]: block B holds |B|^2 entries equal to w_B."""
+    return sum((mask.bit_count() ** 2 * w * w for mask, w in rho.blocks), Fraction(0))
 
 
 def logical_entropy_rho(rho: DensityMatrix) -> Fraction:
@@ -95,43 +97,42 @@ def logical_entropy_rho(rho: DensityMatrix) -> Fraction:
 
 
 def expectation(f: Attribute, rho: DensityMatrix) -> Fraction:
-    """tr[f rho] for the diagonal matrix of attribute values."""
+    """tr[f rho]: each block's weight times the sum of f over the block."""
     if f.universe != rho.universe:
         raise UniverseMismatch("attribute and density matrix live on different universes")
-    return sum(
-        (f.values[j] * rho.entries[j][j] for j in range(rho.dim)), Fraction(0)
-    )
+    total = Fraction(0)
+    for mask, w in rho.blocks:
+        total += w * sum(f.values[j] for j in BitVec(rho.dim, mask).indices())
+    return total
 
 
 def measure_density(f: Attribute, rho: DensityMatrix) -> DensityMatrix:
     """Sum of P_r rho P_r over the eigenvalue projections of f.
 
-    Keeps entry (j,k) only when f(u_j) = f(u_k); equivalently, the result
-    for rho of a partition p is rho of join(f's partition, p).
+    Splits each block by the level sets of f, keeping its weight; for rho
+    of a partition p the result is rho of join(f's partition, p).
     """
     if f.universe != rho.universe:
         raise UniverseMismatch("attribute and density matrix live on different universes")
-    rows = tuple(
-        tuple(
-            rho.entries[j][k] if f.values[j] == f.values[k] else Fraction(0)
-            for k in range(rho.dim)
-        )
-        for j in range(rho.dim)
+    levels = [level.bits.bits for level in inverse_image_partition(f).blocks]
+    return DensityMatrix(
+        rho.universe,
+        tuple((mask & level, w) for mask, w in rho.blocks for level in levels if mask & level),
     )
-    return DensityMatrix(rho.universe, rows)
 
 
 def entropy_increase(before: DensityMatrix, after: DensityMatrix) -> Fraction:
-    """Sum of squares of the entries zeroed by a measurement.
+    """Sum of squares of the entries of `before` that are zero in `after`.
 
-    Equals logical_entropy_rho(after) - logical_entropy_rho(before) when
-    `after` came from measure_density on `before`.
+    Block B of `before` loses the pairs that no block A of `after` holds
+    together: |B|^2 - sum over A of |B ∩ A|^2 entries, each w_B. Equals
+    logical_entropy_rho(after) - logical_entropy_rho(before) when `after`
+    came from measure_density on `before`.
     """
     if before.dim != after.dim:
         raise ShapeMismatch("density matrices differ in dimension")
-    total = Fraction(0)
-    for j in range(before.dim):
-        for k in range(before.dim):
-            if after.entries[j][k] == 0:
-                total += before.entries[j][k] ** 2
-    return total
+    lost = Fraction(0)
+    for mask, w in before.blocks:
+        kept = sum((mask & a).bit_count() ** 2 for a, _ in after.blocks)
+        lost += w * w * (mask.bit_count() ** 2 - kept)
+    return lost

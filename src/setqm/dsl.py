@@ -23,6 +23,7 @@ from typing import Union
 
 from .errors import ParseError, RegisterTooWide, ZeroInitial, ZeroState
 from . import qc
+from .space import rat_json
 
 _ONE_LINE_GATES = ("I", "X", "H0", "H1", "XH0", "XH1")
 
@@ -250,7 +251,7 @@ class RunResult:
                 {
                     "line": m.line,
                     "outcome": m.outcome,
-                    "probability": f"{m.probability.numerator}/{m.probability.denominator}",
+                    "probability": rat_json(m.probability),
                 }
                 for m in self.measurements
             ],

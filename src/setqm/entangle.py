@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import Iterable, Sequence
 
-from .errors import DimMismatch, ImpossibleOutcome, ZeroState
+from .errors import DimMismatch, ImpossibleOutcome, UnknownLabel, ZeroState
 from .gf2 import BitVec, GF2Matrix, kron, mat_apply
-from .space import BasisFrame, SubsetKet, Universe, born
+from .space import BasisFrame, SubsetKet, Universe, born, rat_json
 
 
 @dataclass(frozen=True)
@@ -37,42 +39,58 @@ class ProductUniverse:
         return self.left.index(pair[0]) * self.right.size + self.right.index(pair[1])
 
     def state(self, pairs: Iterable[tuple[str, str]]) -> ProductState:
-        return ProductState(self, frozenset(pairs))
+        bits = 0
+        for pair in pairs:
+            bits |= 1 << self.index(pair)
+        return ProductState(self, BitVec(self.size, bits))
 
     def all_states(self):
         """All nonempty subsets of the pair set."""
-        labels = self.pair_labels
         for bits in range(1, 1 << self.size):
-            yield self.state(labels[j] for j in range(self.size) if (bits >> j) & 1)
+            yield ProductState(self, BitVec(self.size, bits))
 
 
 @dataclass(frozen=True)
 class ProductState:
-    """A nonempty subset of a product universe."""
+    """A nonempty subset of a product universe: bit index(x, y) marks the pair (x, y)."""
 
     space: ProductUniverse
-    pairs: frozenset[tuple[str, str]]
+    bits: BitVec
 
     def __post_init__(self):
-        if not self.pairs:
+        if self.bits.length != self.space.size:
+            raise DimMismatch("bit vector length does not match the product size")
+        if self.bits.is_zero:
             raise ZeroState("product state must be nonempty")
-        known = set(self.space.pair_labels)
-        for p in self.pairs:
-            if p not in known:
-                raise ValueError(f"pair {p} not in the product universe")
 
     @property
     def cardinality(self) -> int:
-        return len(self.pairs)
+        return self.bits.weight()
 
-    def to_bitvec(self) -> BitVec:
-        return BitVec.from_indices(self.space.size, (self.space.index(p) for p in self.pairs))
+    @property
+    def pairs(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.sorted_pairs())
 
     def sorted_pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(p for p in self.space.pair_labels if p in self.pairs)
+        k = self.space.right.size
+        left, right = self.space.left.labels, self.space.right.labels
+        return tuple((left[j // k], right[j % k]) for j in self.bits.indices())
 
     def __str__(self) -> str:
         return "{" + ",".join(f"({x},{y})" for x, y in self.sorted_pairs()) + "}"
+
+
+def _rows(s: ProductState) -> dict[str, int]:
+    """Each left label -> the mask of the right labels paired with it."""
+    k = s.space.right.size
+    return {x: s.bits.bits >> (i * k) & ((1 << k) - 1) for i, x in enumerate(s.space.left.labels)}
+
+
+def _column_counts(s: ProductState) -> dict[str, int]:
+    """Each right label -> how many of the state's pairs have it."""
+    k = s.space.right.size
+    column = sum(1 << (i * k) for i in range(s.space.left.size))
+    return {y: (s.bits.bits & column << j).bit_count() for j, y in enumerate(s.space.right.labels)}
 
 
 @dataclass(frozen=True)
@@ -82,9 +100,12 @@ class JointDistribution:
     support: ProductState
 
     def prob(self, pair: tuple[str, str]) -> Fraction:
-        if pair in self.support.pairs:
-            return Fraction(1, self.support.cardinality)
-        return Fraction(0)
+        s = self.support
+        try:
+            inside = (s.bits.bits >> s.space.index(pair)) & 1
+        except UnknownLabel:  # a pair outside the product
+            inside = 0
+        return Fraction(inside, s.cardinality)
 
 
 def joint(s: ProductState) -> JointDistribution:
@@ -93,26 +114,23 @@ def joint(s: ProductState) -> JointDistribution:
 
 def supports(s: ProductState) -> tuple[SubsetKet, SubsetKet]:
     """Projections of the state onto each factor."""
-    left = {x for x, _ in s.pairs}
-    right = {y for _, y in s.pairs}
-    return s.space.left.subset(left), s.space.right.subset(right)
+    left, right = s.space.left, s.space.right
+    rows = _rows(s).values()
+    return (SubsetKet(left, BitVec(left.size, sum(1 << i for i, row in enumerate(rows) if row))),
+            SubsetKet(right, BitVec(right.size, reduce(or_, rows))))
 
 
 def is_separated(s: ProductState) -> bool:
     """True iff the state equals the product of its supports."""
     sx, sy = supports(s)
-    return len(s.pairs) == sx.cardinality * sy.cardinality
+    return s.cardinality == sx.cardinality * sy.cardinality
 
 
 def marginals(d: JointDistribution) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
     """Exact marginal distributions of the two factors."""
-    space = d.support.space
-    left = {x: Fraction(0) for x in space.left.labels}
-    right = {y: Fraction(0) for y in space.right.labels}
-    for x, y in d.support.pairs:
-        p = d.prob((x, y))
-        left[x] += p
-        right[y] += p
+    s = d.support
+    left = {x: Fraction(row.bit_count(), s.cardinality) for x, row in _rows(s).items()}
+    right = {y: Fraction(c, s.cardinality) for y, c in _column_counts(s).items()}
     return left, right
 
 
@@ -135,23 +153,21 @@ def product_to_frame(
         raise DimMismatch("frame dimensions do not match the factors")
     # (A (x) B)^-1 = A^-1 (x) B^-1; both factor inverses are cached on the frames
     inverse = kron(left_frame._inverse, right_frame._inverse)
-    coords = mat_apply(inverse, s.to_bitvec())
     new_space = ProductUniverse(left_frame.universe, right_frame.universe)
-    labels = new_space.pair_labels
-    return new_space.state(labels[j] for j in coords.indices())
+    return ProductState(new_space, mat_apply(inverse, s.bits))
 
 
 def left_measure_prob(s: ProductState, frame: BasisFrame, outcome: str) -> Fraction:
     """Fraction of the state's pairs, expressed in the frame, with the given left label."""
     expressed = product_to_frame(s, frame, frame)
-    hits = sum(1 for x, _ in expressed.pairs if x == outcome)
+    hits = _rows(expressed).get(outcome, 0).bit_count()
     return Fraction(hits, expressed.cardinality)
 
 
 def right_measure_prob(s: ProductState, frame: BasisFrame, outcome: str) -> Fraction:
     """Mirror of left_measure_prob for the right factor."""
     expressed = product_to_frame(s, frame, frame)
-    hits = sum(1 for _, y in expressed.pairs if y == outcome)
+    hits = _column_counts(expressed).get(outcome, 0)
     return Fraction(hits, expressed.cardinality)
 
 
@@ -169,15 +185,15 @@ class CounterfactualReport:
 
     def to_json(self) -> dict:
         def fmt(d):
-            return {",".join(k): _rat(v) for k, v in d.items()}
+            return {",".join(k): rat_json(v) for k, v in d.items()}
 
         return {
             "probabilities": fmt(self.probs),
             "marginal_xy": fmt(self.marginal_xy),
             "marginal_yz": fmt(self.marginal_yz),
             "marginal_xz": fmt(self.marginal_xz),
-            "lhs": _rat(self.lhs),
-            "rhs": _rat(self.rhs),
+            "lhs": rat_json(self.lhs),
+            "rhs": rat_json(self.rhs),
             "satisfied": self.satisfied,
         }
 
@@ -236,15 +252,15 @@ def sequential_pair_prob(
     right support, which is Born-measured in the right frame.
     """
     expressed = product_to_frame(s, left_frame, left_frame)
-    kept = [pair for pair in expressed.pairs if pair[0] == left_outcome]
+    kept = _rows(expressed).get(left_outcome, 0)
     if not kept:
         raise ImpossibleOutcome(
             f"left outcome {left_outcome!r} has probability 0; no state to collapse to"
         )
-    p_left = Fraction(len(kept), expressed.cardinality)
-    right_support = left_frame.universe.subset({y for _, y in kept})
-    # right support is in left_frame coordinates; move it back to canonical
-    canonical = SubsetKet(s.space.right, mat_apply(left_frame.matrix, right_support.bits))
+    p_left = Fraction(kept.bit_count(), expressed.cardinality)
+    # the kept right support is in left_frame coordinates; move it back to canonical
+    back = mat_apply(left_frame.matrix, BitVec(left_frame.dim, kept))
+    canonical = SubsetKet(s.space.right, back)
     p_right = born(canonical, right_frame)[right_outcome]
     return p_left * p_right
 
@@ -260,9 +276,9 @@ class BellReport:
 
     def to_json(self) -> dict:
         return {
-            "terms": {k: _rat(v) for k, v in self.terms.items()},
-            "lhs": _rat(self.lhs),
-            "rhs": _rat(self.rhs),
+            "terms": {k: rat_json(v) for k, v in self.terms.items()},
+            "lhs": rat_json(self.lhs),
+            "rhs": rat_json(self.rhs),
             "violated": self.violated,
         }
 
@@ -303,7 +319,3 @@ def _sequential_or_zero(s, left_frame, left_outcome, right_frame, right_outcome)
         return sequential_pair_prob(s, left_frame, left_outcome, right_frame, right_outcome)
     except ImpossibleOutcome:
         return Fraction(0)
-
-
-def _rat(v: Fraction) -> str:
-    return f"{v.numerator}/{v.denominator}"

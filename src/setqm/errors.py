@@ -23,6 +23,20 @@ class Singular(SetQMError):
     """Matrix has no inverse over GF(2)."""
 
 
+class UnknownLabel(SetQMError, KeyError):
+    """Label is not an element of the universe."""
+
+    __str__ = Exception.__str__  # KeyError would print the message's repr
+
+
+class InvalidBlocks(SetQMError, ValueError):
+    """Blocks are empty or overlap, miss part of the universe, or carry a bad weight."""
+
+
+class NotTotal(SetQMError, ValueError):
+    """Attribute does not assign one value to each element of its universe."""
+
+
 class UniverseMismatch(SetQMError):
     """Operands belong to different universes; set operations between them are undefined."""
 

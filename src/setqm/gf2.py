@@ -9,6 +9,7 @@ so values can be shared freely between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 from .errors import DimMismatch, LengthMismatch, NotSquare, Singular
@@ -50,10 +51,10 @@ class BitVec:
         return cls(length, bits)
 
     def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> j) & 1 for j in range(self.length))
+        return tuple(_digits(self.bits).ljust(self.length, b"\0"))
 
     def indices(self) -> tuple[int, ...]:
-        return tuple(j for j in range(self.length) if (self.bits >> j) & 1)
+        return tuple(compress(count(), _digits(self.bits)))
 
     def weight(self) -> int:
         return self.bits.bit_count()
@@ -64,6 +65,14 @@ class BitVec:
 
     def __xor__(self, other: BitVec) -> BitVec:
         return add(self, other)
+
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _digits(bits: int) -> bytes:
+    # coordinates lowest first as bytes 0/1, in one pass (a shift per coordinate is quadratic)
+    return bin(bits)[:1:-1].encode().translate(_BINARY_DIGITS)
 
 
 def add(v: BitVec, w: BitVec) -> BitVec:
@@ -103,17 +112,8 @@ class GF2Matrix:
         return cls(len(rows), len(rows[0]), tuple(packed))
 
     @classmethod
-    def from_columns(cls, columns: Sequence[BitVec]) -> GF2Matrix:
-        n = columns[0].length
-        rows = [sum(((c.bits >> i) & 1) << j for j, c in enumerate(columns)) for i in range(n)]
-        return cls(n, len(columns), tuple(rows))
-
-    @classmethod
     def identity(cls, n: int) -> GF2Matrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        return (self.row_bits[i] >> j) & 1
 
     def column(self, j: int) -> BitVec:
         return BitVec(self.rows, sum(((r >> j) & 1) << i for i, r in enumerate(self.row_bits)))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
-from .errors import OutOfRange, UniverseMismatch
+from .errors import InvalidBlocks, OutOfRange, UniverseMismatch
 from .gf2 import BitVec
 from .space import SubsetKet, Universe
 
@@ -25,13 +25,13 @@ class Partition:
             if b.universe != self.universe:
                 raise UniverseMismatch("block universe differs from partition universe")
             if b.is_zero:
-                raise ValueError("blocks must be nonempty")
+                raise InvalidBlocks("blocks must be nonempty")
             if union & b.bits.bits:
-                raise ValueError("blocks must be pairwise disjoint")
+                raise InvalidBlocks("blocks must be pairwise disjoint")
             union |= b.bits.bits
         if union != (1 << self.universe.size) - 1:
-            raise ValueError("blocks must cover the universe")
-        ordered = tuple(sorted(self.blocks, key=lambda b: b.bits.indices()[0]))
+            raise InvalidBlocks("blocks must cover the universe")
+        ordered = tuple(sorted(self.blocks, key=lambda b: b.bits.bits & -b.bits.bits))
         object.__setattr__(self, "blocks", ordered)
 
     @classmethod
@@ -46,16 +46,6 @@ class Partition:
     def indiscrete(cls, universe: Universe) -> Partition:
         """The blob: the single block containing everything."""
         return cls.from_blocks(universe, [universe.labels])
-
-    def block_of(self, label: str) -> SubsetKet:
-        for b in self.blocks:
-            if label in b:
-                return b
-        raise KeyError(label)
-
-    def block_probabilities(self) -> list[Fraction]:
-        n = self.universe.size
-        return [Fraction(b.cardinality, n) for b in self.blocks]
 
     def to_json(self) -> list[list[str]]:
         return [list(b.labels) for b in self.blocks]
@@ -128,7 +118,8 @@ def logical_entropy(p: Partition) -> Fraction:
 
 def shannon_entropy(p: Partition) -> float:
     """Base-2 entropy of the block probabilities; the one float in the package."""
-    return sum(float(pb) * math.log2(1 / pb) for pb in p.block_probabilities() if pb > 0)
+    n = p.universe.size
+    return sum(b.cardinality / n * math.log2(n / b.cardinality) for b in p.blocks)
 
 
 def block_entropy_relation(p_b: Fraction) -> tuple[Fraction, float]:

@@ -55,11 +55,7 @@ class Gate:
     @cached_property
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Row indices of the set entries of each column: local value j goes to each i."""
-        cols: list[list[int]] = [[] for _ in range(self.matrix.cols)]
-        for i, row in enumerate(self.matrix.row_bits):
-            for j in _set_bits(row):
-                cols[j].append(i)
-        return tuple(tuple(c) for c in cols)
+        return tuple(self.matrix.column(j).indices() for j in range(self.matrix.cols))
 
 
 _GATE_ROWS = {
@@ -83,14 +79,6 @@ def standard_gate(name: str) -> Gate:
         return _LIBRARY[name]
     except KeyError:
         raise UnknownGate(f"no gate named {name!r}") from None
-
-
-def _set_bits(x: int) -> Iterable[int]:
-    """Positions of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 @lru_cache(maxsize=64)

@@ -7,12 +7,11 @@ field, and every probability is an exact `fractions.Fraction`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimMismatch, UniverseMismatch, ZeroState
+from .errors import DimMismatch, UniverseMismatch, UnknownLabel, ZeroState
 from .gf2 import BitVec, GF2Matrix, invert, mat_apply
 
 
@@ -36,7 +35,7 @@ class Universe:
         try:
             return self.labels.index(label)
         except ValueError:
-            raise KeyError(f"{label!r} not in universe {self.labels}") from None
+            raise UnknownLabel(f"{label!r} not in universe {self.labels}") from None
 
     def subset(self, labels: Iterable[str] = ()) -> SubsetKet:
         return SubsetKet(self, BitVec.from_indices(self.size, (self.index(x) for x in labels)))
@@ -133,6 +132,11 @@ class BasisFrame:
     def basis_ket(self, label: str, canonical: Universe) -> SubsetKet:
         """Basis ket named `label`, expressed in canonical coordinates."""
         return SubsetKet(canonical, self.matrix.column(self.labels.index(label)))
+
+
+def rat_json(v: Fraction) -> str:
+    """A probability or eigenvalue as JSON output writes it: "p/q", even for whole numbers."""
+    return f"{v.numerator}/{v.denominator}"
 
 
 def bracket(t: SubsetKet, s: SubsetKet) -> int:
@@ -239,7 +243,3 @@ def ket_table(dim: int, frames: Sequence[BasisFrame]) -> KetTable:
             row[f.name] = tuple(f.labels[j] for j in coords.indices())
         rows.append(row)
     return KetTable(frames, tuple(rows))
-
-
-def ket_table_json(table: KetTable) -> str:
-    return json.dumps(table.to_json())

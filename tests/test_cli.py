@@ -204,3 +204,18 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (("bracket", "{a,z}", "{a}"), "UnknownLabel"),
+        (("entropy", "--partition", "{a}|{b}"), "InvalidBlocks"),
+        (("measure", "--attr", "a:1,b:2", "--state", "{a}"), "NotTotal"),
+        (("bell", "--state", "{(a,z)}"), "UnknownLabel"),
+    ],
+)
+def test_bad_labels_and_blocks_exit_1_with_the_error_name(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"{error}: ") and "Traceback" not in err

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from setqm.attributes import Attribute, inverse_image_partition
 from setqm.density import (
@@ -13,10 +15,11 @@ from setqm.density import (
     rho_of_partition,
     rho_of_subset,
 )
-from setqm.errors import ShapeMismatch, UniverseMismatch, ZeroState
+from setqm.errors import InvalidBlocks, ShapeMismatch, UniverseMismatch, ZeroState
 from setqm.partitions import Partition, iter_partitions, join, logical_entropy
 from setqm.presets import universe_abc
-from setqm.space import Universe
+from setqm.gf2 import BitVec
+from setqm.space import SubsetKet, Universe
 
 F = Fraction
 
@@ -207,10 +210,25 @@ def test_entropy_increase_shape_mismatch():
 
 def test_density_validation():
     u = universe_abc()
+    assert issubclass(InvalidBlocks, ValueError)
     with pytest.raises(ShapeMismatch):
-        DensityMatrix(u, grid([1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]))
-    with pytest.raises(ValueError):
-        DensityMatrix(u, grid(["1/2", "1/4", 0], [0, "1/2", 0], [0, 0, 0]))
+        DensityMatrix(u, ((0b1000, F(1)),))
+    for blocks in (
+        ((0b011, F(1, 4)), (0b110, F(1, 4))),  # overlapping blocks
+        ((0, F(1, 2)), (0b111, F(1, 3))),  # an empty block
+        ((0b001, F(0)), (0b110, F(1, 2))),  # a zero weight
+        ((0b001, F(2)), (0b110, F(-1, 2))),  # a negative weight
+        ((0b111, F(1, 2)),),  # trace 3/2
+    ):
+        with pytest.raises(InvalidBlocks):
+            DensityMatrix(u, blocks)
+
+
+def test_density_blocks_are_canonical():
+    u = universe_abc()
+    shuffled = DensityMatrix(u, ((0b010, F(1, 3)), (0b101, F(1, 3))))
+    assert shuffled.blocks == ((0b101, F(1, 3)), (0b010, F(1, 3)))  # by least element
+    assert shuffled == rho_of_partition(Partition.from_blocks(u, [["b"], ["a", "c"]]))
 
 
 def test_density_json():
@@ -221,3 +239,136 @@ def test_density_json():
         ["0/1", "0/1", "0/1"],
         ["0/1", "0/1", "1/1"],
     ]
+
+
+# ---- the block form against the dense entrywise algorithms it replaced
+
+def dense_of_blocks(n, blocks):
+    """Entry (j,k) is w when j and k lie in one block of weight w, else 0."""
+    rows = [[F(0)] * n for _ in range(n)]
+    for mask, w in blocks:
+        for j in range(n):
+            for k in range(n):
+                if (mask >> j) & 1 and (mask >> k) & 1:
+                    rows[j][k] = w
+    return tuple(tuple(row) for row in rows)
+
+
+def dense_purity(entries):
+    return sum((e * e for row in entries for e in row), F(0))
+
+
+def dense_expectation(values, entries):
+    return sum((values[j] * entries[j][j] for j in range(len(entries))), F(0))
+
+
+def dense_measure(values, entries):
+    n = len(entries)
+    return tuple(
+        tuple(entries[j][k] if values[j] == values[k] else F(0) for k in range(n))
+        for j in range(n)
+    )
+
+
+def dense_entropy_increase(before, after):
+    n = len(before)
+    return sum(
+        (before[j][k] ** 2 for j in range(n) for k in range(n) if after[j][k] == 0), F(0)
+    )
+
+
+def dense_text(entries):
+    cells = [[str(e) for e in row] for row in entries]
+    width = max(len(c) for row in cells for c in row)
+    return "\n".join("  ".join(c.rjust(width) for c in row) for row in cells)
+
+
+def dense_json(entries):
+    return [[f"{e.numerator}/{e.denominator}" for e in row] for row in entries]
+
+
+LABELS = tuple("abcdef")
+VALUES = (F(-1), F(0), F(1, 2), F(1), F(3))
+
+
+@st.composite
+def universes(draw):
+    return Universe(LABELS[: draw(st.integers(1, len(LABELS)))])
+
+
+@st.composite
+def partitions_of(draw, u):
+    """A partition of u from a restricted-growth style block assignment."""
+    assign = [draw(st.integers(0, j)) for j in range(u.size)]
+    blocks = {}
+    for label, b in zip(u.labels, assign):
+        blocks.setdefault(b, []).append(label)
+    return Partition.from_blocks(u, list(blocks.values()))
+
+
+@st.composite
+def density_matrices(draw, u):
+    """Any block matrix on u: disjoint blocks, leftover elements, arbitrary positive weights."""
+    assign = draw(st.lists(st.integers(-1, u.size - 1), min_size=u.size, max_size=u.size))
+    if all(b < 0 for b in assign):
+        assign[0] = 0
+    masks = {}
+    for j, b in enumerate(assign):
+        if b >= 0:
+            masks[b] = masks.get(b, 0) | 1 << j
+    counts = [draw(st.integers(1, 5)) for _ in masks]
+    trace = sum(m.bit_count() * c for m, c in zip(masks.values(), counts))
+    return DensityMatrix(u, tuple((m, F(c, trace)) for m, c in zip(masks.values(), counts)))
+
+
+@st.composite
+def attributes_on(draw, u):
+    return Attribute(u, tuple(draw(st.sampled_from(VALUES)) for _ in range(u.size)))
+
+
+@given(st.data())
+def test_rho_constructors_match_dense(data):
+    u = data.draw(universes())
+    p = data.draw(partitions_of(u))
+    masks = [b.bits.bits for b in p.blocks]
+    dense = dense_of_blocks(u.size, [(m, F(1, u.size)) for m in masks])
+    assert rho_of_partition(p).entries == dense
+    mask = data.draw(st.integers(1, (1 << u.size) - 1))
+    s = SubsetKet(u, BitVec(u.size, mask))
+    assert rho_of_subset(s).entries == dense_of_blocks(u.size, [(mask, F(1, s.cardinality))])
+
+
+@given(st.data())
+def test_block_functions_match_dense(data):
+    u = data.draw(universes())
+    rho = data.draw(density_matrices(u))
+    f = data.draw(attributes_on(u))
+    dense = dense_of_blocks(u.size, rho.blocks)
+    assert rho.entries == dense
+    assert rho.to_text() == str(rho) == dense_text(dense)
+    assert rho.to_json() == dense_json(dense)
+    assert purity(rho) == dense_purity(dense)
+    assert logical_entropy_rho(rho) == 1 - dense_purity(dense)
+    assert expectation(f, rho) == dense_expectation(f.values, dense)
+    after = measure_density(f, rho)
+    assert after.entries == dense_measure(f.values, dense)
+    assert entropy_increase(rho, after) == dense_entropy_increase(dense, after.entries)
+
+
+@given(st.data())
+def test_entropy_increase_of_unrelated_pairs_matches_dense(data):
+    u = data.draw(universes())
+    before, after = data.draw(density_matrices(u)), data.draw(density_matrices(u))
+    assert entropy_increase(before, after) == dense_entropy_increase(before.entries, after.entries)
+
+
+@given(st.data())
+def test_measuring_a_partition_state_is_the_join(data):
+    u = data.draw(universes())
+    p = data.draw(partitions_of(u))
+    f = data.draw(attributes_on(u))
+    joined = join(inverse_image_partition(f), p)
+    after = measure_density(f, rho_of_partition(p))
+    assert after == rho_of_partition(joined)
+    gain = logical_entropy(joined) - logical_entropy(p)
+    assert entropy_increase(rho_of_partition(p), after) == gain

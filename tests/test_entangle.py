@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from setqm.entangle import (
     bell_basis_frames,
@@ -17,9 +20,10 @@ from setqm.entangle import (
     supports,
     ProductUniverse,
 )
-from setqm.errors import ImpossibleOutcome, ZeroState
+from setqm.errors import ImpossibleOutcome, UnknownLabel, ZeroState
+from setqm.gf2 import BitVec, GF2Matrix, kron, mat_apply
 from setqm.presets import bell_state, other_bell_state, pair_space, universe_ab
-from setqm.space import Universe
+from setqm.space import BasisFrame, SubsetKet, Universe, born
 
 F = Fraction
 
@@ -207,3 +211,116 @@ def test_report_json():
 def test_zero_product_state():
     with pytest.raises(ZeroState):
         pair_space().state([])
+
+
+# ---- the bitset ProductState against the frozenset-of-pairs algorithms it replaced
+
+def ref_state(space, pairs):
+    known = set(space.pair_labels)
+    out = frozenset(pairs)
+    assert out and out <= known
+    return out
+
+
+def ref_to_frame(space, pairs, left_frame, right_frame):
+    """Kronecker change of basis on the bit vector of the pairs, back to label pairs."""
+    vec = BitVec.from_indices(space.size, (space.index(p) for p in pairs))
+    coords = mat_apply(kron(left_frame._inverse, right_frame._inverse), vec)
+    labels = ProductUniverse(left_frame.universe, right_frame.universe).pair_labels
+    return frozenset(labels[j] for j in coords.indices())
+
+
+def ref_marginals(space, pairs):
+    left = {x: F(0) for x in space.left.labels}
+    right = {y: F(0) for y in space.right.labels}
+    for x, y in pairs:
+        left[x] += F(1, len(pairs))
+        right[y] += F(1, len(pairs))
+    return left, right
+
+
+def ref_sequential(space, pairs, left_frame, left_outcome, right_frame, right_outcome):
+    expressed = ref_to_frame(space, pairs, left_frame, left_frame)
+    kept = [pair for pair in expressed if pair[0] == left_outcome]
+    if not kept:
+        return None
+    right_support = left_frame.universe.subset({y for _, y in kept})
+    canonical = SubsetKet(space.right, mat_apply(left_frame.matrix, right_support.bits))
+    return F(len(kept), len(expressed)) * born(canonical, right_frame)[right_outcome]
+
+
+@st.composite
+def frames_of(draw, u, name):
+    """A random basis of u: the identity under random row additions."""
+    rows = [1 << i for i in range(u.size)]
+    for _ in range(draw(st.integers(0, 3 * u.size))):
+        i, j = draw(st.integers(0, u.size - 1)), draw(st.integers(0, u.size - 1))
+        if i != j:
+            rows[i] ^= rows[j]
+    labels = tuple(x + name for x in u.labels)
+    return BasisFrame(name, labels, GF2Matrix(u.size, u.size, tuple(rows)))
+
+
+@st.composite
+def product_states(draw, square=False):
+    left = Universe(("a", "b", "c")[: draw(st.integers(2 if square else 1, 3))])
+    right = left if square else Universe(("x", "y", "z")[: draw(st.integers(1, 3))])
+    space = ProductUniverse(left, right)
+    pairs = draw(st.lists(st.sampled_from(space.pair_labels), min_size=1, max_size=12))
+    return space, pairs
+
+
+@given(product_states(), st.data())
+def test_bitset_state_matches_pair_set(case, data):
+    space, pairs = case
+    s = space.state(pairs)  # duplicates must not cancel
+    ref = ref_state(space, pairs)
+    assert s.pairs == ref
+    assert s.sorted_pairs() == tuple(p for p in space.pair_labels if p in ref)
+    assert s.cardinality == len(ref)
+    sx, sy = supports(s)
+    assert set(sx.labels) == {x for x, _ in ref} and set(sy.labels) == {y for _, y in ref}
+    assert is_separated(s) == (len(ref) == len(sx.labels) * len(sy.labels))
+    d = joint(s)
+    assert marginals(d) == ref_marginals(space, ref)
+    assert is_independent(d) == is_separated(s)
+    for pair in space.pair_labels + (("a", "q"), ("q", "x")):
+        assert d.prob(pair) == (F(1, len(ref)) if pair in ref else 0)
+    lf, rf = data.draw(frames_of(space.left, "'")), data.draw(frames_of(space.right, "''"))
+    assert product_to_frame(s, lf, rf).pairs == ref_to_frame(space, ref, lf, rf)
+
+
+@given(product_states(square=True), st.data())
+def test_measurements_match_pair_set(case, data):
+    space, pairs = case
+    s, ref = space.state(pairs), ref_state(space, pairs)
+    frames = [data.draw(frames_of(space.left, "'" * i)) for i in (1, 2, 3)]
+    for f in frames:
+        expressed = ref_to_frame(space, ref, f, f)
+        for outcome in f.labels + ("q",):
+            n = len(expressed)
+            lefts = sum(x == outcome for x, _ in expressed)
+            rights = sum(y == outcome for _, y in expressed)
+            assert left_measure_prob(s, f, outcome) == F(lefts, n)
+            assert right_measure_prob(s, f, outcome) == F(rights, n)
+    f1, f2, f3 = frames
+    for x, y in product(f1.labels + ("q",), f2.labels):
+        want = ref_sequential(space, ref, f1, x, f2, y)
+        if want is None:
+            with pytest.raises(ImpossibleOutcome):
+                sequential_pair_prob(s, f1, x, f2, y)
+        else:
+            assert sequential_pair_prob(s, f1, x, f2, y) == want
+    report = bell_violation(s, frames)
+    terms = [
+        ref_sequential(space, ref, f1, f1.labels[0], f2, f2.labels[0]),
+        ref_sequential(space, ref, f2, f2.labels[1], f3, f3.labels[1]),
+        ref_sequential(space, ref, f1, f1.labels[0], f3, f3.labels[1]),
+    ]
+    assert list(report.terms.values()) == [t or F(0) for t in terms]
+
+
+def test_state_rejects_unknown_pairs():
+    assert issubclass(UnknownLabel, KeyError)
+    with pytest.raises(UnknownLabel):
+        pair_space().state([("a", "z")])

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from setqm.errors import DimMismatch, LengthMismatch, NotSquare, Singular
 from setqm.gf2 import (
@@ -182,3 +184,22 @@ def test_apply_associates_with_mul():
         b = GF2Matrix(3, 3, tuple(rng.randrange(8) for _ in range(3)))
         v = BitVec(3, rng.randrange(8))
         assert mat_apply(mat_mul(a, b), v) == mat_apply(a, mat_apply(b, v))
+
+
+def _mask(indices):
+    return sum(1 << j for j in indices)
+
+
+@st.composite
+def bitvecs(draw):
+    """Dense, sparse, empty and full vectors up to 300 coordinates."""
+    length = draw(st.integers(1, 300))
+    full = (1 << length) - 1
+    sparse = st.sets(st.integers(0, length - 1), max_size=4).map(_mask)
+    return BitVec(length, draw(st.one_of(st.integers(0, full), sparse, st.just(full))))
+
+
+@given(bitvecs())
+def test_indices_and_coords_match_per_coordinate_shifts(v):
+    assert v.coords() == tuple((v.bits >> j) & 1 for j in range(v.length))
+    assert v.indices() == tuple(j for j in range(v.length) if (v.bits >> j) & 1)

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from setqm.errors import ImpossibleOutcome, LineOutOfRange, RegisterTooWide, SizeMismatch
@@ -25,7 +25,6 @@ from setqm.qc import (
 )
 
 ONE_LINE = ("I", "X", "H0", "H1", "XH0", "XH1")
-FAST = settings(max_examples=40, deadline=None)
 
 
 def reference_apply(g: Gate, r: Register, line: int) -> Register:
@@ -58,7 +57,6 @@ def nonsingular(draw, width):
     return Gate("random", GF2Matrix(n, n, tuple(rows)))
 
 
-@FAST
 @given(registers())
 def test_library_gates_match_kron_on_every_line(r):
     for name in ONE_LINE:
@@ -67,7 +65,6 @@ def test_library_gates_match_kron_on_every_line(r):
             assert apply(g, r, line) == reference_apply(g, r, line)
 
 
-@FAST
 @given(registers(min_lines=2))
 def test_cnot_both_directions_match_kron(r):
     for name in ("CNOT_A", "CNOT_B"):
@@ -76,7 +73,6 @@ def test_cnot_both_directions_match_kron(r):
             assert apply(g, r, line) == reference_apply(g, r, line)
 
 
-@FAST
 @given(st.data())
 def test_wide_gate_on_dense_and_sparse_states(data):
     # a 3-line gate has 8 local values; states with fewer than 8 kets leave
@@ -90,7 +86,6 @@ def test_wide_gate_on_dense_and_sparse_states(data):
         assert apply(g, r, line) == reference_apply(g, r, line)
 
 
-@FAST
 @given(st.integers(1, 3), st.data())
 def test_ef_factor_path_matches_full_ef_gate(arity, data):
     f = BooleanFunction(arity, tuple(data.draw(st.lists(st.integers(0, 1), min_size=1 << arity,
@@ -107,7 +102,6 @@ def test_ef_factor_path_checks_the_span():
         apply_ef(BooleanFunction.from_bits("1101"), Register.basis(1, 0))
 
 
-@FAST
 @given(registers(), st.data())
 def test_line_probs_and_collapse_match_support_walk(r, data):
     line = data.draw(st.integers(0, r.lines - 1))
@@ -125,7 +119,6 @@ def test_line_probs_and_collapse_match_support_walk(r, data):
                 measure_line_given(r, line, outcome)
 
 
-@FAST
 @given(registers(), st.data(), st.integers(0, 2**32))
 def test_measure_line_makes_the_same_single_draw(r, data, seed):
     line = data.draw(st.integers(0, r.lines - 1))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -21,8 +22,8 @@ from .errors import (
     UniverseMismatch,
     ZeroState,
 )
-from .gf2 import BitVec
-from .partitions import Partition, join
+from .gf2 import BitVec, nth_set_bit
+from .partitions import Partition
 from .space import SubsetKet, Universe, rat_json
 
 Rational = Fraction | int | str
@@ -47,19 +48,25 @@ class Attribute:
 
     @classmethod
     def indicator(cls, universe: Universe, labels: Sequence[str]) -> Attribute:
-        """Characteristic function of a subset."""
-        chosen = set(labels)
-        return cls(universe, tuple(Fraction(1 if x in chosen else 0) for x in universe.labels))
+        """Characteristic function of a subset; raises UnknownLabel outside the universe."""
+        return cls(universe, tuple(map(Fraction, universe.subset(set(labels)).bits.coords())))
 
     def value(self, label: str) -> Fraction:
         return self.values[self.universe.index(label)]
 
+    @cached_property
+    def levels(self) -> dict[Fraction, int]:
+        """Each eigenvalue, ascending, mapped to the bitmask of its level set."""
+        masks = {}
+        for j, v in enumerate(self.values):
+            masks[v] = masks.get(v, 0) | 1 << j
+        return dict(sorted(masks.items()))
+
     def spectrum(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(set(self.values)))
+        return tuple(self.levels)
 
     def level_set(self, r: Rational) -> SubsetKet:
-        r = Fraction(r)
-        mask = sum(1 << j for j, v in enumerate(self.values) if v == r)
+        mask = self.levels.get(Fraction(r), 0)
         return SubsetKet(self.universe, BitVec(self.universe.size, mask))
 
     def to_json(self) -> dict[str, str]:
@@ -75,14 +82,25 @@ class MeasurementOutcome:
 
 def inverse_image_partition(f: Attribute) -> Partition:
     """Partition of the universe into the nonempty level sets of f."""
-    return Partition(f.universe, tuple(f.level_set(r) for r in f.spectrum()))
+    u = f.universe
+    return Partition(u, tuple(SubsetKet(u, BitVec(u.size, m)) for m in f.levels.values()))
+
+
+def _check_universe(f: Attribute, s: SubsetKet) -> None:
+    if f.universe != s.universe:
+        raise UniverseMismatch("attribute and state live on different universes")
 
 
 def project(f: Attribute, r: Rational, s: SubsetKet) -> SubsetKet:
     """Projection f^-1(r) ∩ S; may be the zero ket."""
-    if f.universe != s.universe:
-        raise UniverseMismatch("attribute and state live on different universes")
+    _check_universe(f, s)
     return f.level_set(r).intersect(s)
+
+
+def _split(f: Attribute, s: SubsetKet) -> list[tuple[Fraction, int]]:
+    """(r, mask of f^-1(r) ∩ S) for each eigenvalue whose part of S is nonempty."""
+    _check_universe(f, s)
+    return [(r, part) for r, level in f.levels.items() if (part := level & s.bits.bits)]
 
 
 def measure_probs(f: Attribute, s: SubsetKet) -> dict[Fraction, Fraction]:
@@ -90,20 +108,16 @@ def measure_probs(f: Attribute, s: SubsetKet) -> dict[Fraction, Fraction]:
     if s.is_zero:
         raise ZeroState("cannot measure the zero ket")
     n = s.cardinality
-    out = {}
-    for r in f.spectrum():
-        k = project(f, r, s).cardinality
-        if k:
-            out[r] = Fraction(k, n)
-    return out
+    return {r: Fraction(part.bit_count(), n) for r, part in _split(f, s)}
 
 
 def measure(f: Attribute, s: SubsetKet, rng: random.Random) -> MeasurementOutcome:
     """Sample an eigenvalue by a uniform draw over S and collapse onto its level set."""
     if s.is_zero:
         raise ZeroState("cannot measure the zero ket")
-    label = s.labels[rng.randrange(s.cardinality)]
-    return measure_given(f, s, f.value(label))
+    _check_universe(f, s)
+    j = nth_set_bit(s.bits.bits, rng.randrange(s.cardinality))
+    return measure_given(f, s, f.values[j])
 
 
 def measure_given(f: Attribute, s: SubsetKet, r: Rational) -> MeasurementOutcome:
@@ -122,36 +136,22 @@ def is_compatible(f: Attribute, g: Attribute) -> bool:
 
 
 def is_complete(fs: Sequence[Attribute]) -> bool:
-    """True when the join of the inverse-image partitions is discrete."""
-    joined = _joined_partition(fs)
-    return all(b.cardinality == 1 for b in joined.blocks)
+    """True when the join of the level-set partitions is discrete: eigenvalue tuples all differ."""
+    if not fs:
+        raise IncompatibleAttributes("need at least one attribute")
+    if not all(is_compatible(fs[0], g) for g in fs):
+        raise IncompatibleAttributes("attributes live on different universes")
+    return len(set(zip(*(f.values for f in fs)))) == fs[0].universe.size
 
 
 def eigenkets(fs: Sequence[Attribute]) -> dict[str, tuple[Fraction, ...]]:
     """Each element named by its tuple of eigenvalues under a complete family."""
     if not is_complete(fs):
         raise NotComplete("attribute family does not separate all elements")
-    universe = fs[0].universe
-    return {x: tuple(f.value(x) for f in fs) for x in universe.labels}
+    return dict(zip(fs[0].universe.labels, zip(*(f.values for f in fs))))
 
 
 def spectral_apply(f: Attribute, s: SubsetKet) -> list[tuple[Fraction, SubsetKet]]:
     """Formal spectral decomposition: (r, f^-1(r) ∩ S) with nonzero components."""
-    out = []
-    for r in f.spectrum():
-        part = project(f, r, s)
-        if not part.is_zero:
-            out.append((r, part))
-    return out
-
-
-def _joined_partition(fs: Sequence[Attribute]) -> Partition:
-    if not fs:
-        raise IncompatibleAttributes("need at least one attribute")
-    for g in fs[1:]:
-        if not is_compatible(fs[0], g):
-            raise IncompatibleAttributes("attributes live on different universes")
-    joined = inverse_image_partition(fs[0])
-    for g in fs[1:]:
-        joined = join(joined, inverse_image_partition(g))
-    return joined
+    n = s.universe.size
+    return [(r, SubsetKet(s.universe, BitVec(n, part))) for r, part in _split(f, s)]

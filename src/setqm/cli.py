@@ -51,10 +51,7 @@ def _parse_subset(text: str, universe: Universe) -> SubsetKet:
 
 
 def _parse_partition(text: str, universe: Universe) -> Partition:
-    blocks = []
-    for chunk in text.split("|"):
-        blocks.append(_parse_subset(chunk, universe).labels)
-    return Partition.from_blocks(universe, blocks)
+    return Partition(universe, tuple(_parse_subset(chunk, universe) for chunk in text.split("|")))
 
 
 def _parse_attr(text: str, universe: Universe) -> Attribute:

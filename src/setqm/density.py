@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .attributes import Attribute, inverse_image_partition
+from .attributes import Attribute
 from .errors import InvalidBlocks, ShapeMismatch, UniverseMismatch, ZeroState
-from .gf2 import BitVec
 from .partitions import Partition
 from .space import SubsetKet, Universe, rat_json
 
@@ -97,12 +96,12 @@ def logical_entropy_rho(rho: DensityMatrix) -> Fraction:
 
 
 def expectation(f: Attribute, rho: DensityMatrix) -> Fraction:
-    """tr[f rho]: each block's weight times the sum of f over the block."""
+    """tr[f rho]: each block B's weight times the sum of r |B ∩ f^-1(r)| over eigenvalues r."""
     if f.universe != rho.universe:
         raise UniverseMismatch("attribute and density matrix live on different universes")
     total = Fraction(0)
     for mask, w in rho.blocks:
-        total += w * sum(f.values[j] for j in BitVec(rho.dim, mask).indices())
+        total += w * sum(r * (mask & level).bit_count() for r, level in f.levels.items())
     return total
 
 
@@ -114,7 +113,7 @@ def measure_density(f: Attribute, rho: DensityMatrix) -> DensityMatrix:
     """
     if f.universe != rho.universe:
         raise UniverseMismatch("attribute and density matrix live on different universes")
-    levels = [level.bits.bits for level in inverse_image_partition(f).blocks]
+    levels = f.levels.values()
     return DensityMatrix(
         rho.universe,
         tuple((mask & level, w) for mask, w in rho.blocks for level in levels if mask & level),

@@ -86,7 +86,10 @@ def _bad(tok: _Token, message: str) -> ParseError:
 def _int_token(tok: _Token, what: str) -> int:
     if not (tok.text.isascii() and tok.text.isdigit()):
         raise _bad(tok, f"expected {what}")
-    return int(tok.text)
+    try:
+        return int(tok.text)
+    except ValueError:  # more digits than int() converts
+        raise _bad(tok, f"{what} has too many digits") from None
 
 
 def _bitstring_token(tok: _Token, lines: int) -> str:

@@ -16,7 +16,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import DimMismatch, ImpossibleOutcome, UnknownLabel, ZeroState
-from .gf2 import BitVec, GF2Matrix, kron, mat_apply
+from .gf2 import BitVec, GF2Matrix, mat_apply, mat_mul
 from .space import BasisFrame, SubsetKet, Universe, born, rat_json
 
 
@@ -147,14 +147,17 @@ def is_independent(d: JointDistribution) -> bool:
 def product_to_frame(
     s: ProductState, left_frame: BasisFrame, right_frame: BasisFrame
 ) -> ProductState:
-    """The same tensor ket in new factor bases, via the Kronecker change of basis."""
+    """The same tensor ket in new factor bases, without a Kronecker matrix."""
     space = s.space
     if left_frame.dim != space.left.size or right_frame.dim != space.right.size:
         raise DimMismatch("frame dimensions do not match the factors")
-    # (A (x) B)^-1 = A^-1 (x) B^-1; both factor inverses are cached on the frames
-    inverse = kron(left_frame._inverse, right_frame._inverse)
+    # (A (x) B)^-1 vec(S) = vec(A^-1 S B^-T): B^-1 acts on each row of S, A^-1 mixes the rows
+    k = space.right.size
+    rows = tuple(mat_apply(right_frame._inverse, BitVec(k, row)).bits for row in _rows(s).values())
+    mixed = mat_mul(left_frame._inverse, GF2Matrix(len(rows), k, rows))
+    bits = sum(row << (i * k) for i, row in enumerate(mixed.row_bits))
     new_space = ProductUniverse(left_frame.universe, right_frame.universe)
-    return ProductState(new_space, mat_apply(inverse, s.bits))
+    return ProductState(new_space, BitVec(space.size, bits))
 
 
 def left_measure_prob(s: ProductState, frame: BasisFrame, outcome: str) -> Fraction:
@@ -206,12 +209,10 @@ def counterfactual_joint(
     Because it is a genuine joint distribution, its pairwise marginals always
     satisfy lhs = Pr(x1,y1) + Pr(y2,z2) >= Pr(x1,z2) = rhs.
     """
-    f1, f2, f3 = frames
-    single = {
-        f.name: {o: left_measure_prob(s, f, o) for o in f.labels} for f in (f1, f2, f3)
-    }
+    f1, f2, f3 = _three_frames(frames)
+    p1, p2, p3 = ({o: left_measure_prob(s, f, o) for o in f.labels} for f in (f1, f2, f3))
     probs = {
-        (x, y, z): single[f1.name][x] * single[f2.name][y] * single[f3.name][z]
+        (x, y, z): p1[x] * p2[y] * p3[z]
         for x in f1.labels
         for y in f2.labels
         for z in f3.labels
@@ -300,17 +301,20 @@ def bell_violation(
     """Evaluate lhs = Pr(x1,y1) + Pr(y2,z2) >= Pr(x1,z2) = rhs with sequential probabilities."""
     if frames is None:
         frames = bell_basis_frames(s.space.left)
-    f1, f2, f3 = frames
+    f1, f2, f3 = _three_frames(frames)
     x1, y1 = f1.labels[0], f2.labels[0]
     y2, z2 = f2.labels[1], f3.labels[1]
-    terms = {
-        f"({x1},{y1})": _sequential_or_zero(s, f1, x1, f2, y1),
-        f"({y2},{z2})": _sequential_or_zero(s, f2, y2, f3, z2),
-        f"({x1},{z2})": _sequential_or_zero(s, f1, x1, f3, z2),
-    }
-    lhs = terms[f"({x1},{y1})"] + terms[f"({y2},{z2})"]
-    rhs = terms[f"({x1},{z2})"]
-    return BellReport(terms, lhs, rhs, lhs < rhs)
+    xy = _sequential_or_zero(s, f1, x1, f2, y1)
+    yz = _sequential_or_zero(s, f2, y2, f3, z2)
+    xz = _sequential_or_zero(s, f1, x1, f3, z2)
+    terms = {f"({x1},{y1})": xy, f"({y2},{z2})": yz, f"({x1},{z2})": xz}
+    return BellReport(terms, xy + yz, xz, xy + yz < xz)
+
+
+def _three_frames(frames: Sequence[BasisFrame]) -> Sequence[BasisFrame]:
+    if len(frames) != 3 or any(f.dim < 2 for f in frames):
+        raise DimMismatch("need exactly three frames, each with at least two labels")
+    return frames
 
 
 def _sequential_or_zero(s, left_frame, left_outcome, right_frame, right_outcome) -> Fraction:

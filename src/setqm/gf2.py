@@ -75,6 +75,18 @@ def _digits(bits: int) -> bytes:
     return bin(bits)[:1:-1].encode().translate(_BINARY_DIGITS)
 
 
+def nth_set_bit(x: int, n: int) -> int:
+    """Position of the n-th set bit of x, counting from 0 at the lowest."""
+    lo, hi = 0, x.bit_length()  # n set bits lie below lo, more than n below hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (x & ((1 << mid) - 1)).bit_count() > n:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
 def add(v: BitVec, w: BitVec) -> BitVec:
     """Componentwise sum mod 2 (symmetric difference of the index sets)."""
     if v.length != w.length:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import InvalidBlocks, OutOfRange, UniverseMismatch
@@ -40,12 +41,12 @@ class Partition:
 
     @classmethod
     def discrete(cls, universe: Universe) -> Partition:
-        return cls.from_blocks(universe, [[x] for x in universe.labels])
+        return cls(universe, tuple(map(universe.singleton, universe.labels)))
 
     @classmethod
     def indiscrete(cls, universe: Universe) -> Partition:
         """The blob: the single block containing everything."""
-        return cls.from_blocks(universe, [universe.labels])
+        return cls(universe, (universe.full(),))
 
     def to_json(self) -> list[list[str]]:
         return [list(b.labels) for b in self.blocks]
@@ -99,13 +100,12 @@ def refines(coarse: Partition, fine: Partition) -> bool:
 
 def dit_set(p: Partition) -> DitSet:
     """All ordered pairs that cross blocks."""
+    labels = [b.labels for b in p.blocks]
     pairs = set()
-    for i, b in enumerate(p.blocks):
-        for c in p.blocks[i + 1:]:
-            for x in b.labels:
-                for y in c.labels:
-                    pairs.add((x, y))
-                    pairs.add((y, x))
+    for i, xs in enumerate(labels):
+        for ys in labels[i + 1:]:
+            pairs.update(product(xs, ys))
+            pairs.update(product(ys, xs))
     return DitSet(frozenset(pairs))
 
 
@@ -134,16 +134,14 @@ def iter_partitions(universe: Universe) -> Iterator[Partition]:
     """All partitions of the universe (restricted-growth enumeration)."""
     n = universe.size
 
-    def grow(assign: list[int], used: int) -> Iterator[list[int]]:
-        if len(assign) == n:
-            yield assign
+    def grow(j: int, masks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        # element j joins each existing block in turn, then opens a new one
+        if j == n:
+            yield masks
             return
-        for block in range(used + 1):
-            yield from grow(assign + [block], max(used, block + 1))
+        for b in range(len(masks)):
+            yield from grow(j + 1, masks[:b] + (masks[b] | 1 << j,) + masks[b + 1:])
+        yield from grow(j + 1, masks + (1 << j,))
 
-    for assign in grow([], 0):
-        count = max(assign) + 1
-        blocks = [[] for _ in range(count)]
-        for label, block in zip(universe.labels, assign):
-            blocks[block].append(label)
-        yield Partition.from_blocks(universe, blocks)
+    for masks in grow(0, ()):
+        yield Partition(universe, tuple(SubsetKet(universe, BitVec(n, m)) for m in masks))

@@ -28,7 +28,7 @@ from .errors import (
     WrongArity,
     ZeroState,
 )
-from .gf2 import BitVec, GF2Matrix, is_nonsingular, kron
+from .gf2 import BitVec, GF2Matrix, is_nonsingular, kron, nth_set_bit
 
 MAX_LINES = 20  # a register of n lines is a 2^n-bit int; 20 lines is 128 KiB
 
@@ -195,22 +195,10 @@ def line_probs(r: Register, line: int) -> dict[int, Fraction]:
     return {0: Fraction(total - ones, total), 1: Fraction(ones, total)}
 
 
-def _nth_set_bit(x: int, n: int) -> int:
-    """Position of the n-th set bit of x, counting from 0 at the lowest."""
-    lo, hi = 0, x.bit_length()  # n set bits lie below lo, more than n below hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if (x & ((1 << mid) - 1)).bit_count() > n:
-            hi = mid
-        else:
-            lo = mid
-    return lo
-
-
 def measure_line(r: Register, line: int, rng: random.Random) -> tuple[int, Register]:
     """Measure one line: uniform draw over the support, collapse to the matching kets."""
     ones = _line_mask(r, line, 1)
-    k = _nth_set_bit(r.state.bits, rng.randrange(r.state.weight()))
+    k = nth_set_bit(r.state.bits, rng.randrange(r.state.weight()))
     return measure_line_given(r, line, (ones >> k) & 1)
 
 

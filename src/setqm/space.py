@@ -20,12 +20,15 @@ class Universe:
     """An ordered tuple of distinct labels; position defines the coordinate."""
 
     labels: tuple[str, ...]
+    _position: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.labels:
             raise ValueError("universe needs at least one element")
-        if len(set(self.labels)) != len(self.labels):
+        position = {x: j for j, x in enumerate(self.labels)}
+        if len(position) != len(self.labels):
             raise ValueError("universe labels must be distinct")
+        object.__setattr__(self, "_position", position)
 
     @property
     def size(self) -> int:
@@ -33,8 +36,8 @@ class Universe:
 
     def index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._position[label]
+        except KeyError:
             raise UnknownLabel(f"{label!r} not in universe {self.labels}") from None
 
     def subset(self, labels: Iterable[str] = ()) -> SubsetKet:
@@ -47,7 +50,7 @@ class Universe:
         return SubsetKet(self, BitVec.zero(self.size))
 
     def full(self) -> SubsetKet:
-        return self.subset(self.labels)
+        return SubsetKet(self, BitVec(self.size, (1 << self.size) - 1))
 
     def all_subsets(self) -> Iterator[SubsetKet]:
         for bits in range(1 << self.size):
@@ -108,6 +111,7 @@ class BasisFrame:
     name: str
     labels: tuple[str, ...]
     matrix: GF2Matrix
+    universe: Universe = field(init=False, repr=False, compare=False)
     _inverse: GF2Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -115,8 +119,8 @@ class BasisFrame:
             raise DimMismatch("frame matrix must be square")
         if len(self.labels) != self.matrix.cols:
             raise DimMismatch("frame needs one label per basis ket")
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("frame labels must be distinct")
+        # the frame's own labels viewed as a universe; raises ValueError on repeats
+        object.__setattr__(self, "universe", Universe(self.labels))
         # raises Singular for an invalid frame
         object.__setattr__(self, "_inverse", invert(self.matrix))
 
@@ -124,14 +128,9 @@ class BasisFrame:
     def dim(self) -> int:
         return self.matrix.rows
 
-    @property
-    def universe(self) -> Universe:
-        """The frame's own labels viewed as a universe."""
-        return Universe(self.labels)
-
     def basis_ket(self, label: str, canonical: Universe) -> SubsetKet:
         """Basis ket named `label`, expressed in canonical coordinates."""
-        return SubsetKet(canonical, self.matrix.column(self.labels.index(label)))
+        return SubsetKet(canonical, self.matrix.column(self.universe.index(label)))
 
 
 def rat_json(v: Fraction) -> str:
@@ -167,19 +166,17 @@ def from_basis(s: SubsetKet, frame: BasisFrame, canonical: Universe) -> SubsetKe
 
 def born(s: SubsetKet, frame: BasisFrame) -> dict[str, Fraction]:
     """Outcome probabilities Pr(u|S) = <{u}|S>^2 / |S| in the frame's coordinates."""
-    converted = to_basis(s, frame)
-    n = converted.cardinality
+    bits = to_basis(s, frame).bits
+    n = bits.weight()
     if n == 0:
         raise ZeroState("Born rule is undefined on the zero ket")
-    return {
-        label: (Fraction(1, n) if label in converted else Fraction(0))
-        for label in frame.labels
-    }
+    p, zero = Fraction(1, n), Fraction(0)
+    return {label: p if c else zero for label, c in zip(frame.labels, bits.coords())}
 
 
 def resolve(s: SubsetKet) -> list[SubsetKet]:
     """Singleton kets whose sum reconstructs S (ket-bra resolution)."""
-    return [s.universe.singleton(label) for label in s.labels]
+    return [SubsetKet(s.universe, BitVec(s.universe.size, 1 << j)) for j in s.bits.indices()]
 
 
 @dataclass(frozen=True)
@@ -192,9 +189,9 @@ class KetTable:
     def row_for(self, frame_name: str, labels: Sequence[str]) -> dict[str, tuple[str, ...]]:
         key = tuple(labels)
         for row in self.rows:
-            if row[frame_name] == key:
+            if row.get(frame_name) == key:
                 return row
-        raise KeyError(f"no row with {frame_name} entry {key}")
+        raise UnknownLabel(f"no row with {frame_name} entry {key}")
 
     def to_json(self) -> list[dict[str, list[str]]]:
         return [{name: list(labels) for name, labels in row.items()} for row in self.rows]

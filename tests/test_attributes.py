@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from setqm.attributes import (
     Attribute,
@@ -21,11 +23,13 @@ from setqm.errors import (
     IncompatibleAttributes,
     NotComplete,
     UniverseMismatch,
+    UnknownLabel,
     ZeroState,
 )
-from setqm.partitions import Partition
+from setqm.gf2 import BitVec
+from setqm.partitions import Partition, join
 from setqm.presets import universe_abc
-from setqm.space import Universe
+from setqm.space import SubsetKet, Universe
 
 
 def ordinal(universe):
@@ -230,3 +234,132 @@ def test_attribute_json():
     u = universe_abc()
     f = Attribute.from_values(u, {"a": Fraction(1, 2), "b": 2, "c": "3/4"})
     assert f.to_json() == {"a": "1/2", "b": "2/1", "c": "3/4"}
+
+
+def test_indicator_rejects_unknown_labels():
+    u = universe_abc()
+    with pytest.raises(UnknownLabel):
+        Attribute.indicator(u, ["z"])
+    assert Attribute.indicator(u, ["c", "a", "c"]).values == (1, 0, 1)  # repeats do not cancel
+
+
+# ---- level masks against the per-eigenvalue label walks they replaced
+
+LABELS = tuple("abcdefg")
+# equal values in different forms (2, F(2), F(4, 2)) must land in one level
+VALUES = (0, 1, 2, -1, Fraction(1, 2), Fraction(-3), Fraction(2), Fraction(4, 2))
+ABSENT = Fraction(99)
+
+
+def ref_spectrum(f):
+    return tuple(sorted(set(f.values)))
+
+
+def ref_level_labels(f, r):
+    r = Fraction(r)
+    return tuple(x for x, v in zip(f.universe.labels, f.values) if v == r)
+
+
+def ref_project_labels(f, r, s):
+    return tuple(x for x in ref_level_labels(f, r) if x in s.labels)
+
+
+def ref_partition(f):
+    return Partition.from_blocks(f.universe, [ref_level_labels(f, r) for r in ref_spectrum(f)])
+
+
+def ref_is_complete(fs):
+    joined = ref_partition(fs[0])
+    for g in fs[1:]:
+        joined = join(joined, ref_partition(g))
+    return all(b.cardinality == 1 for b in joined.blocks)
+
+
+@st.composite
+def universes(draw):
+    return Universe(LABELS[: draw(st.integers(1, len(LABELS)))])
+
+
+@st.composite
+def attributes_on(draw, u):
+    return Attribute(u, tuple(draw(st.sampled_from(VALUES)) for _ in range(u.size)))
+
+
+@st.composite
+def states_on(draw, u, nonzero=False):
+    return SubsetKet(u, BitVec(u.size, draw(st.integers(int(nonzero), (1 << u.size) - 1))))
+
+
+@given(st.data())
+def test_level_masks_match_label_walk(data):
+    u = data.draw(universes())
+    f = data.draw(attributes_on(u))
+    assert f.spectrum() == ref_spectrum(f)
+    assert tuple(f.levels) == ref_spectrum(f)
+    for r in ref_spectrum(f) + (ABSENT,):
+        assert f.level_set(r).labels == ref_level_labels(f, r)
+    assert inverse_image_partition(f) == ref_partition(f)
+
+
+@given(st.data())
+def test_projections_match_label_walk(data):
+    u = data.draw(universes())
+    f = data.draw(attributes_on(u))
+    s = data.draw(states_on(u))
+    for r in ref_spectrum(f) + (ABSENT,):
+        assert project(f, r, s).labels == ref_project_labels(f, r, s)
+    parts = [(r, ref_project_labels(f, r, s)) for r in ref_spectrum(f)]
+    parts = [(r, labels) for r, labels in parts if labels]
+    assert spectral_apply(f, s) == [(r, u.subset(labels)) for r, labels in parts]
+    if s.is_zero:
+        with pytest.raises(ZeroState):
+            measure_probs(f, s)
+    else:
+        want = [(r, Fraction(len(labels), s.cardinality)) for r, labels in parts]
+        assert list(measure_probs(f, s).items()) == want
+    other = Attribute(Universe(tuple(x + "'" for x in u.labels)), f.values)
+    with pytest.raises(UniverseMismatch):
+        spectral_apply(other, s)
+
+
+@given(st.data())
+def test_completeness_matches_join(data):
+    u = data.draw(universes())
+    fs = [data.draw(attributes_on(u)) for _ in range(data.draw(st.integers(1, 3)))]
+    assert is_complete(fs) == ref_is_complete(fs)
+    if ref_is_complete(fs):
+        want = {x: tuple(f.values[u.labels.index(x)] for f in fs) for x in u.labels}
+        assert eigenkets(fs) == want
+    else:
+        with pytest.raises(NotComplete):
+            eigenkets(fs)
+    primed = Attribute(Universe(tuple(x + "'" for x in u.labels)), fs[0].values)
+    with pytest.raises(IncompatibleAttributes):
+        is_complete(fs + [primed])
+
+
+def test_completeness_of_no_attributes():
+    with pytest.raises(IncompatibleAttributes):
+        is_complete([])
+
+
+@given(st.data(), st.integers(0, 2**32))
+def test_measure_draws_like_the_label_walk(data, seed):
+    u = data.draw(universes())
+    f = data.draw(attributes_on(u))
+    s = data.draw(states_on(u, nonzero=True))
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    out = measure(f, s, rng)
+    label = s.labels[ref_rng.randrange(s.cardinality)]
+    assert out == measure_given(f, s, f.values[u.labels.index(label)])
+    assert rng.getstate() == ref_rng.getstate()
+
+
+@given(st.data())
+def test_indicator_matches_label_walk(data):
+    u = data.draw(universes())
+    labels = data.draw(st.lists(st.sampled_from(u.labels), max_size=2 * u.size))
+    chosen = set(labels)
+    assert Attribute.indicator(u, labels).values == tuple(
+        Fraction(1 if x in chosen else 0) for x in u.labels
+    )

@@ -1,9 +1,12 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from setqm.dsl import (
     CircuitAst,
+    CnotStep,
     EfStep,
     GateStep,
     MeasureStep,
@@ -183,3 +186,63 @@ def test_json_payload():
     assert data["lines"] == 1
     assert data["measurements"] == [{"line": 0, "outcome": 1, "probability": "1/1"}]
     assert data["trace"][0] == {"step": "init", "state": ["0"]}
+
+
+# ---- properties: render inverts parse, and parse never escapes SetQMError
+
+@st.composite
+def bitstrings(draw, n):
+    return "".join(draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n)))
+
+
+@st.composite
+def steps(draw, n):
+    kinds = ["gate", "measure"] + ["cnot"] * (n > 1) + ["ef"] * (n & (n - 1) == 0)
+    kind = draw(st.sampled_from(kinds))
+    line = st.integers(0, n - 1)
+    if kind == "gate":
+        return GateStep(draw(st.sampled_from(("I", "X", "H0", "H1", "XH0", "XH1"))), draw(line))
+    if kind == "cnot":
+        low = draw(st.integers(0, n - 2))
+        return CnotStep(low, low + 1) if draw(st.booleans()) else CnotStep(low + 1, low)
+    if kind == "ef":
+        return EfStep(draw(bitstrings(2 * n)))
+    return MeasureStep(draw(st.none() | line))
+
+
+@st.composite
+def circuit_asts(draw):
+    n = draw(st.integers(1, 8))
+    initial = tuple(draw(st.lists(bitstrings(n), min_size=1, max_size=3)))
+    return CircuitAst(n, initial, tuple(draw(st.lists(steps(n), min_size=1, max_size=6))))
+
+
+@given(circuit_asts())
+def test_parse_inverts_render(ast):
+    assert parse(render(ast)) == ast
+
+
+# statements of the language with arguments drawn from good values, near misses and
+# numbers int() refuses, so the parser gets past its first checks
+NUMBERS = ("1", "2", "4", "0", "01", "40", "-1", "²", "9" * 5000)
+STATEMENTS = (("init",), ("init", "ket"), ("gate", "X"), ("gate", "CNOT"), ("gate", "EF"),
+              ("gate", "H9"), ("measure",), ("lines",), ("frob",))
+ARGS = NUMBERS + ("10", "0110", "00+11", "+", "all", "#")
+
+
+@st.composite
+def near_circuits(draw):
+    rows = [("lines", draw(st.sampled_from(NUMBERS)))]
+    for _ in range(draw(st.integers(0, 5))):
+        args = draw(st.lists(st.sampled_from(ARGS), max_size=3))
+        rows.append(draw(st.sampled_from(STATEMENTS)) + tuple(args))
+    return "\n".join(" ".join(row) for row in rows)
+
+
+@given(st.text() | near_circuits())
+def test_parse_returns_ast_or_setqm_error(text):
+    try:
+        ast = parse(text)
+    except (ParseError, RegisterTooWide):
+        return
+    assert isinstance(ast, CircuitAst)

@@ -20,7 +20,7 @@ from setqm.entangle import (
     supports,
     ProductUniverse,
 )
-from setqm.errors import ImpossibleOutcome, UnknownLabel, ZeroState
+from setqm.errors import DimMismatch, ImpossibleOutcome, UnknownLabel, ZeroState
 from setqm.gf2 import BitVec, GF2Matrix, kron, mat_apply
 from setqm.presets import bell_state, other_bell_state, pair_space, universe_ab
 from setqm.space import BasisFrame, SubsetKet, Universe, born
@@ -263,10 +263,10 @@ def frames_of(draw, u, name):
 
 @st.composite
 def product_states(draw, square=False):
-    left = Universe(("a", "b", "c")[: draw(st.integers(2 if square else 1, 3))])
-    right = left if square else Universe(("x", "y", "z")[: draw(st.integers(1, 3))])
+    left = Universe(("a", "b", "c", "d")[: draw(st.integers(2 if square else 1, 4))])
+    right = left if square else Universe(("x", "y", "z", "w")[: draw(st.integers(1, 4))])
     space = ProductUniverse(left, right)
-    pairs = draw(st.lists(st.sampled_from(space.pair_labels), min_size=1, max_size=12))
+    pairs = draw(st.lists(st.sampled_from(space.pair_labels), min_size=1, max_size=20))
     return space, pairs
 
 
@@ -324,3 +324,32 @@ def test_state_rejects_unknown_pairs():
     assert issubclass(UnknownLabel, KeyError)
     with pytest.raises(UnknownLabel):
         pair_space().state([("a", "z")])
+
+
+def test_bell_reports_need_three_frames_of_two_labels():
+    u, u1, u2 = bell_basis_frames(universe_ab())
+    one = Universe(("a",))
+    point = ProductUniverse(one, one).state([("a", "a")])
+    cases = [
+        (point, (one.canonical_frame(),) * 3),
+        (bell_state(), (u,)),
+        (bell_state(), (u, u1, u2, u)),
+    ]
+    for s, frames in cases:
+        for report in (bell_violation, counterfactual_joint):
+            with pytest.raises(DimMismatch):
+                report(s, frames)
+
+
+def test_bell_reports_with_colliding_names():
+    # a third frame named like the second, whose second label is the second frame's first
+    u, u1, u2 = bell_basis_frames(universe_ab())
+    clash = BasisFrame(u1.name, ("q", "a'"), u2.matrix)
+    renamed = BasisFrame("W", ("q", "a'"), u2.matrix)
+    s = bell_state()
+    assert counterfactual_joint(s, (u, u1, clash)) == counterfactual_joint(s, (u, u1, renamed))
+    report = bell_violation(s, (u, u1, clash))
+    xy = sequential_pair_prob(s, u, "a", u1, "a'")
+    yz = sequential_pair_prob(s, u1, "b'", clash, "a'")
+    xz = sequential_pair_prob(s, u, "a", clash, "a'")
+    assert (report.lhs, report.rhs, report.violated) == (xy + yz, xz, xy + yz < xz)

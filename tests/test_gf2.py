@@ -14,6 +14,7 @@ from setqm.gf2 import (
     kron,
     mat_apply,
     mat_mul,
+    nth_set_bit,
     solve,
 )
 
@@ -203,3 +204,11 @@ def bitvecs(draw):
 def test_indices_and_coords_match_per_coordinate_shifts(v):
     assert v.coords() == tuple((v.bits >> j) & 1 for j in range(v.length))
     assert v.indices() == tuple(j for j in range(v.length) if (v.bits >> j) & 1)
+
+
+@given(bitvecs(), st.data())
+def test_nth_set_bit_matches_indices(v, data):
+    if v.is_zero:
+        return
+    n = data.draw(st.integers(0, v.weight() - 1))
+    assert nth_set_bit(v.bits, n) == v.indices()[n]

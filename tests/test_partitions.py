@@ -61,6 +61,8 @@ def test_dit_set_examples():
 def test_dit_set_symmetric_and_off_diagonal():
     for p in iter_partitions(ABCD):
         ds = dit_set(p)
+        block = {x: i for i, b in enumerate(p.blocks) for x in b.labels}
+        assert ds.pairs == {(x, y) for x in block for y in block if block[x] != block[y]}
         for x, y in ds.pairs:
             assert x != y
             assert (y, x) in ds

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from setqm.errors import DimMismatch, Singular, UniverseMismatch, ZeroState
+from setqm.errors import DimMismatch, Singular, UniverseMismatch, UnknownLabel, ZeroState
 from setqm.gf2 import GF2Matrix
-from setqm.presets import frames_abc, universe_abc
+from setqm.presets import frames_ab, frames_abc, universe_abc
 from setqm.space import (
     BasisFrame,
     Universe,
@@ -191,3 +193,59 @@ def test_ket_table_json_roundtrip():
     table = ket_table(3, [u0, u1, u2])
     data = table.to_json()
     assert data[0] == {"U": ["a", "b", "c"], "U'": ["c'"], "U''": ["a''", "b''", "c''"]}
+
+
+def test_row_for_unknown_row():
+    table = ket_table(2, frames_ab())
+    for frame_name, labels in (("U", ["z"]), ("Z", ["a"])):
+        with pytest.raises(UnknownLabel):
+            table.row_for(frame_name, labels)
+    assert issubclass(UnknownLabel, KeyError)
+
+
+def test_frame_rejects_repeated_labels():
+    with pytest.raises(ValueError):
+        BasisFrame("bad", ("p", "p"), GF2Matrix.identity(2))
+
+
+# ---- the position map against the tuple.index walks it replaced
+
+LABELS = tuple("abcdefghij")
+
+
+@st.composite
+def frames(draw):
+    """A random basis of a random universe: the identity under random row additions."""
+    n = draw(st.integers(1, len(LABELS)))
+    rows = [1 << i for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            rows[i] ^= rows[j]
+    labels = draw(st.permutations(LABELS))[:n]
+    return BasisFrame("F", tuple(x + "'" for x in labels), GF2Matrix(n, n, tuple(rows)))
+
+
+@given(frames(), st.data())
+def test_positions_match_tuple_index(frame, data):
+    u = Universe(tuple(x[:-1] for x in frame.labels))
+    for x in u.labels:
+        assert u.index(x) == u.labels.index(x)
+    with pytest.raises(UnknownLabel):
+        u.index("z")
+    chosen = data.draw(st.lists(st.sampled_from(u.labels), unique=True))
+    s = u.subset(chosen)
+    assert s.labels == tuple(x for x in u.labels if x in chosen)
+    assert all((x in s) == (x in chosen) for x in u.labels)
+    assert frame.universe == Universe(frame.labels)
+    for j, x in enumerate(frame.labels):
+        assert frame.basis_ket(x, u).bits == frame.matrix.column(j)
+    if s.is_zero:
+        with pytest.raises(ZeroState):
+            born(s, frame)
+    else:
+        converted = to_basis(s, frame).labels
+        assert born(s, frame) == {
+            x: Fraction(1, len(converted)) if x in converted else Fraction(0)
+            for x in frame.labels
+        }

@@ -49,7 +49,7 @@ class Attribute:
     @classmethod
     def indicator(cls, universe: Universe, labels: Sequence[str]) -> Attribute:
         """Characteristic function of a subset; raises UnknownLabel outside the universe."""
-        return cls(universe, tuple(map(Fraction, universe.subset(set(labels)).bits.coords())))
+        return cls(universe, tuple(map(Fraction, universe.subset(labels).bits.coords())))
 
     def value(self, label: str) -> Fraction:
         return self.values[self.universe.index(label)]

@@ -62,7 +62,7 @@ def _parse_attr(text: str, universe: Universe) -> Attribute:
             raise SetQMError(f"attribute entries look like label:value, got {chunk!r}")
         try:
             values[label.strip()] = Fraction(value.strip())
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             raise SetQMError(f"bad rational value in {chunk!r}") from None
     return Attribute.from_values(universe, values)
 
@@ -396,11 +396,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SetQMError as exc:
+    except (SetQMError, OSError, UnicodeDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(exc, file=sys.stderr)
         return 1
 
 

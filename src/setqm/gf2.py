@@ -164,48 +164,44 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     return GF2Matrix(a.rows, b.cols, tuple(out))
 
 
-def _eliminate(a: GF2Matrix) -> tuple[list[int], list[int], int]:
-    """Gauss-Jordan on a square matrix; returns (reduced rows, transform rows, rank).
+def _reduce(a: GF2Matrix) -> list[int] | None:
+    """Gauss-Jordan on identity-augmented rows; None when `a` is singular.
 
-    The transform starts as the identity and receives every row operation,
-    so transform = E with E*a = reduced.
+    Row i starts as a_i | e_i << n, so one XOR carries a row operation to
+    both halves; a full-rank reduction leaves row i = e_i | inverse_i << n.
     """
     if not a.is_square:
         raise NotSquare(f"{a.rows}x{a.cols} matrix is not square")
     n = a.rows
-    work = list(a.row_bits)
-    trans = [1 << i for i in range(n)]
-    rank = 0
+    rows = [r | 1 << (n + i) for i, r in enumerate(a.row_bits)]
     for col in range(n):
-        pivot = next((r for r in range(rank, n) if (work[r] >> col) & 1), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        trans[rank], trans[pivot] = trans[pivot], trans[rank]
-        for r in range(n):
-            if r != rank and (work[r] >> col) & 1:
-                work[r] ^= work[rank]
-                trans[r] ^= trans[rank]
-        rank += 1
-    return work, trans, rank
+        bit = 1 << col
+        for p in range(col, n):
+            if rows[p] & bit:
+                break
+        else:
+            return None  # a square matrix with a pivotless column is singular
+        prow = rows[p]
+        rows[p] = rows[col]
+        for i, r in enumerate(rows):
+            if r & bit:
+                rows[i] = r ^ prow
+        rows[col] = prow
+    return rows
 
 
 def is_nonsingular(a: GF2Matrix) -> bool:
-    """True iff elimination mod 2 reaches full rank."""
-    _, _, rank = _eliminate(a)
-    return rank == a.rows
+    """True iff elimination mod 2 finds a pivot in every column."""
+    return _reduce(a) is not None
 
 
 def invert(a: GF2Matrix) -> GF2Matrix:
     """Inverse over GF(2); raises Singular when none exists."""
-    work, trans, rank = _eliminate(a)
-    if rank < a.rows:
+    rows = _reduce(a)
+    if rows is None:
         raise Singular("matrix has no inverse over GF(2)")
-    # full-rank Gauss-Jordan leaves `work` a row permutation of the identity
-    inv = [0] * a.rows
-    for row, t in zip(work, trans):
-        inv[row.bit_length() - 1] = t
-    return GF2Matrix(a.rows, a.cols, tuple(inv))
+    n = a.rows
+    return GF2Matrix(n, n, tuple(r >> n for r in rows))
 
 
 def solve(a: GF2Matrix, b: BitVec) -> BitVec:

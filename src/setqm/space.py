@@ -41,7 +41,11 @@ class Universe:
             raise UnknownLabel(f"{label!r} not in universe {self.labels}") from None
 
     def subset(self, labels: Iterable[str] = ()) -> SubsetKet:
-        return SubsetKet(self, BitVec.from_indices(self.size, (self.index(x) for x in labels)))
+        """The ket of the named elements; a label named twice is still one element."""
+        bits = 0
+        for x in labels:
+            bits |= 1 << self.index(x)
+        return SubsetKet(self, BitVec(self.size, bits))
 
     def singleton(self, label: str) -> SubsetKet:
         return self.subset([label])

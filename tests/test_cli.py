@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from setqm.cli import main
+from setqm.cli import build_parser, main
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
@@ -29,6 +34,14 @@ def test_bracket(capsys):
     assert code == 0 and out.strip() == "1"
     code, out, _ = run_cli(capsys, "bracket", "{a,b}", "{a,c}", "--format", "json")
     assert json.loads(out) == {"bracket": 1}
+
+
+def test_repeated_label_is_one_element(capsys):
+    code, out, _ = run_cli(capsys, "bracket", "{a,a}", "{a}")
+    assert code == 0 and out.strip() == "1"
+    _, twice, _ = run_cli(capsys, "density", "--state", "{a,a,b}")
+    _, once, _ = run_cli(capsys, "density", "--state", "{a,b}")
+    assert twice == once and "purity = 1" in once
 
 
 def test_born(capsys):
@@ -219,3 +232,183 @@ def test_bad_labels_and_blocks_exit_1_with_the_error_name(capsys, argv, error):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"{error}: ") and "Traceback" not in err
+
+
+def test_bad_rational_exits_1(capsys):
+    code, out, err = run_cli(capsys, "measure", "--attr", "a:1/0,b:1,c:2", "--state", "{a}")
+    assert code == 1 and out == ""
+    assert err.startswith("SetQMError: bad rational value")
+
+
+@pytest.mark.parametrize(
+    "make_path,error",
+    [
+        (lambda tmp: tmp / "missing.qc2", "FileNotFoundError"),
+        (lambda tmp: tmp, "IsADirectoryError"),
+        (lambda tmp: _write(tmp / "bytes.qc2", b"\xff\xfe"), "UnicodeDecodeError"),
+    ],
+)
+def test_run_unreadable_file_exits_1_with_the_error_name(capsys, tmp_path, make_path, error):
+    code, out, err = run_cli(capsys, "run", str(make_path(tmp_path)))
+    assert code == 1 and out == ""
+    assert err.startswith(f"{error}: ") and "Traceback" not in err
+
+
+def _write(path, data):
+    path.write_bytes(data)
+    return path
+
+
+# -- fuzzing: every subcommand keeps the exit contract on generated arguments --
+
+LABELS = st.sampled_from(["a", "b", "c", "a'", "z", " ", ""])
+SUBSETS = st.lists(LABELS, min_size=1, max_size=4).map(lambda xs: "{" + ",".join(xs) + "}")
+BLOCK_OF = st.lists(st.integers(0, 2), min_size=3, max_size=3)  # a block number for a, b, c
+PARTITIONS = st.one_of(
+    BLOCK_OF.map(
+        lambda ks: "|".join(
+            "{" + ",".join(x for x, k in zip("abc", ks) if k == b) + "}" for b in sorted(set(ks))
+        )
+    ),
+    st.lists(SUBSETS, min_size=1, max_size=3).map("|".join),
+)
+RATIONALS = st.sampled_from(["0", "1", "-2", "1/2", "1/0", "0.5", "x", ""])
+ATTRS = st.one_of(
+    st.lists(st.sampled_from(["0", "1", "-2", "1/2"]), min_size=3, max_size=3).map(
+        lambda vs: ",".join(f"{x}:{v}" for x, v in zip("abc", vs))
+    ),
+    st.lists(st.tuples(LABELS, RATIONALS), min_size=1, max_size=4).map(
+        lambda kv: ",".join(f"{k}:{v}" for k, v in kv)
+    ),
+)
+PAIRS = st.lists(st.tuples(LABELS, LABELS), max_size=3).map(
+    lambda ps: "{" + ",".join(f"({x},{y})" for x, y in ps) + "}"
+)
+NUMBERS = st.integers(-3, 5).map(str)
+NOISE = st.text(max_size=8)
+
+
+def opt(flag, values=None):
+    """The tokens of one option: the flag, then a drawn value unless it is a switch."""
+    return st.just([flag]) if values is None else values.map(lambda v: [flag, v])
+
+
+def pos(values):
+    return values.map(lambda v: [v])
+
+
+FORMAT = opt("--format", st.sampled_from(["table", "json"]))
+DIM = opt("--dim", st.sampled_from(["2", "3"]))
+SEED = opt("--seed", NUMBERS)
+BITS = st.sampled_from(["0", "1"])
+
+# subcommand -> (arguments always given, arguments given half the time)
+SUBCOMMANDS = {
+    "ket-table": ([], [FORMAT, DIM]),
+    "bracket": ([pos(SUBSETS), pos(SUBSETS)], [FORMAT, DIM]),
+    "born": ([pos(SUBSETS), opt("--frame", st.sampled_from(["U", "U'", "U''", "W"]))],
+             [FORMAT, DIM]),
+    "measure": ([opt("--attr", ATTRS), opt("--state", SUBSETS)], [SEED, FORMAT, DIM]),
+    "entropy": ([opt("--partition", PARTITIONS)], [FORMAT, DIM]),
+    "density": ([], [opt("--partition", PARTITIONS), opt("--state", SUBSETS), FORMAT, DIM]),
+    "measure-density": ([opt("--attr", ATTRS)], [opt("--partition", PARTITIONS), FORMAT, DIM]),
+    "double-slit": ([], [opt("--measure-at-slits"), FORMAT]),
+    "bell": ([], [opt("--state", PAIRS), FORMAT]),
+    "teleport": ([opt("--alpha", BITS), opt("--beta", BITS)], [SEED, FORMAT]),
+    "parity-sat": ([opt("--table", st.text("01", max_size=9))], [FORMAT]),
+    "run": ([], [SEED, FORMAT]),  # the file is drawn by the test
+}
+FLAGS = [
+    "--alpha", "--attr", "--beta", "--dim", "--format", "--frame", "--help",
+    "--measure-at-slits", "--partition", "--seed", "--state", "--table",
+]
+
+
+def test_fuzz_table_names_every_subcommand():
+    choices = re.search(r"\{(.*?)\}", build_parser().format_usage()).group(1)
+    assert set(choices.split(",")) == set(SUBCOMMANDS)
+
+
+@st.composite
+def argument_lists(draw, command):
+    """Well-formed arguments with generated values, now and then a stray token."""
+    required, optional = SUBCOMMANDS[command]
+    args = [token for tokens in required for token in draw(tokens)]
+    for tokens in optional:
+        if draw(st.booleans()):
+            args += draw(tokens)
+    if draw(st.sampled_from([False, False, False, True])):  # the shrink target is no stray
+        stray = draw(st.one_of(st.sampled_from(FLAGS), NOISE))
+        args.insert(draw(st.integers(0, len(args))), stray)
+    return args
+
+
+def call_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_exit_contract(argv):
+    code, out, err = call_cli(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out + err, argv
+    if code == 1:
+        assert re.match(r"[A-Z]\w*: ", err), (argv, err)
+
+
+@pytest.mark.parametrize("command", sorted(set(SUBCOMMANDS) - {"run"}))
+@given(data=st.data())
+def test_fuzzed_subcommands_keep_the_exit_contract(command, data):
+    assert_exit_contract([command, *data.draw(argument_lists(command))])
+
+
+STATEMENTS = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "21", "x"]).map(lambda n: f"lines {n}"),
+    st.text("01+", max_size=6).map(lambda k: f"init {k}"),
+    st.text("01+", max_size=9).map(lambda k: f"init ket {k}"),
+    st.tuples(
+        st.sampled_from(["I", "X", "H0", "H1", "XH0", "XH1", "H9", "CNOT", "EF"]),
+        st.text("0123 ", max_size=5),
+    ).map(lambda g: f"gate {g[0]} {g[1]}"),
+    st.sampled_from(["measure 0", "measure 1", "measure all", "measure 9", "measure", "# c"]),
+    NOISE,
+)
+
+
+@st.composite
+def programs(draw):
+    """A program that parses, followed by up to two generated statements."""
+    n = draw(st.sampled_from([1, 2, 3, 4]))
+    line = st.integers(0, n - 1).map(str)
+    steps = [st.tuples(st.sampled_from(["I", "X", "H0", "H1", "XH0", "XH1"]), line).map(" ".join)]
+    if n > 1:  # CNOT acts on adjacent lines
+        pair = st.integers(0, n - 2).flatmap(lambda c: st.permutations([c, c + 1]))
+        steps.append(pair.map(lambda ct: f"CNOT {ct[0]} {ct[1]}"))
+    if n != 3:  # EF spans a power-of-two line count with a 2n-bit table
+        steps.append(st.text("01", min_size=2 * n, max_size=2 * n).map(lambda t: f"EF {t}"))
+    body = [f"lines {n}", "init " + draw(st.text("01", min_size=n, max_size=n))]
+    body += ["gate " + s for s in draw(st.lists(st.one_of(steps), min_size=1, max_size=5))]
+    body += draw(st.lists(st.sampled_from(["measure all", "measure 0"]), max_size=1))
+    body += draw(st.lists(STATEMENTS, max_size=2))
+    return "\n".join(body).encode()
+
+
+SOURCES = st.one_of(
+    programs(),
+    st.lists(STATEMENTS, max_size=8).map(lambda xs: "\n".join(xs).encode()),
+    st.binary(max_size=24),
+    st.binary(max_size=24).map(lambda b: b"\x80" + b),  # never UTF-8: a stray continuation byte
+)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=SOURCES, data=st.data())
+def test_fuzzed_run_keeps_the_exit_contract(tmp_path, source, data):
+    path = tmp_path / "fuzz.qc2"
+    path.write_bytes(source)
+    assert_exit_contract(["run", str(path), *data.draw(argument_lists("run"))])

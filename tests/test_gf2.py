@@ -97,6 +97,11 @@ def test_nonsingular_not_square():
         is_nonsingular(GF2Matrix(2, 3, (0b111, 0b101)))
 
 
+def test_invert_not_square():
+    with pytest.raises(NotSquare):
+        invert(GF2Matrix(2, 3, (0b111, 0b101)))
+
+
 def test_invert():
     assert invert(GF2Matrix.identity(3)) == GF2Matrix.identity(3)
     h0 = GF2Matrix.from_rows([[1, 0], [1, 1]])
@@ -212,3 +217,113 @@ def test_nth_set_bit_matches_indices(v, data):
         return
     n = data.draw(st.integers(0, v.weight() - 1))
     assert nth_set_bit(v.bits, n) == v.indices()[n]
+
+
+# -- the kernel against the slow reference it replaced --
+
+
+def _eliminate(a):
+    """Reference Gauss-Jordan on a square matrix; returns (reduced rows, transform rows, rank).
+
+    Two row lists and a shift per test: the transform starts as the identity
+    and receives every row operation, so transform = E with E*a = reduced.
+    """
+    n = a.rows
+    work = list(a.row_bits)
+    trans = [1 << i for i in range(n)]
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, n) if (work[r] >> col) & 1), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        trans[rank], trans[pivot] = trans[pivot], trans[rank]
+        for r in range(n):
+            if r != rank and (work[r] >> col) & 1:
+                work[r] ^= work[rank]
+                trans[r] ^= trans[rank]
+        rank += 1
+    return work, trans, rank
+
+
+def reference_inverse(a):
+    """The inverse read off the reference elimination, or None below full rank."""
+    work, trans, rank = _eliminate(a)
+    if rank < a.rows:
+        return None
+    inv = [0] * a.rows  # full-rank `work` is a row permutation of the identity
+    for row, t in zip(work, trans):
+        inv[row.bit_length() - 1] = t
+    return GF2Matrix(a.rows, a.cols, tuple(inv))
+
+
+def matrices(rows, cols):
+    return st.lists(st.integers(0, (1 << cols) - 1), min_size=rows, max_size=rows).map(
+        lambda rs: GF2Matrix(rows, cols, tuple(rs))
+    )
+
+
+@st.composite
+def nonsingular_matrices(draw, max_n=48):
+    """A row permutation of the identity, then random row additions, which keep full rank."""
+    n = draw(st.integers(1, max_n))
+    rows = draw(st.permutations([1 << i for i in range(n)]))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=4 * n)):
+        if i != j:
+            rows[i] ^= rows[j]
+    return GF2Matrix(n, n, tuple(rows))
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """A nonsingular matrix with one row replaced by a sum of the others (rank n - 1)."""
+    rows = list(draw(nonsingular_matrices()).row_bits)
+    i = draw(st.integers(0, len(rows) - 1))
+    others = draw(st.sets(st.sampled_from(range(len(rows))))) - {i}
+    rows[i] = 0
+    for j in others:
+        rows[i] ^= rows[j]
+    return GF2Matrix(len(rows), len(rows), tuple(rows))
+
+
+SQUARE = st.one_of(
+    st.integers(1, 48).flatmap(lambda n: matrices(n, n)),
+    nonsingular_matrices(),
+    rank_deficient_matrices(),
+)
+
+
+@given(SQUARE)
+def test_invert_matches_the_reference(a):
+    expected = reference_inverse(a)
+    assert is_nonsingular(a) == (expected is not None)
+    if expected is None:
+        with pytest.raises(Singular):
+            invert(a)
+        return
+    inv = invert(a)
+    assert inv == expected
+    assert mat_mul(inv, a) == GF2Matrix.identity(a.rows)
+    assert mat_mul(a, inv) == GF2Matrix.identity(a.rows)
+
+
+@given(nonsingular_matrices(), st.data())
+def test_solve_inverts_mat_apply(a, data):
+    b = BitVec(a.rows, data.draw(st.integers(0, (1 << a.rows) - 1)))
+    assert mat_apply(a, solve(a, b)) == b
+
+
+@given(st.lists(st.integers(1, 24), min_size=4, max_size=4), st.data())
+def test_mat_mul_associates(dims, data):
+    p, q, r, s = dims
+    a, b, c = (data.draw(matrices(x, y)) for x, y in ((p, q), (q, r), (r, s)))
+    assert mat_mul(mat_mul(a, b), c) == mat_mul(a, mat_mul(b, c))
+
+
+@given(st.lists(st.integers(1, 5), min_size=6, max_size=6), st.data())
+def test_kron_mixed_product_law_on_any_shapes(dims, data):
+    p, q, r, s, t, u = dims
+    a, c = data.draw(matrices(p, q)), data.draw(matrices(q, r))
+    b, d = data.draw(matrices(s, t)), data.draw(matrices(t, u))
+    assert mat_mul(kron(a, b), kron(c, d)) == kron(mat_mul(a, c), mat_mul(b, d))

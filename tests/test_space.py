@@ -41,6 +41,13 @@ def test_bracket_counts_overlap():
             assert bracket(u.singleton(x), u.singleton(y)) == (1 if x == y else 0)
 
 
+def test_subset_names_each_element_once():
+    u = universe_abc()
+    assert u.subset(["a", "a"]) == u.singleton("a")
+    assert u.subset(["a", "b", "a", "b", "c"]) == u.full()
+    assert bracket(u.subset(["a", "a"]), u.subset(["a"])) == 1
+
+
 def test_bracket_universe_mismatch():
     u = universe_abc()
     other = Universe(("x", "y", "z"))

@@ -11,6 +11,10 @@ One statement per line, '#' starts a comment:
 
 Kets in `init` are mod-2 sums of basis bitstrings, so duplicates cancel.
 Files use the `.qc2` extension and UTF-8.
+
+Bad input raises ParseError with the 1-based line and column of the
+offending word (or of the offending part of an `init ket` expression) and
+the word itself.
 """
 
 from __future__ import annotations
@@ -60,144 +64,156 @@ class CircuitAst:
     steps: tuple[Step, ...]
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+# A statement is (line number, text before any '#', its whitespace-separated words).
+# Positions are not kept: an error finds its word's column again in the text.
+_Statement = tuple[int, str, list[str]]
 
 
-def _tokenize(text: str) -> list[list[_Token]]:
-    rows = []
+def _statements(text: str) -> list[_Statement]:
+    out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
-        tokens = [
-            _Token(m.group(), lineno, m.start() + 1) for m in re.finditer(r"\S+", body)
-        ]
-        if tokens:
-            rows.append(tokens)
-    return rows
+        words = body.split()
+        if words:
+            out.append((lineno, body, words))
+    return out
 
 
-def _bad(tok: _Token, message: str) -> ParseError:
-    return ParseError(tok.line, tok.column, message, tok.text)
+def _column(stmt: _Statement, k: int) -> int:
+    """1-based column of word k (negative k counts from the end); only errors need it."""
+    return [m.start() for m in re.finditer(r"\S+", stmt[1])][k] + 1
 
 
-def _int_token(tok: _Token, what: str) -> int:
-    if not (tok.text.isascii() and tok.text.isdigit()):
-        raise _bad(tok, f"expected {what}")
+def _bad(
+    stmt: _Statement, k: int, message: str, offset: int = 0, token: str | None = None
+) -> ParseError:
+    """Error at word k, or at `token` found `offset` characters into word k."""
+    token = stmt[2][k] if token is None else token
+    return ParseError(stmt[0], _column(stmt, k) + offset, message, token)
+
+
+def _int_word(stmt: _Statement, k: int, what: str) -> int:
+    word = stmt[2][k]
+    if not (word.isascii() and word.isdigit()):
+        raise _bad(stmt, k, f"expected {what}")
     try:
-        return int(tok.text)
+        return int(word)
     except ValueError:  # more digits than int() converts
-        raise _bad(tok, f"{what} has too many digits") from None
+        raise _bad(stmt, k, f"{what} has too many digits") from None
 
 
-def _bitstring_token(tok: _Token, lines: int) -> str:
-    if set(tok.text) - {"0", "1"} or len(tok.text) != lines:
-        raise _bad(tok, f"expected a {lines}-bit basis bitstring")
-    return tok.text
+def _bitstring(
+    stmt: _Statement, k: int, lines: int, offset: int = 0, part: str | None = None
+) -> str:
+    """Word k, or the `part` of it at `offset`, as a basis bitstring of `lines` bits."""
+    text = stmt[2][k] if part is None else part
+    if set(text) - {"0", "1"} or len(text) != lines:
+        raise _bad(stmt, k, f"expected a {lines}-bit basis bitstring", offset, part)
+    return text
 
 
-def _line_token(tok: _Token, lines: int) -> int:
-    value = _int_token(tok, "a line index")
+def _line_word(stmt: _Statement, k: int, lines: int) -> int:
+    value = _int_word(stmt, k, "a line index")
     if value >= lines:
-        raise _bad(tok, f"line index outside 0..{lines - 1}")
+        raise _bad(stmt, k, f"line index outside 0..{lines - 1}")
     return value
 
 
 def parse(text: str) -> CircuitAst:
-    """Parse circuit text; raises ParseError with a 1-based position on bad input."""
-    rows = _tokenize(text)
-    if not rows:
+    """Parse circuit text; raises ParseError with a 1-based line and column on bad input."""
+    stmts = _statements(text)
+    if not stmts:
         raise ParseError(1, 1, "empty circuit")
-    head = rows[0]
-    if head[0].text != "lines":
-        raise _bad(head[0], "circuit must start with a `lines <n>` statement")
-    if len(head) != 2:
-        raise _bad(head[-1], "`lines` takes exactly one count")
-    n = _int_token(head[1], "a positive line count")
+    head = stmts[0]
+    words = head[2]
+    if words[0] != "lines":
+        raise _bad(head, 0, "circuit must start with a `lines <n>` statement")
+    if len(words) != 2:
+        raise _bad(head, -1, "`lines` takes exactly one count")
+    n = _int_word(head, 1, "a positive line count")
     if n < 1:
-        raise _bad(head[1], "line count must be positive")
+        raise _bad(head, 1, "line count must be positive")
     if n > qc.MAX_LINES:
-        raise RegisterTooWide(f"line {head[1].line}: {n} lines exceed the limit of {qc.MAX_LINES}")
+        raise RegisterTooWide(f"line {head[0]}: {n} lines exceed the limit of {qc.MAX_LINES}")
 
     initial: tuple[str, ...] | None = None
     steps: list[Step] = []
-    for row in rows[1:]:
-        word = row[0]
-        if word.text == "init":
+    for stmt in stmts[1:]:
+        word = stmt[2][0]
+        if word == "init":
             if initial is not None:
-                raise _bad(word, "only one init statement is allowed")
+                raise _bad(stmt, 0, "only one init statement is allowed")
             if steps:
-                raise _bad(word, "init must come before gates and measures")
-            initial = _parse_init(row, n)
-        elif word.text == "gate":
-            steps.append(_parse_gate(row, n))
-        elif word.text == "measure":
-            steps.append(_parse_measure(row, n))
+                raise _bad(stmt, 0, "init must come before gates and measures")
+            initial = _parse_init(stmt, n)
+        elif word == "gate":
+            steps.append(_parse_gate(stmt, n))
+        elif word == "measure":
+            steps.append(_parse_measure(stmt, n))
         else:
-            raise _bad(word, "expected `init`, `gate`, or `measure`")
+            raise _bad(stmt, 0, "expected `init`, `gate`, or `measure`")
     if not steps:
-        last = rows[-1][0]
-        raise ParseError(last.line, last.column, "circuit needs at least one step")
+        last = stmts[-1]
+        raise ParseError(last[0], _column(last, 0), "circuit needs at least one step")
     if initial is None:
         initial = ("0" * n,)
     return CircuitAst(n, initial, tuple(steps))
 
 
-def _parse_init(row: list[_Token], n: int) -> tuple[str, ...]:
-    if len(row) >= 2 and row[1].text == "ket":
-        if len(row) != 3:
-            raise _bad(row[-1], "`init ket` takes one `+`-joined ket expression")
-        parts = row[2].text.split("+")
-        start = row[2].column
+def _parse_init(stmt: _Statement, n: int) -> tuple[str, ...]:
+    words = stmt[2]
+    if len(words) >= 2 and words[1] == "ket":
+        if len(words) != 3:
+            raise _bad(stmt, -1, "`init ket` takes one `+`-joined ket expression")
         out = []
-        for part in parts:
-            tok = _Token(part, row[2].line, start)
-            out.append(_bitstring_token(tok, n))
-            start += len(part) + 1
+        offset = 0
+        for part in words[2].split("+"):
+            out.append(_bitstring(stmt, 2, n, offset, part))
+            offset += len(part) + 1
         return tuple(out)
-    if len(row) != 2:
-        raise _bad(row[-1], "`init` takes exactly one bitstring")
-    return (_bitstring_token(row[1], n),)
+    if len(words) != 2:
+        raise _bad(stmt, -1, "`init` takes exactly one bitstring")
+    return (_bitstring(stmt, 1, n),)
 
 
-def _parse_gate(row: list[_Token], n: int) -> Step:
-    if len(row) < 2:
-        raise _bad(row[0], "`gate` needs a gate name")
-    name = row[1]
-    if name.text in _ONE_LINE_GATES:
-        if len(row) != 3:
-            raise _bad(row[-1], f"`gate {name.text}` takes exactly one line index")
-        return GateStep(name.text, _line_token(row[2], n))
-    if name.text == "CNOT":
-        if len(row) != 4:
-            raise _bad(row[-1], "`gate CNOT` takes control and target line indices")
-        control = _line_token(row[2], n)
-        target = _line_token(row[3], n)
+def _parse_gate(stmt: _Statement, n: int) -> Step:
+    words = stmt[2]
+    if len(words) < 2:
+        raise _bad(stmt, 0, "`gate` needs a gate name")
+    name = words[1]
+    if name in _ONE_LINE_GATES:
+        if len(words) != 3:
+            raise _bad(stmt, -1, f"`gate {name}` takes exactly one line index")
+        return GateStep(name, _line_word(stmt, 2, n))
+    if name == "CNOT":
+        if len(words) != 4:
+            raise _bad(stmt, -1, "`gate CNOT` takes control and target line indices")
+        control = _line_word(stmt, 2, n)
+        target = _line_word(stmt, 3, n)
         if abs(control - target) != 1:
-            raise _bad(row[2], "CNOT control and target must be adjacent lines")
+            raise _bad(stmt, 2, "CNOT control and target must be adjacent lines")
         return CnotStep(control, target)
-    if name.text == "EF":
-        if len(row) != 3:
-            raise _bad(row[-1], "`gate EF` takes one truth-table bitstring")
-        table = row[2].text
+    if name == "EF":
+        if len(words) != 3:
+            raise _bad(stmt, -1, "`gate EF` takes one truth-table bitstring")
+        table = words[2]
         if set(table) - {"0", "1"}:
-            raise _bad(row[2], "truth table must be 0/1 bits")
+            raise _bad(stmt, 2, "truth table must be 0/1 bits")
         if n & (n - 1):
-            raise _bad(name, "EF needs a power-of-two line count")
+            raise _bad(stmt, 1, "EF needs a power-of-two line count")
         if len(table) != 2 * n:
-            raise _bad(row[2], f"EF on {n} lines needs a {2 * n}-bit truth table")
+            raise _bad(stmt, 2, f"EF on {n} lines needs a {2 * n}-bit truth table")
         return EfStep(table)
-    raise _bad(name, "unknown gate")
+    raise _bad(stmt, 1, "unknown gate")
 
 
-def _parse_measure(row: list[_Token], n: int) -> MeasureStep:
-    if len(row) != 2:
-        raise _bad(row[-1], "`measure` takes a line index or `all`")
-    if row[1].text == "all":
+def _parse_measure(stmt: _Statement, n: int) -> MeasureStep:
+    words = stmt[2]
+    if len(words) != 2:
+        raise _bad(stmt, -1, "`measure` takes a line index or `all`")
+    if words[1] == "all":
         return MeasureStep(None)
-    return MeasureStep(_line_token(row[1], n))
+    return MeasureStep(_line_word(stmt, 1, n))
 
 
 def render(ast: CircuitAst) -> str:

@@ -15,7 +15,7 @@ from functools import reduce
 from operator import or_
 from typing import Iterable, Sequence
 
-from .errors import DimMismatch, ImpossibleOutcome, UnknownLabel, ZeroState
+from .errors import DimMismatch, DuplicateTerms, ImpossibleOutcome, UnknownLabel, ZeroState
 from .gf2 import BitVec, GF2Matrix, mat_apply, mat_mul
 from .space import BasisFrame, SubsetKet, Universe, born, rat_json
 
@@ -304,11 +304,13 @@ def bell_violation(
     f1, f2, f3 = _three_frames(frames)
     x1, y1 = f1.labels[0], f2.labels[0]
     y2, z2 = f2.labels[1], f3.labels[1]
+    keys = (f"({x1},{y1})", f"({y2},{z2})", f"({x1},{z2})")
+    if len(set(keys)) != 3:
+        raise DuplicateTerms(f"the frames' labels name two terms alike: {', '.join(keys)}")
     xy = _sequential_or_zero(s, f1, x1, f2, y1)
     yz = _sequential_or_zero(s, f2, y2, f3, z2)
     xz = _sequential_or_zero(s, f1, x1, f3, z2)
-    terms = {f"({x1},{y1})": xy, f"({y2},{z2})": yz, f"({x1},{z2})": xz}
-    return BellReport(terms, xy + yz, xz, xy + yz < xz)
+    return BellReport(dict(zip(keys, (xy, yz, xz))), xy + yz, xz, xy + yz < xz)
 
 
 def _three_frames(frames: Sequence[BasisFrame]) -> Sequence[BasisFrame]:

@@ -81,6 +81,14 @@ class RegisterTooWide(SetQMError, ValueError):
     """Register has more lines than the simulator's width limit."""
 
 
+class TooLarge(SetQMError, ValueError):
+    """Input would make the library allocate more than its stated size limit."""
+
+
+class DuplicateTerms(SetQMError, ValueError):
+    """Two terms of a report would share one key, so one of them would be lost."""
+
+
 class LineOutOfRange(SetQMError):
     """Register line index outside 0..lines-1."""
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Iterator
 
 from .errors import InvalidBlocks, OutOfRange, UniverseMismatch
@@ -101,12 +101,9 @@ def refines(coarse: Partition, fine: Partition) -> bool:
 def dit_set(p: Partition) -> DitSet:
     """All ordered pairs that cross blocks."""
     labels = [b.labels for b in p.blocks]
-    pairs = set()
-    for i, xs in enumerate(labels):
-        for ys in labels[i + 1:]:
-            pairs.update(product(xs, ys))
-            pairs.update(product(ys, xs))
-    return DitSet(frozenset(pairs))
+    return DitSet(frozenset(
+        chain.from_iterable(product(xs, ys) for xs in labels for ys in labels if xs is not ys)
+    ))
 
 
 def logical_entropy(p: Partition) -> Fraction:

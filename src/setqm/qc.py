@@ -24,6 +24,7 @@ from .errors import (
     RegisterTooWide,
     SizeMismatch,
     Singular,
+    TooLarge,
     UnknownGate,
     WrongArity,
     ZeroState,
@@ -296,13 +297,25 @@ def _ef_factors(f: BooleanFunction) -> tuple[Gate, ...]:
     )
 
 
+MAX_EF_GATE_LINES = 8  # the full gate on 8 lines is 256 x 256 bits
+
+
 def ef_gate(f: BooleanFunction) -> Gate:
     """The function-evaluation gate: X^f(p,1) H_f(p,0) tensored over prefixes p.
 
     Prefixes run over Z2^(arity-1) in lexicographic order, first prefix
     outermost, giving 2^(arity-1) factors of size 2x2. This full matrix is
     the reference for `apply_ef`, which applies the factors one line at a time.
+    Above arity 4 the gate spans more than MAX_EF_GATE_LINES lines, and
+    TooLarge is raised before anything is built. `apply_ef` builds only the
+    2x2 factors, so the register's width is its only bound.
     """
+    lines = 1 << (f.arity - 1)
+    if lines > MAX_EF_GATE_LINES:
+        raise TooLarge(
+            f"the EF gate of arity {f.arity} spans {lines} lines, "
+            f"over the limit of {MAX_EF_GATE_LINES}"
+        )
     return Gate(f"EF[{f.bits}]", reduce(kron, (g.matrix for g in _ef_factors(f))))
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimMismatch, UniverseMismatch, UnknownLabel, ZeroState
+from .errors import DimMismatch, TooLarge, UniverseMismatch, UnknownLabel, ZeroState
 from .gf2 import BitVec, GF2Matrix, invert, mat_apply
 
 
@@ -218,15 +218,22 @@ def _fmt_labels(labels: tuple[str, ...]) -> str:
     return "{" + ",".join(labels) + "}"
 
 
+MAX_KET_TABLE_DIM = 16  # 2^16 rows of one dict each
+
+
 def ket_table(dim: int, frames: Sequence[BasisFrame]) -> KetTable:
     """All 2^dim kets, each expressed in every frame.
 
     Rows are keyed by the first frame's expression and ordered by
     descending cardinality, then lexicographically by coordinates.
+    Raises DimMismatch without frames and TooLarge for dim above
+    MAX_KET_TABLE_DIM, before any row is built.
     """
     frames = tuple(frames)
     if not frames:
-        raise ValueError("need at least one frame")
+        raise DimMismatch("need at least one frame")
+    if dim > MAX_KET_TABLE_DIM:
+        raise TooLarge(f"a ket table of dimension {dim} exceeds the limit of {MAX_KET_TABLE_DIM}")
     for f in frames:
         if f.dim != dim:
             raise DimMismatch(f"frame {f.name} has dimension {f.dim}, expected {dim}")

@@ -1,7 +1,9 @@
+import re
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setqm.dsl import (
@@ -246,3 +248,225 @@ def test_parse_returns_ast_or_setqm_error(text):
     except (ParseError, RegisterTooWide):
         return
     assert isinstance(ast, CircuitAst)
+
+
+# ---- reference: the token-object parser that `parse` replaced. Every word carried its
+# line and column; `parse` keeps only words and finds a column again when it raises.
+
+_ONE_LINE_GATES = ("I", "X", "H0", "H1", "XH0", "XH1")
+
+
+@dataclass(frozen=True)
+class _Token:
+    text: str
+    line: int
+    column: int
+
+
+def _tokenize(text):
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0]
+        tokens = [_Token(m.group(), lineno, m.start() + 1) for m in re.finditer(r"\S+", body)]
+        if tokens:
+            rows.append(tokens)
+    return rows
+
+
+def _bad(tok, message):
+    return ParseError(tok.line, tok.column, message, tok.text)
+
+
+def _int_token(tok, what):
+    if not (tok.text.isascii() and tok.text.isdigit()):
+        raise _bad(tok, f"expected {what}")
+    try:
+        return int(tok.text)
+    except ValueError:
+        raise _bad(tok, f"{what} has too many digits") from None
+
+
+def _bitstring_token(tok, lines):
+    if set(tok.text) - {"0", "1"} or len(tok.text) != lines:
+        raise _bad(tok, f"expected a {lines}-bit basis bitstring")
+    return tok.text
+
+
+def _line_token(tok, lines):
+    value = _int_token(tok, "a line index")
+    if value >= lines:
+        raise _bad(tok, f"line index outside 0..{lines - 1}")
+    return value
+
+
+def reference_parse(text):
+    rows = _tokenize(text)
+    if not rows:
+        raise ParseError(1, 1, "empty circuit")
+    head = rows[0]
+    if head[0].text != "lines":
+        raise _bad(head[0], "circuit must start with a `lines <n>` statement")
+    if len(head) != 2:
+        raise _bad(head[-1], "`lines` takes exactly one count")
+    n = _int_token(head[1], "a positive line count")
+    if n < 1:
+        raise _bad(head[1], "line count must be positive")
+    if n > MAX_LINES:
+        raise RegisterTooWide(f"line {head[1].line}: {n} lines exceed the limit of {MAX_LINES}")
+    initial = None
+    steps = []
+    for row in rows[1:]:
+        word = row[0]
+        if word.text == "init":
+            if initial is not None:
+                raise _bad(word, "only one init statement is allowed")
+            if steps:
+                raise _bad(word, "init must come before gates and measures")
+            initial = _reference_init(row, n)
+        elif word.text == "gate":
+            steps.append(_reference_gate(row, n))
+        elif word.text == "measure":
+            steps.append(_reference_measure(row, n))
+        else:
+            raise _bad(word, "expected `init`, `gate`, or `measure`")
+    if not steps:
+        last = rows[-1][0]
+        raise ParseError(last.line, last.column, "circuit needs at least one step")
+    if initial is None:
+        initial = ("0" * n,)
+    return CircuitAst(n, initial, tuple(steps))
+
+
+def _reference_init(row, n):
+    if len(row) >= 2 and row[1].text == "ket":
+        if len(row) != 3:
+            raise _bad(row[-1], "`init ket` takes one `+`-joined ket expression")
+        start = row[2].column
+        out = []
+        for part in row[2].text.split("+"):
+            out.append(_bitstring_token(_Token(part, row[2].line, start), n))
+            start += len(part) + 1
+        return tuple(out)
+    if len(row) != 2:
+        raise _bad(row[-1], "`init` takes exactly one bitstring")
+    return (_bitstring_token(row[1], n),)
+
+
+def _reference_gate(row, n):
+    if len(row) < 2:
+        raise _bad(row[0], "`gate` needs a gate name")
+    name = row[1]
+    if name.text in _ONE_LINE_GATES:
+        if len(row) != 3:
+            raise _bad(row[-1], f"`gate {name.text}` takes exactly one line index")
+        return GateStep(name.text, _line_token(row[2], n))
+    if name.text == "CNOT":
+        if len(row) != 4:
+            raise _bad(row[-1], "`gate CNOT` takes control and target line indices")
+        control = _line_token(row[2], n)
+        target = _line_token(row[3], n)
+        if abs(control - target) != 1:
+            raise _bad(row[2], "CNOT control and target must be adjacent lines")
+        return CnotStep(control, target)
+    if name.text == "EF":
+        if len(row) != 3:
+            raise _bad(row[-1], "`gate EF` takes one truth-table bitstring")
+        table = row[2].text
+        if set(table) - {"0", "1"}:
+            raise _bad(row[2], "truth table must be 0/1 bits")
+        if n & (n - 1):
+            raise _bad(name, "EF needs a power-of-two line count")
+        if len(table) != 2 * n:
+            raise _bad(row[2], f"EF on {n} lines needs a {2 * n}-bit truth table")
+        return EfStep(table)
+    raise _bad(name, "unknown gate")
+
+
+def _reference_measure(row, n):
+    if len(row) != 2:
+        raise _bad(row[-1], "`measure` takes a line index or `all`")
+    if row[1].text == "all":
+        return MeasureStep(None)
+    return MeasureStep(_line_token(row[1], n))
+
+
+def outcome(parser, text):
+    """The AST, or the error's type and everything it reports."""
+    try:
+        return parser(text)
+    except ParseError as err:
+        return (ParseError, err.line, err.column, err.message, err.token)
+    except RegisterTooWide as err:
+        return (RegisterTooWide, str(err))
+
+
+def test_shipped_circuits_match_reference():
+    for path in sorted(CIRCUITS.glob("*.qc2")):
+        text = path.read_text()
+        assert isinstance(parse(text), CircuitAst)
+        assert parse(text) == reference_parse(text)
+
+
+# words of valid and near-valid statements: counts out of range or not ASCII digits,
+# bitstrings and `init ket` parts of the right and wrong width, gates of every arity,
+# separated and indented by ASCII and Unicode whitespace, with comments and blank lines
+COUNTS = ("1", "2", "3", "4", "0", "01", "20", "21", "-1", "²", "1²", "9" * 5000)
+SEPARATORS = (" ", "  ", "\t", " \t ", "\xa0", "\u3000", "\x1f")
+NEWLINES = ("\n", "\n", "\r\n", "\r", "\x1c", "\u2028")
+COMMENTS = ("#", " # note", "\t#gate X 0", "# lines 9")
+
+
+@st.composite
+def ket_words(draw):
+    parts = draw(st.lists(st.text("01", max_size=5), min_size=1, max_size=4))
+    return "+".join(parts)
+
+
+@st.composite
+def near_statements(draw, n):
+    if draw(st.integers(0, 4)) == 0:  # arguments in range, so that later checks are reached
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table = draw(st.text("01", min_size=2 * n - 1, max_size=2 * n + 1))
+        return draw(st.sampled_from(
+            (f"gate CNOT {i} {j}", f"gate EF {table}", f"measure {i} {j}", f"gate H1 {i} {j}")
+        ))
+    index = st.integers(0, n).map(str)
+    word = st.one_of(
+        index, index, index, st.sampled_from(COUNTS), st.text("01", min_size=1, max_size=9),
+        ket_words(), st.sampled_from(("all", "ket", "X", "CNOT", "EF", "H9", "x", "lines")),
+    )
+    head = draw(st.sampled_from((
+        ("lines",), ("init",), ("init", "ket"), ("measure",), ("gate",), ("gate", "X"),
+        ("gate", "H0"), ("gate", "XH1"), ("gate", "CNOT"), ("gate", "EF"), ("gate", "Z"),
+        ("frob",), (),
+    )))
+    words = head + tuple(draw(st.lists(word, max_size=3)))
+    sep = st.sampled_from(SEPARATORS)
+    text = "".join(w + (draw(sep) if i < len(words) - 1 else "") for i, w in enumerate(words))
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(COMMENTS))
+    return text
+
+
+@st.composite
+def near_circuit_texts(draw):
+    n = draw(st.integers(1, 4))
+    count = draw(st.sampled_from((str(n),) * 2 * len(COUNTS) + COUNTS))
+    head = ("lines {0}",) * 16 + ("lines", "lines {0} {0}", "init {0}", "lines{0}")
+    rows = [draw(st.sampled_from(head)).format(count)]
+    for step in draw(st.lists(steps(n), max_size=4)):
+        rows.append(render(CircuitAst(n, ("0" * n,), (step,))).splitlines()[2])
+    if draw(st.booleans()):
+        rows.insert(1, "init " + draw(st.sampled_from(("", "ket "))) + draw(ket_words()))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(1, len(rows))), draw(near_statements(n)))
+    if draw(st.booleans()):
+        rows.insert(0, draw(st.sampled_from(("",) + COMMENTS)))
+    indent = st.sampled_from(("",) * 4 + SEPARATORS)
+    return "".join(draw(indent) + row + draw(st.sampled_from(NEWLINES)) for row in rows)
+
+
+@settings(max_examples=500)
+@given(st.one_of(near_circuit_texts(), near_circuit_texts(), near_circuit_texts(), st.text()))
+def test_parse_matches_reference(text):
+    assert outcome(parse, text) == outcome(reference_parse, text)

@@ -20,7 +20,14 @@ from setqm.entangle import (
     supports,
     ProductUniverse,
 )
-from setqm.errors import DimMismatch, ImpossibleOutcome, UnknownLabel, ZeroState
+from setqm.errors import (
+    DimMismatch,
+    DuplicateTerms,
+    ImpossibleOutcome,
+    SetQMError,
+    UnknownLabel,
+    ZeroState,
+)
 from setqm.gf2 import BitVec, GF2Matrix, kron, mat_apply
 from setqm.presets import bell_state, other_bell_state, pair_space, universe_ab
 from setqm.space import BasisFrame, SubsetKet, Universe, born
@@ -342,14 +349,28 @@ def test_bell_reports_need_three_frames_of_two_labels():
 
 
 def test_bell_reports_with_colliding_names():
-    # a third frame named like the second, whose second label is the second frame's first
+    # a third frame named like the second: the report keys terms by labels, not names
     u, u1, u2 = bell_basis_frames(universe_ab())
-    clash = BasisFrame(u1.name, ("q", "a'"), u2.matrix)
-    renamed = BasisFrame("W", ("q", "a'"), u2.matrix)
+    clash = BasisFrame(u1.name, ("q", "r"), u2.matrix)
+    renamed = BasisFrame("W", ("q", "r"), u2.matrix)
     s = bell_state()
     assert counterfactual_joint(s, (u, u1, clash)) == counterfactual_joint(s, (u, u1, renamed))
     report = bell_violation(s, (u, u1, clash))
     xy = sequential_pair_prob(s, u, "a", u1, "a'")
-    yz = sequential_pair_prob(s, u1, "b'", clash, "a'")
-    xz = sequential_pair_prob(s, u, "a", clash, "a'")
+    yz = sequential_pair_prob(s, u1, "b'", clash, "r")
+    xz = sequential_pair_prob(s, u, "a", clash, "r")
     assert (report.lhs, report.rhs, report.violated) == (xy + yz, xz, xy + yz < xz)
+    assert report.terms == {"(a,a')": xy, "(b',r)": yz, "(a,r)": xz}
+
+
+def test_bell_rejects_terms_with_one_key():
+    # the third frame's second label is the second frame's first, so (x1,y1) = (x1,z2)
+    u, u1, u2 = bell_basis_frames(universe_ab())
+    for name in (u1.name, "W"):
+        with pytest.raises(DuplicateTerms):
+            bell_violation(bell_state(), (u, u1, BasisFrame(name, ("q", "a'"), u2.matrix)))
+    # (y2,z2) = (x1,z2) when the first and second frames share a label
+    w = BasisFrame("W", ("p", "a"), u1.matrix)
+    with pytest.raises(DuplicateTerms):
+        bell_violation(bell_state(), (u, w, u2))
+    assert issubclass(DuplicateTerms, SetQMError) and issubclass(DuplicateTerms, ValueError)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,15 +8,18 @@ import pytest
 from setqm.errors import (
     ImpossibleOutcome,
     SizeMismatch,
+    TooLarge,
     UnknownGate,
     WrongArity,
     ZeroState,
 )
 from setqm.gf2 import GF2Matrix, is_nonsingular
 from setqm.qc import (
+    MAX_EF_GATE_LINES,
     BooleanFunction,
     Register,
     apply,
+    apply_ef,
     deutsch,
     ef_gate,
     line_probs,
@@ -190,6 +194,21 @@ def test_ef_row_sums_closed_form():
         matrix = ef_gate(f).matrix
         row_sums = [row.bit_count() & 1 for row in matrix.row_bits]
         assert row_sums == [e % 2 for e in expected]
+
+
+def test_ef_gate_is_bounded():
+    # arity 4 spans the 8-line limit; arity 5 would be a 65536 x 65536 matrix
+    assert MAX_EF_GATE_LINES == 8
+    assert ef_gate(BooleanFunction(4, (0,) * 16)).matrix.rows == 256
+    for arity in (5, 6, 10):
+        f = BooleanFunction(arity, (1,) + (0,) * ((1 << arity) - 1))
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            ef_gate(f)
+        assert time.perf_counter() - start < 1
+    # the factor path needs no full gate, so arity 5 still applies to a 16-line register
+    f = BooleanFunction(5, (1,) + (0,) * 31)
+    assert apply_ef(f, Register.from_bitstrings(16, ["0" * 16])).bitstrings()
 
 
 def test_parity_sat_unary_result_vector():

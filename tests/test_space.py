@@ -1,13 +1,23 @@
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setqm.errors import DimMismatch, Singular, UniverseMismatch, UnknownLabel, ZeroState
+from setqm.errors import (
+    DimMismatch,
+    SetQMError,
+    Singular,
+    TooLarge,
+    UniverseMismatch,
+    UnknownLabel,
+    ZeroState,
+)
 from setqm.gf2 import GF2Matrix
 from setqm.presets import frames_ab, frames_abc, universe_abc
 from setqm.space import (
+    MAX_KET_TABLE_DIM,
     BasisFrame,
     Universe,
     born,
@@ -193,6 +203,18 @@ def test_ket_table_dim_mismatch():
     u0, _, _ = frames_abc()
     with pytest.raises(DimMismatch):
         ket_table(2, [u0])
+
+
+def test_ket_table_is_bounded():
+    for dim in (MAX_KET_TABLE_DIM + 1, 40):
+        frame = Universe(tuple(f"e{j}" for j in range(dim))).canonical_frame()
+        start = time.perf_counter()
+        with pytest.raises(TooLarge):
+            ket_table(dim, [frame])
+        assert time.perf_counter() - start < 1
+    with pytest.raises(SetQMError):
+        ket_table(2, [])
+    assert issubclass(TooLarge, SetQMError) and issubclass(TooLarge, ValueError)
 
 
 def test_ket_table_json_roundtrip():

@@ -82,8 +82,7 @@ class MeasurementOutcome:
 
 def inverse_image_partition(f: Attribute) -> Partition:
     """Partition of the universe into the nonempty level sets of f."""
-    u = f.universe
-    return Partition(u, tuple(SubsetKet(u, BitVec(u.size, m)) for m in f.levels.values()))
+    return Partition(f.universe, f.levels.values())
 
 
 def _check_universe(f: Attribute, s: SubsetKet) -> None:

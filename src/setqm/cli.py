@@ -51,7 +51,8 @@ def _parse_subset(text: str, universe: Universe) -> SubsetKet:
 
 
 def _parse_partition(text: str, universe: Universe) -> Partition:
-    return Partition(universe, tuple(_parse_subset(chunk, universe) for chunk in text.split("|")))
+    masks = (_parse_subset(chunk, universe).bits.bits for chunk in text.split("|"))
+    return Partition(universe, masks)
 
 
 def _parse_attr(text: str, universe: Universe) -> Attribute:
@@ -67,14 +68,11 @@ def _parse_attr(text: str, universe: Universe) -> Attribute:
     return Attribute.from_values(universe, values)
 
 
-def _parse_pairs(text: str, dim: int):
-    space = presets.pair_space() if dim == 2 else None
-    if space is None:
-        raise SetQMError("product states are only preset for --dim 2")
+def _parse_pairs(text: str):
     pairs = re.findall(r"\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)", text)
     if not pairs:
         raise SetQMError(f"no pairs found in {text!r}")
-    return space.state(pairs)
+    return presets.pair_space().state(pairs)
 
 
 def _emit(args, table_text: str, payload) -> None:
@@ -169,14 +167,11 @@ def _cmd_density(args) -> int:
         rho = rho_of_partition(_parse_partition(args.partition, universe))
     else:
         rho = rho_of_subset(_parse_subset(args.state, universe))
-    text = "\n".join(
-        [rho.to_text(), f"purity = {purity(rho)}", f"h = {logical_entropy_rho(rho)}"]
-    )
+    gamma, h = purity(rho), logical_entropy_rho(rho)
     _emit(
         args,
-        text,
-        {"matrix": rho.to_json(), "purity": rat_json(purity(rho)),
-         "logical_entropy": rat_json(logical_entropy_rho(rho))},
+        "\n".join([rho.to_text(), f"purity = {gamma}", f"h = {h}"]),
+        {"matrix": rho.to_json(), "purity": rat_json(gamma), "logical_entropy": rat_json(h)},
     )
     return 0
 
@@ -215,20 +210,16 @@ def _cmd_double_slit(args) -> int:
 
 
 def _cmd_bell(args) -> int:
-    state = _parse_pairs(args.state, 2) if args.state else presets.bell_state()
+    state = _parse_pairs(args.state) if args.state else presets.bell_state()
     u, u1, u2 = presets.frames_ab()
     universe = presets.universe_ab()
     given = [universe.subset(["a", "b"]), universe.subset(["b"]), universe.subset(["a"])]
     frames = [u, u1, u2]
 
     header = ["state"] + [label for f in frames for label in f.labels]
-    rows = []
-    for s in given:
-        cells = [str(s)]
-        for f in frames:
-            probs = born(s, f)
-            cells.extend(str(probs[label]) for label in f.labels)
-        rows.append(cells)
+    # born() lists each frame's outcomes in f.labels order, the order of the header
+    outcome = [[p for f in frames for p in born(s, f).values()] for s in given]
+    rows = [[str(s), *map(str, probs)] for s, probs in zip(given, outcome)]
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
     table_lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
     for r in rows:
@@ -247,8 +238,7 @@ def _cmd_bell(args) -> int:
     payload = {
         "state": [list(p) for p in state.sorted_pairs()],
         "state_outcome": {
-            str(s): {label: rat_json(born(s, f)[label]) for f in frames for label in f.labels}
-            for s in given
+            str(s): dict(zip(header[1:], map(rat_json, probs))) for s, probs in zip(given, outcome)
         },
         **report.to_json(),
     }

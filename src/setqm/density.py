@@ -14,8 +14,17 @@ from fractions import Fraction
 
 from .attributes import Attribute
 from .errors import InvalidBlocks, ShapeMismatch, UniverseMismatch, ZeroState
-from .partitions import Partition
+from .partitions import Partition, _block_masks
 from .space import SubsetKet, Universe, rat_json
+
+
+def _union_by_weight(blocks) -> dict:
+    """Each weight mapped to the union of its disjoint blocks: one exact product per weight
+    in a sum that is linear in the elements."""
+    union: dict = {}
+    for mask, w in blocks:
+        union[w] = union.get(w, 0) | mask
+    return union
 
 
 @dataclass(frozen=True)
@@ -30,19 +39,14 @@ class DensityMatrix:
     blocks: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self):
-        union = 0
-        for mask, weight in self.blocks:
-            if mask < 0 or mask >> self.universe.size:
-                raise ShapeMismatch("block mask outside the universe")
-            if not mask or union & mask:
-                raise InvalidBlocks("blocks must be nonempty and pairwise disjoint")
-            if weight <= 0:
-                raise InvalidBlocks("block weights must be positive")
-            union |= mask
-        if sum(mask.bit_count() * weight for mask, weight in self.blocks) != 1:
+        masks = _block_masks(self.universe.size, [m for m, _ in self.blocks])
+        weights, union = dict(self.blocks), _union_by_weight(self.blocks)
+        if any(w <= 0 for w in union):
+            raise InvalidBlocks("block weights must be positive")
+        if sum(m.bit_count() * w for w, m in union.items()) != 1:
             raise InvalidBlocks("density matrix must have trace 1")
-        ordered = sorted(((m, Fraction(w)) for m, w in self.blocks), key=lambda b: b[0] & -b[0])
-        object.__setattr__(self, "blocks", tuple(ordered))
+        exact = {w: Fraction(w) for w in union}  # one Fraction per weight, shared by its blocks
+        object.__setattr__(self, "blocks", tuple((m, exact[weights[m]]) for m in masks))
 
     @property
     def dim(self) -> int:
@@ -75,7 +79,7 @@ class DensityMatrix:
 def rho_of_partition(p: Partition) -> DensityMatrix:
     """Every block of p with weight 1/|U|."""
     w = Fraction(1, p.universe.size)
-    return DensityMatrix(p.universe, tuple((b.bits.bits, w) for b in p.blocks))
+    return DensityMatrix(p.universe, tuple((m, w) for m in p.masks))
 
 
 def rho_of_subset(s: SubsetKet) -> DensityMatrix:
@@ -96,11 +100,11 @@ def logical_entropy_rho(rho: DensityMatrix) -> Fraction:
 
 
 def expectation(f: Attribute, rho: DensityMatrix) -> Fraction:
-    """tr[f rho]: each block B's weight times the sum of r |B ∩ f^-1(r)| over eigenvalues r."""
+    """tr[f rho]: each weight w times the sum of r |B_w ∩ f^-1(r)|, B_w the union of w's blocks."""
     if f.universe != rho.universe:
         raise UniverseMismatch("attribute and density matrix live on different universes")
     total = Fraction(0)
-    for mask, w in rho.blocks:
+    for w, mask in _union_by_weight(rho.blocks).items():
         total += w * sum(r * (mask & level).bit_count() for r, level in f.levels.items())
     return total
 

@@ -217,21 +217,10 @@ def counterfactual_joint(
         for y in f2.labels
         for z in f3.labels
     }
-    marginal_xy = {
-        (x, y): sum((probs[(x, y, z)] for z in f3.labels), Fraction(0))
-        for x in f1.labels
-        for y in f2.labels
-    }
-    marginal_yz = {
-        (y, z): sum((probs[(x, y, z)] for x in f1.labels), Fraction(0))
-        for y in f2.labels
-        for z in f3.labels
-    }
-    marginal_xz = {
-        (x, z): sum((probs[(x, y, z)] for y in f2.labels), Fraction(0))
-        for x in f1.labels
-        for z in f3.labels
-    }
+    # each single-frame distribution sums to 1, so every pairwise marginal is a product
+    marginal_xy = {(x, y): p1[x] * p2[y] for x in f1.labels for y in f2.labels}
+    marginal_yz = {(y, z): p2[y] * p3[z] for y in f2.labels for z in f3.labels}
+    marginal_xz = {(x, z): p1[x] * p3[z] for x in f1.labels for z in f3.labels}
     lhs = marginal_xy[(f1.labels[0], f2.labels[0])] + marginal_yz[(f2.labels[1], f3.labels[1])]
     rhs = marginal_xz[(f1.labels[0], f3.labels[1])]
     return CounterfactualReport(

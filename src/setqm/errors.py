@@ -29,6 +29,10 @@ class UnknownLabel(SetQMError, KeyError):
     __str__ = Exception.__str__  # KeyError would print the message's repr
 
 
+class InvalidArgument(SetQMError, ValueError):
+    """Constructor argument has a value no instance can hold, such as a length below 1."""
+
+
 class InvalidBlocks(SetQMError, ValueError):
     """Blocks are empty or overlap, miss part of the universe, or carry a bad weight."""
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Sequence
 
-from .errors import DimMismatch, LengthMismatch, NotSquare, Singular
+from .errors import DimMismatch, InvalidArgument, LengthMismatch, NotSquare, Singular
 
 
 @dataclass(frozen=True)
@@ -24,9 +24,9 @@ class BitVec:
 
     def __post_init__(self):
         if self.length < 1:
-            raise ValueError("BitVec needs positive length")
+            raise InvalidArgument("BitVec needs positive length")
         if self.bits < 0 or self.bits >> self.length:
-            raise ValueError("bits outside the declared length")
+            raise InvalidArgument("bits outside the declared length")
 
     @classmethod
     def zero(cls, length: int) -> BitVec:
@@ -37,7 +37,7 @@ class BitVec:
         bits = 0
         for j, c in enumerate(coords):
             if c not in (0, 1):
-                raise ValueError("coordinates must be 0 or 1")
+                raise InvalidArgument("coordinates must be 0 or 1")
             bits |= c << j
         return cls(len(coords), bits)
 
@@ -46,7 +46,7 @@ class BitVec:
         bits = 0
         for j in indices:
             if not 0 <= j < length:
-                raise ValueError(f"index {j} outside 0..{length - 1}")
+                raise InvalidArgument(f"index {j} outside 0..{length - 1}")
             bits ^= 1 << j
         return cls(length, bits)
 
@@ -104,12 +104,12 @@ class GF2Matrix:
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix needs positive dimensions")
+            raise InvalidArgument("matrix needs positive dimensions")
         if len(self.row_bits) != self.rows:
-            raise ValueError("row count does not match row_bits")
+            raise InvalidArgument("row count does not match row_bits")
         for r in self.row_bits:
             if r < 0 or r >> self.cols:
-                raise ValueError("row bits outside the declared width")
+                raise InvalidArgument("row bits outside the declared width")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> GF2Matrix:
@@ -118,7 +118,7 @@ class GF2Matrix:
             bits = 0
             for j, e in enumerate(row):
                 if e not in (0, 1):
-                    raise ValueError("entries must be 0 or 1")
+                    raise InvalidArgument("entries must be 0 or 1")
                 bits |= e << j
             packed.append(bits)
         return cls(len(rows), len(rows[0]), tuple(packed))

@@ -3,50 +3,58 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, product
 from typing import Iterable, Iterator
 
-from .errors import InvalidBlocks, OutOfRange, UniverseMismatch
+from .errors import InvalidBlocks, OutOfRange, ShapeMismatch, UniverseMismatch
 from .gf2 import BitVec
 from .space import SubsetKet, Universe
 
 
+def _block_masks(size: int, masks: Iterable[int]) -> tuple[int, ...]:
+    """Nonempty, pairwise disjoint masks below bit `size`, ordered by least element."""
+    masks = tuple(masks)
+    union = 0
+    for m in masks:
+        if m >> size:  # a negative mask shifts to -1
+            raise ShapeMismatch("block mask outside the universe")
+        if not m or union & m:
+            raise InvalidBlocks("blocks must be nonempty and pairwise disjoint")
+        union |= m
+    return tuple(sorted(masks, key=lambda m: m & -m))
+
+
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint nonempty blocks covering a universe, ordered by least element index."""
+    """Disjoint nonempty block masks covering a universe, ordered by least element index."""
 
     universe: Universe
-    blocks: tuple[SubsetKet, ...]
+    masks: tuple[int, ...]
+    blocks: tuple[SubsetKet, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        union = 0
-        for b in self.blocks:
-            if b.universe != self.universe:
-                raise UniverseMismatch("block universe differs from partition universe")
-            if b.is_zero:
-                raise InvalidBlocks("blocks must be nonempty")
-            if union & b.bits.bits:
-                raise InvalidBlocks("blocks must be pairwise disjoint")
-            union |= b.bits.bits
-        if union != (1 << self.universe.size) - 1:
+        n = self.universe.size
+        masks = _block_masks(n, self.masks)
+        if sum(m.bit_count() for m in masks) != n:
             raise InvalidBlocks("blocks must cover the universe")
-        ordered = tuple(sorted(self.blocks, key=lambda b: b.bits.bits & -b.bits.bits))
-        object.__setattr__(self, "blocks", ordered)
+        object.__setattr__(self, "masks", masks)
+        blocks = tuple(SubsetKet(self.universe, BitVec(n, m)) for m in masks)
+        object.__setattr__(self, "blocks", blocks)
 
     @classmethod
     def from_blocks(cls, universe: Universe, blocks: Iterable[Iterable[str]]) -> Partition:
-        return cls(universe, tuple(universe.subset(b) for b in blocks))
+        return cls(universe, tuple(universe.subset(b).bits.bits for b in blocks))
 
     @classmethod
     def discrete(cls, universe: Universe) -> Partition:
-        return cls(universe, tuple(map(universe.singleton, universe.labels)))
+        return cls(universe, tuple(1 << j for j in range(universe.size)))
 
     @classmethod
     def indiscrete(cls, universe: Universe) -> Partition:
         """The blob: the single block containing everything."""
-        return cls(universe, (universe.full(),))
+        return cls(universe, ((1 << universe.size) - 1,))
 
     def to_json(self) -> list[list[str]]:
         return [list(b.labels) for b in self.blocks]
@@ -79,23 +87,13 @@ def _check_same_universe(p: Partition, q: Partition) -> None:
 def join(p: Partition, q: Partition) -> Partition:
     """Partition whose blocks are the nonempty pairwise block intersections."""
     _check_same_universe(p, q)
-    n = p.universe.size
-    blocks = []
-    for b in p.blocks:
-        for c in q.blocks:
-            common = b.bits.bits & c.bits.bits
-            if common:
-                blocks.append(SubsetKet(p.universe, BitVec(n, common)))
-    return Partition(p.universe, tuple(blocks))
+    return Partition(p.universe, tuple(b & c for b in p.masks for c in q.masks if b & c))
 
 
 def refines(coarse: Partition, fine: Partition) -> bool:
     """True when every block of `fine` lies inside some block of `coarse`."""
     _check_same_universe(coarse, fine)
-    for b in fine.blocks:
-        if not any(b.bits.bits & ~c.bits.bits == 0 for c in coarse.blocks):
-            return False
-    return True
+    return all(any(b & ~c == 0 for c in coarse.masks) for b in fine.masks)
 
 
 def dit_set(p: Partition) -> DitSet:
@@ -109,14 +107,14 @@ def dit_set(p: Partition) -> DitSet:
 def logical_entropy(p: Partition) -> Fraction:
     """Normalized dit count |dit(p)| / |U|^2 = 1 - sum of squared block probabilities."""
     n = p.universe.size
-    indits = sum(b.cardinality ** 2 for b in p.blocks)
+    indits = sum(m.bit_count() ** 2 for m in p.masks)
     return Fraction(n * n - indits, n * n)
 
 
 def shannon_entropy(p: Partition) -> float:
     """Base-2 entropy of the block probabilities; the one float in the package."""
     n = p.universe.size
-    return sum(b.cardinality / n * math.log2(n / b.cardinality) for b in p.blocks)
+    return sum(m.bit_count() / n * math.log2(n / m.bit_count()) for m in p.masks)
 
 
 def block_entropy_relation(p_b: Fraction) -> tuple[Fraction, float]:
@@ -141,4 +139,4 @@ def iter_partitions(universe: Universe) -> Iterator[Partition]:
         yield from grow(j + 1, masks + (1 << j,))
 
     for masks in grow(0, ()):
-        yield Partition(universe, tuple(SubsetKet(universe, BitVec(n, m)) for m in masks))
+        yield Partition(universe, masks)

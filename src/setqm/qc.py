@@ -20,6 +20,7 @@ from typing import Iterable
 
 from .errors import (
     ImpossibleOutcome,
+    InvalidArgument,
     LineOutOfRange,
     RegisterTooWide,
     SizeMismatch,
@@ -110,7 +111,7 @@ class Register:
 
     def __post_init__(self):
         if self.lines < 1:
-            raise ValueError("register needs at least one line")
+            raise InvalidArgument("register needs at least one line")
         _check_width(self.lines)
         if self.state.length != 1 << self.lines:
             raise SizeMismatch("state length must be 2^lines")
@@ -133,7 +134,7 @@ class Register:
         bits = BitVec.zero(1 << lines)
         for s in strings:
             if len(s) != lines or set(s) - {"0", "1"}:
-                raise ValueError(f"bad basis bitstring {s!r}")
+                raise InvalidArgument(f"bad basis bitstring {s!r}")
             bits ^= BitVec.from_indices(1 << lines, [int(s, 2)])
         return cls(lines, bits)
 
@@ -270,7 +271,7 @@ class BooleanFunction:
         if self.arity < 1:
             raise WrongArity("arity must be at least 1")
         if len(self.table) != 1 << self.arity or set(self.table) - {0, 1}:
-            raise ValueError("truth table must hold 2^arity bits")
+            raise InvalidArgument("truth table must hold 2^arity bits")
 
     @classmethod
     def from_bits(cls, bits: str) -> BooleanFunction:

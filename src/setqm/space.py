@@ -11,7 +11,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DimMismatch, TooLarge, UniverseMismatch, UnknownLabel, ZeroState
+from .errors import (
+    DimMismatch,
+    InvalidArgument,
+    TooLarge,
+    UniverseMismatch,
+    UnknownLabel,
+    ZeroState,
+)
 from .gf2 import BitVec, GF2Matrix, invert, mat_apply
 
 
@@ -24,10 +31,10 @@ class Universe:
 
     def __post_init__(self):
         if not self.labels:
-            raise ValueError("universe needs at least one element")
+            raise InvalidArgument("universe needs at least one element")
         position = {x: j for j, x in enumerate(self.labels)}
         if len(position) != len(self.labels):
-            raise ValueError("universe labels must be distinct")
+            raise InvalidArgument("universe labels must be distinct")
         object.__setattr__(self, "_position", position)
 
     @property
@@ -123,7 +130,7 @@ class BasisFrame:
             raise DimMismatch("frame matrix must be square")
         if len(self.labels) != self.matrix.cols:
             raise DimMismatch("frame needs one label per basis ket")
-        # the frame's own labels viewed as a universe; raises ValueError on repeats
+        # the frame's own labels viewed as a universe; raises InvalidArgument on repeats
         object.__setattr__(self, "universe", Universe(self.labels))
         # raises Singular for an invalid frame
         object.__setattr__(self, "_inverse", invert(self.matrix))

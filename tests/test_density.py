@@ -231,6 +231,15 @@ def test_density_blocks_are_canonical():
     assert shuffled == rho_of_partition(Partition.from_blocks(u, [["b"], ["a", "c"]]))
 
 
+def test_density_weights_become_fractions():
+    u = universe_abc()
+    rho = DensityMatrix(u, ((0b100, 1),))
+    assert rho.blocks == ((0b100, F(1)),)
+    assert type(rho.blocks[0][1]) is F
+    mixed = DensityMatrix(u, ((0b110, F(1, 4)), (0b001, F(1, 2))))
+    assert mixed.blocks == ((0b001, F(1, 2)), (0b110, F(1, 4)))
+
+
 def test_density_json():
     u = universe_abc()
     rho = rho_of_subset(u.subset(["c"]))
@@ -330,8 +339,7 @@ def attributes_on(draw, u):
 def test_rho_constructors_match_dense(data):
     u = data.draw(universes())
     p = data.draw(partitions_of(u))
-    masks = [b.bits.bits for b in p.blocks]
-    dense = dense_of_blocks(u.size, [(m, F(1, u.size)) for m in masks])
+    dense = dense_of_blocks(u.size, [(m, F(1, u.size)) for m in p.masks])
     assert rho_of_partition(p).entries == dense
     mask = data.draw(st.integers(1, (1 << u.size) - 1))
     s = SubsetKet(u, BitVec(u.size, mask))

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from setqm.entangle import (
+    CounterfactualReport,
     bell_basis_frames,
     bell_violation,
     counterfactual_joint,
@@ -325,6 +326,53 @@ def test_measurements_match_pair_set(case, data):
         ref_sequential(space, ref, f1, f1.labels[0], f3, f3.labels[1]),
     ]
     assert list(report.terms.values()) == [t or F(0) for t in terms]
+
+
+def ref_counterfactual_joint(s, frames):
+    """The summing version `counterfactual_joint` replaced: marginals as sums of the joint."""
+    f1, f2, f3 = frames
+    p1, p2, p3 = ({o: left_measure_prob(s, f, o) for o in f.labels} for f in frames)
+    probs = {
+        (x, y, z): p1[x] * p2[y] * p3[z]
+        for x in f1.labels
+        for y in f2.labels
+        for z in f3.labels
+    }
+    marginal_xy = {
+        (x, y): sum((probs[(x, y, z)] for z in f3.labels), F(0))
+        for x in f1.labels
+        for y in f2.labels
+    }
+    marginal_yz = {
+        (y, z): sum((probs[(x, y, z)] for x in f1.labels), F(0))
+        for y in f2.labels
+        for z in f3.labels
+    }
+    marginal_xz = {
+        (x, z): sum((probs[(x, y, z)] for y in f2.labels), F(0))
+        for x in f1.labels
+        for z in f3.labels
+    }
+    lhs = marginal_xy[(f1.labels[0], f2.labels[0])] + marginal_yz[(f2.labels[1], f3.labels[1])]
+    rhs = marginal_xz[(f1.labels[0], f3.labels[1])]
+    return CounterfactualReport(
+        probs, marginal_xy, marginal_yz, marginal_xz, lhs, rhs, lhs >= rhs
+    )
+
+
+@given(product_states(square=True), st.data())
+def test_counterfactual_marginals_match_summed_joint(case, data):
+    space, pairs = case
+    s = space.state(pairs)
+    frames = [data.draw(frames_of(space.left, "'" * i)) for i in (1, 2, 3)]
+    report, ref = counterfactual_joint(s, frames), ref_counterfactual_joint(s, frames)
+    assert report == ref
+    for got, want in zip(
+        (report.marginal_xy, report.marginal_yz, report.marginal_xz),
+        (ref.marginal_xy, ref.marginal_yz, ref.marginal_xz),
+    ):
+        assert list(got) == list(want)
+    assert report.to_json() == ref.to_json()
 
 
 def test_state_rejects_unknown_pairs():

@@ -1,11 +1,12 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setqm.errors import OutOfRange, UniverseMismatch
+from setqm.errors import InvalidBlocks, OutOfRange, ShapeMismatch, UniverseMismatch
 from setqm.partitions import (
     Partition,
     block_entropy_relation,
@@ -187,3 +188,116 @@ def test_partition_count_is_bell_number():
     for n, bell in sizes.items():
         universe = Universe(tuple("abcde"[:n]))
         assert sum(1 for _ in iter_partitions(universe)) == bell
+
+
+# ---- Partition on block masks against a frozenset-of-label-sets reference
+
+def ref_of(p):
+    return frozenset(frozenset(b.labels) for b in p.blocks)
+
+
+def ref_ordered(universe, blocks):
+    """Blocks as label tuples in universe order, ordered by least element."""
+    return sorted(
+        (tuple(x for x in universe.labels if x in b) for b in blocks),
+        key=lambda labels: universe.index(labels[0]),
+    )
+
+
+def ref_join(p, q):
+    return frozenset(b & c for b in p for c in q if b & c)
+
+
+def ref_refines(coarse, fine):
+    return all(any(b <= c for c in coarse) for b in fine)
+
+
+def ref_logical_entropy(blocks, n):
+    return 1 - sum((Fraction(len(b), n) ** 2 for b in blocks), Fraction(0))
+
+
+def ref_shannon_entropy(universe, blocks):
+    n = universe.size
+    return sum(len(b) / n * math.log2(n / len(b)) for b in ref_ordered(universe, blocks))
+
+
+def ref_str(universe, blocks):
+    return "|".join("{" + ",".join(b) + "}" for b in ref_ordered(universe, blocks))
+
+
+@st.composite
+def label_set_partitions(draw, universe):
+    """A partition of `universe` as a frozenset of frozensets of labels."""
+    block_of = draw(st.lists(st.integers(0, universe.size - 1),
+                             min_size=universe.size, max_size=universe.size))
+    blocks = {}
+    for label, b in zip(universe.labels, block_of):
+        blocks.setdefault(b, set()).add(label)
+    return frozenset(map(frozenset, blocks.values()))
+
+
+@st.composite
+def small_universes(draw):
+    return Universe(tuple(f"e{j}" for j in range(draw(st.integers(1, 12)))))
+
+
+@given(st.data())
+def test_partition_operations_match_label_sets(data):
+    u = data.draw(small_universes())
+    rp, rq = data.draw(label_set_partitions(u)), data.draw(label_set_partitions(u))
+    p, q = Partition.from_blocks(u, rp), Partition.from_blocks(u, rq)
+    assert ref_of(p) == rp and ref_of(q) == rq
+    assert ref_of(join(p, q)) == ref_join(rp, rq)
+    assert refines(p, q) == ref_refines(rp, rq)
+    assert refines(q, p) == ref_refines(rq, rp)
+    assert logical_entropy(p) == ref_logical_entropy(rp, u.size)
+    assert shannon_entropy(p) == ref_shannon_entropy(u, rp)
+    assert p.to_json() == [list(b) for b in ref_ordered(u, rp)]
+    assert str(p) == ref_str(u, rp)
+    shuffled = Partition(u, p.masks[::-1])
+    assert shuffled == p and hash(shuffled) == hash(p) and shuffled.masks == p.masks
+    assert len(p.blocks) == len(p.masks)
+    for block, mask in zip(p.blocks, p.masks):
+        assert block.universe == u and block.bits.bits == mask
+
+
+def brute_force_partitions(universe):
+    """Every block assignment of the labels, collapsed to its set of label sets."""
+    n = universe.size
+    found = set()
+    for assign in itertools.product(range(n), repeat=n):
+        blocks = {}
+        for label, b in zip(universe.labels, assign):
+            blocks.setdefault(b, set()).add(label)
+        found.add(frozenset(map(frozenset, blocks.values())))
+    return found
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_iter_partitions_matches_brute_force(n):
+    u = Universe(tuple("abcde"[:n]))
+    parts = [ref_of(p) for p in iter_partitions(u)]
+    assert len(parts) == len(set(parts))
+    assert set(parts) == brute_force_partitions(u)
+
+
+@given(st.data())
+def test_invalid_masks_are_rejected(data):
+    u = data.draw(small_universes())
+    n = u.size
+    p = Partition.from_blocks(u, data.draw(label_set_partitions(u)))
+    masks = p.masks
+    j = data.draw(st.integers(0, n - 1))
+    k = data.draw(st.integers(0, len(masks) - 1))
+    with pytest.raises(InvalidBlocks):
+        Partition(u, masks + (0,))  # an empty block
+    with pytest.raises(InvalidBlocks):
+        Partition(u, masks + (1 << j,))  # overlap
+    with pytest.raises(InvalidBlocks):
+        Partition(u, masks[:k] + masks[k + 1:])  # does not cover
+    with pytest.raises(ShapeMismatch):
+        Partition(u, masks + (1 << data.draw(st.integers(n, n + 8)),))
+    with pytest.raises(ShapeMismatch):
+        Partition(u, masks[:k] + (masks[k] | 1 << n,) + masks[k + 1:])
+    with pytest.raises(ShapeMismatch):
+        Partition(u, masks + (-1,))

@@ -42,17 +42,19 @@ def _frames(dim: int) -> tuple[BasisFrame, BasisFrame, BasisFrame]:
     return presets.frames_ab() if dim == 2 else presets.frames_abc()
 
 
-def _parse_subset(text: str, universe: Universe) -> SubsetKet:
+def _subset_labels(text: str) -> list[str]:
     body = text.strip()
     if body.startswith("{") and body.endswith("}"):
         body = body[1:-1]
-    labels = [x.strip() for x in body.split(",") if x.strip()]
-    return universe.subset(labels)
+    return [x.strip() for x in body.split(",") if x.strip()]
+
+
+def _parse_subset(text: str, universe: Universe) -> SubsetKet:
+    return universe.subset(_subset_labels(text))
 
 
 def _parse_partition(text: str, universe: Universe) -> Partition:
-    masks = (_parse_subset(chunk, universe).bits.bits for chunk in text.split("|"))
-    return Partition(universe, masks)
+    return Partition(universe, (universe._mask(_subset_labels(chunk)) for chunk in text.split("|")))
 
 
 def _parse_attr(text: str, universe: Universe) -> Attribute:

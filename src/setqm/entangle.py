@@ -86,6 +86,12 @@ def _rows(s: ProductState) -> dict[str, int]:
     return {x: s.bits.bits >> (i * k) & ((1 << k) - 1) for i, x in enumerate(s.space.left.labels)}
 
 
+def _left_probs(s: ProductState) -> dict[str, Fraction]:
+    """Each left label -> the share of the state's pairs that have it."""
+    n = s.cardinality
+    return {x: Fraction(row.bit_count(), n) for x, row in _rows(s).items()}
+
+
 def _column_counts(s: ProductState) -> dict[str, int]:
     """Each right label -> how many of the state's pairs have it."""
     k = s.space.right.size
@@ -129,9 +135,8 @@ def is_separated(s: ProductState) -> bool:
 def marginals(d: JointDistribution) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
     """Exact marginal distributions of the two factors."""
     s = d.support
-    left = {x: Fraction(row.bit_count(), s.cardinality) for x, row in _rows(s).items()}
     right = {y: Fraction(c, s.cardinality) for y, c in _column_counts(s).items()}
-    return left, right
+    return _left_probs(s), right
 
 
 def is_independent(d: JointDistribution) -> bool:
@@ -162,9 +167,7 @@ def product_to_frame(
 
 def left_measure_prob(s: ProductState, frame: BasisFrame, outcome: str) -> Fraction:
     """Fraction of the state's pairs, expressed in the frame, with the given left label."""
-    expressed = product_to_frame(s, frame, frame)
-    hits = _rows(expressed).get(outcome, 0).bit_count()
-    return Fraction(hits, expressed.cardinality)
+    return _left_probs(product_to_frame(s, frame, frame)).get(outcome, Fraction(0))
 
 
 def right_measure_prob(s: ProductState, frame: BasisFrame, outcome: str) -> Fraction:
@@ -210,7 +213,8 @@ def counterfactual_joint(
     satisfy lhs = Pr(x1,y1) + Pr(y2,z2) >= Pr(x1,z2) = rhs.
     """
     f1, f2, f3 = _three_frames(frames)
-    p1, p2, p3 = ({o: left_measure_prob(s, f, o) for o in f.labels} for f in (f1, f2, f3))
+    # one change of basis per frame; every outcome's probability is read from it
+    p1, p2, p3 = (_left_probs(product_to_frame(s, f, f)) for f in (f1, f2, f3))
     probs = {
         (x, y, z): p1[x] * p2[y] * p3[z]
         for x in f1.labels

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
+from itertools import product
 from typing import Iterable, Iterator
 
 from .errors import InvalidBlocks, OutOfRange, ShapeMismatch, UniverseMismatch
@@ -45,7 +46,7 @@ class Partition:
 
     @classmethod
     def from_blocks(cls, universe: Universe, blocks: Iterable[Iterable[str]]) -> Partition:
-        return cls(universe, tuple(universe.subset(b).bits.bits for b in blocks))
+        return cls(universe, tuple(map(universe._mask, blocks)))
 
     @classmethod
     def discrete(cls, universe: Universe) -> Partition:
@@ -65,9 +66,13 @@ class Partition:
 
 @dataclass(frozen=True)
 class DitSet:
-    """Ordered pairs of elements lying in distinct blocks."""
+    """Ordered pairs of elements lying in distinct blocks.
 
-    pairs: frozenset[tuple[str, str]]
+    `pairs` is any set of label pairs; `dit_set` gives a view that derives
+    them from the partition's block masks and never stores them.
+    """
+
+    pairs: Set[tuple[str, str]]
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -77,6 +82,48 @@ class DitSet:
 
     def issubset(self, other: DitSet) -> bool:
         return self.pairs <= other.pairs
+
+
+class _Dits(Set):
+    """The dit set of a partition, read from its block masks on demand."""
+
+    __slots__ = ("partition",)
+
+    def __init__(self, partition: Partition):
+        self.partition = partition
+
+    def __len__(self) -> int:
+        return _dit_count(self.partition)
+
+    def __contains__(self, pair: object) -> bool:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            return False
+        p = self.partition
+        i, j = p.universe._position.get(pair[0]), p.universe._position.get(pair[1])
+        if i is None or j is None:  # a label outside U
+            return False
+        block = next(m for m in p.masks if m >> i & 1)
+        return not block >> j & 1
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        labels = self.partition.universe.labels
+        # bin(m)[:1:-1] is the mask's bits lowest first, so no ket is built
+        blocks = [[x for x, bit in zip(labels, bin(m)[:1:-1]) if bit == "1"]
+                  for m in self.partition.masks]
+        for xs in blocks:
+            for ys in blocks:
+                if xs is not ys:
+                    yield from product(xs, ys)
+
+    __hash__ = Set._hash  # equal to the hash of the frozenset of the same pairs
+
+    def __repr__(self) -> str:
+        return f"_Dits({self.partition!r})"
+
+
+def _dit_count(p: Partition) -> int:
+    n = p.universe.size
+    return n * n - sum(m.bit_count() ** 2 for m in p.masks)
 
 
 def _check_same_universe(p: Partition, q: Partition) -> None:
@@ -97,18 +144,19 @@ def refines(coarse: Partition, fine: Partition) -> bool:
 
 
 def dit_set(p: Partition) -> DitSet:
-    """All ordered pairs that cross blocks."""
-    labels = [b.labels for b in p.blocks]
-    return DitSet(frozenset(
-        chain.from_iterable(product(xs, ys) for xs in labels for ys in labels if xs is not ys)
-    ))
+    """All ordered pairs that cross blocks, as a view over the block masks.
+
+    `len` is |U|^2 - sum of |B|^2, `in` looks up both labels and tests the
+    second against the first one's block, and iteration yields the pairs
+    block pair by block pair; no pair is stored.
+    """
+    return DitSet(_Dits(p))
 
 
 def logical_entropy(p: Partition) -> Fraction:
     """Normalized dit count |dit(p)| / |U|^2 = 1 - sum of squared block probabilities."""
     n = p.universe.size
-    indits = sum(m.bit_count() ** 2 for m in p.masks)
-    return Fraction(n * n - indits, n * n)
+    return Fraction(_dit_count(p), n * n)
 
 
 def shannon_entropy(p: Partition) -> float:

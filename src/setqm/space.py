@@ -47,12 +47,16 @@ class Universe:
         except KeyError:
             raise UnknownLabel(f"{label!r} not in universe {self.labels}") from None
 
-    def subset(self, labels: Iterable[str] = ()) -> SubsetKet:
-        """The ket of the named elements; a label named twice is still one element."""
+    def _mask(self, labels: Iterable[str]) -> int:
+        """Bitmask of the named elements; raises UnknownLabel for a label outside."""
         bits = 0
         for x in labels:
             bits |= 1 << self.index(x)
-        return SubsetKet(self, BitVec(self.size, bits))
+        return bits
+
+    def subset(self, labels: Iterable[str] = ()) -> SubsetKet:
+        """The ket of the named elements; a label named twice is still one element."""
+        return SubsetKet(self, BitVec(self.size, self._mask(labels)))
 
     def singleton(self, label: str) -> SubsetKet:
         return self.subset([label])

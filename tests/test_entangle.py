@@ -375,6 +375,27 @@ def test_counterfactual_marginals_match_summed_joint(case, data):
     assert report.to_json() == ref.to_json()
 
 
+def test_counterfactual_joint_changes_basis_once_per_frame(monkeypatch):
+    import setqm.entangle as entangle
+    from setqm.presets import frames_abc
+
+    u = Universe(("a", "b", "c"))
+    s = ProductUniverse(u, u).state([("a", "a"), ("a", "c"), ("b", "b"), ("c", "a"), ("c", "b")])
+    frames = frames_abc()
+    want = ref_counterfactual_joint(s, frames)
+    calls = []
+    original = entangle.product_to_frame
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(entangle, "product_to_frame", counting)
+    report = counterfactual_joint(s, frames)
+    assert report == want and report.to_json() == want.to_json()
+    assert len(calls) == 3
+
+
 def test_state_rejects_unknown_pairs():
     assert issubclass(UnknownLabel, KeyError)
     with pytest.raises(UnknownLabel):

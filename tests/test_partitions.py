@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from setqm.errors import InvalidBlocks, OutOfRange, ShapeMismatch, UniverseMismatch
 from setqm.partitions import (
+    DitSet,
     Partition,
     block_entropy_relation,
     dit_set,
@@ -96,8 +98,48 @@ def partitions(draw):
 @given(partitions())
 def test_dit_set_matches_double_loop(p):
     ds = dit_set(p)
-    assert type(ds.pairs) is frozenset
-    assert ds.pairs == reference_dit_set(p)
+    ref = reference_dit_set(p)
+    assert ds.pairs == ref
+    assert ref == ds.pairs
+    assert len(ds) == len(ref)
+    assert hash(ds.pairs) == hash(ref)
+    assert hash(ds) == hash(DitSet(ref)) and ds == DitSet(ref)
+    labels = p.universe.labels
+    for pair in itertools.product(labels + ("outside",), repeat=2):
+        assert (pair in ds) == (pair in ref)
+
+
+@st.composite
+def partition_pairs(draw):
+    """Two partitions of one universe."""
+    u = draw(small_universes())
+    return tuple(Partition.from_blocks(u, draw(label_set_partitions(u))) for _ in range(2))
+
+
+@given(partition_pairs())
+def test_dit_inclusion_is_refinement(pq):
+    # dit(p) <= dit(q) exactly when q refines p, i.e. refines(coarse=p, fine=q)
+    p, q = pq
+    assert dit_set(p).issubset(dit_set(q)) == refines(p, q)
+    assert dit_set(p).issubset(dit_set(join(p, q)))
+
+
+def test_dit_set_repr_depends_only_on_the_partition():
+    u = Universe(tuple(f"e{j}" for j in range(6)))
+    p = Partition(u, (0b000011, 0b111100))
+    assert repr(dit_set(p)) == repr(dit_set(Partition(u, (0b111100, 0b000011))))
+    assert repr(dit_set(p)) != repr(dit_set(Partition.discrete(u)))
+    assert "0x" not in repr(dit_set(p))
+
+
+def test_dit_set_of_a_large_discrete_partition_stores_no_pairs():
+    n = 4096
+    start = time.perf_counter()
+    ds = dit_set(Partition.discrete(Universe(tuple(f"e{j}" for j in range(n)))))
+    assert len(ds) == n * n - n
+    assert ("e0", "e1") in ds
+    assert ("e0", "e0") not in ds and ("e0", "x") not in ds and "e0" not in ds
+    assert time.perf_counter() - start < 1.0
 
 
 def test_dit_count_formula():

@@ -85,12 +85,35 @@ class DitSet:
 
 
 class _Dits(Set):
-    """The dit set of a partition, read from its block masks on demand."""
+    """The dit set of a partition, read from its block masks on demand.
 
-    __slots__ = ("partition",)
+    Between two views of one universe, inclusion is refinement and equality
+    is equal masks. The other set operators return a frozenset. The hash
+    equals the frozenset's and is computed once.
+    """
+
+    __slots__ = ("partition", "_owner", "_hash_value")
 
     def __init__(self, partition: Partition):
         self.partition = partition
+        self._owner = self._hash_value = None
+
+    @classmethod
+    def _from_iterable(cls, pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
+        return frozenset(pairs)
+
+    def _block_of(self) -> dict[str, int]:
+        """Each label's block index, built from the masks on first use."""
+        if self._owner is None:
+            labels = self.partition.universe.labels
+            owner = {}
+            for k, m in enumerate(self.partition.masks):
+                while m:
+                    low = m & -m
+                    owner[labels[low.bit_length() - 1]] = k
+                    m ^= low
+            self._owner = owner
+        return self._owner
 
     def __len__(self) -> int:
         return _dit_count(self.partition)
@@ -98,24 +121,37 @@ class _Dits(Set):
     def __contains__(self, pair: object) -> bool:
         if not isinstance(pair, tuple) or len(pair) != 2:
             return False
-        p = self.partition
-        i, j = p.universe._position.get(pair[0]), p.universe._position.get(pair[1])
-        if i is None or j is None:  # a label outside U
-            return False
-        block = next(m for m in p.masks if m >> i & 1)
-        return not block >> j & 1
+        owner = self._block_of()
+        i, j = owner.get(pair[0]), owner.get(pair[1])
+        return i is not None and j is not None and i != j  # None: a label outside U
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        labels = self.partition.universe.labels
-        # bin(m)[:1:-1] is the mask's bits lowest first, so no ket is built
-        blocks = [[x for x, bit in zip(labels, bin(m)[:1:-1]) if bit == "1"]
-                  for m in self.partition.masks]
+        blocks = [[] for _ in self.partition.masks]
+        for x, k in self._block_of().items():
+            blocks[k].append(x)
         for xs in blocks:
             for ys in blocks:
                 if xs is not ys:
                     yield from product(xs, ys)
 
-    __hash__ = Set._hash  # equal to the hash of the frozenset of the same pairs
+    def _same_universe(self, other: object) -> bool:
+        return isinstance(other, _Dits) and other.partition.universe == self.partition.universe
+
+    def __le__(self, other: object) -> bool:
+        # dit(p) <= dit(q) exactly when q refines p
+        if self._same_universe(other):
+            return refines(self.partition, other.partition)
+        return Set.__le__(self, other)
+
+    def __eq__(self, other: object) -> bool:
+        if self._same_universe(other):
+            return self.partition.masks == other.partition.masks
+        return Set.__eq__(self, other)
+
+    def __hash__(self) -> int:
+        if self._hash_value is None:
+            self._hash_value = self._hash()  # equal to the hash of the frozenset of the same pairs
+        return self._hash_value
 
     def __repr__(self) -> str:
         return f"_Dits({self.partition!r})"
@@ -146,9 +182,10 @@ def refines(coarse: Partition, fine: Partition) -> bool:
 def dit_set(p: Partition) -> DitSet:
     """All ordered pairs that cross blocks, as a view over the block masks.
 
-    `len` is |U|^2 - sum of |B|^2, `in` looks up both labels and tests the
-    second against the first one's block, and iteration yields the pairs
-    block pair by block pair; no pair is stored.
+    `len` is |U|^2 - sum of |B|^2, `in` is two lookups in a label-to-block
+    table built once from the masks, inclusion and equality between two
+    views of one universe are `refines` and equal masks, and iteration
+    yields the pairs block pair by block pair; no pair is stored.
     """
     return DitSet(_Dits(p))
 

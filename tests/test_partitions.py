@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -109,19 +110,15 @@ def test_dit_set_matches_double_loop(p):
         assert (pair in ds) == (pair in ref)
 
 
-@st.composite
-def partition_pairs(draw):
-    """Two partitions of one universe."""
-    u = draw(small_universes())
-    return tuple(Partition.from_blocks(u, draw(label_set_partitions(u))) for _ in range(2))
-
-
-@given(partition_pairs())
-def test_dit_inclusion_is_refinement(pq):
-    # dit(p) <= dit(q) exactly when q refines p, i.e. refines(coarse=p, fine=q)
-    p, q = pq
-    assert dit_set(p).issubset(dit_set(q)) == refines(p, q)
-    assert dit_set(p).issubset(dit_set(join(p, q)))
+def test_dit_set_operators_match_stored_pairs():
+    # the view's &, |, - and ^ build plain sets of pairs, from either side
+    for p, q in itertools.product(list(iter_partitions(ABCD)), repeat=2):
+        a, b = dit_set(p).pairs, dit_set(q).pairs
+        ra, rb = reference_dit_set(p), reference_dit_set(q)
+        assert a & b == ra & rb and a | b == ra | rb
+        assert a - b == ra - rb and a ^ b == ra ^ rb
+        assert a & rb == ra & b == ra & rb and a - rb == ra - b == ra - rb
+        assert len(a | b) == len(ra | rb) and all(pair in a | b for pair in ra)
 
 
 def test_dit_set_repr_depends_only_on_the_partition():
@@ -149,13 +146,32 @@ def test_dit_count_formula():
         assert len(dit_set(p)) == expected
 
 
+def random_partition(rng, universe):
+    blocks = {}
+    for x in universe.labels:
+        blocks.setdefault(rng.randrange(universe.size), []).append(x)
+    return Partition.from_blocks(universe, blocks.values())
+
+
 def test_refines_equals_dit_inclusion():
-    # block-containment implementation against the dit-set oracle
-    for universe in (universe_abc(), ABCD):
-        parts = list(iter_partitions(universe))
-        for p in parts:
-            for q in parts:
-                assert refines(p, q) == dit_set(p).issubset(dit_set(q))
+    # block containment and dit-set inclusion against the stored-pair oracle:
+    # every pair of partitions of up to 4 elements, then random partitions of
+    # up to 24 elements, each also against its join with the other
+    cases = [pq for universe in (universe_abc(), ABCD)
+             for pq in itertools.product(list(iter_partitions(universe)), repeat=2)]
+    rng = random.Random(0)
+    for n in (8, 16, 24):
+        u = Universe(tuple(f"e{j}" for j in range(n)))
+        for _ in range(10):
+            p, q = random_partition(rng, u), random_partition(rng, u)
+            cases += [(p, q), (p, join(p, q)), (join(p, q), p), (p, p)]
+    for p, q in cases:
+        rp, rq = reference_dit_set(p), reference_dit_set(q)
+        assert refines(p, q) == (rp <= rq)
+        assert dit_set(p).issubset(dit_set(q)) == (rp <= rq)
+        assert DitSet(rp).issubset(dit_set(q)) == dit_set(p).issubset(DitSet(rq)) == (rp <= rq)
+        assert (dit_set(p).pairs >= dit_set(q).pairs) == (rp >= rq)
+        assert (dit_set(p) == dit_set(q)) == (rp == rq)
 
 
 def test_join_is_least_upper_bound():

@@ -135,12 +135,19 @@ def is_compatible(f: Attribute, g: Attribute) -> bool:
 
 
 def is_complete(fs: Sequence[Attribute]) -> bool:
-    """True when the join of the level-set partitions is discrete: eigenvalue tuples all differ."""
+    """True when the join of the level masks, most levels first, reaches |U| blocks: eigenvalue
+    tuples all differ."""
     if not fs:
         raise IncompatibleAttributes("need at least one attribute")
     if not all(is_compatible(fs[0], g) for g in fs):
         raise IncompatibleAttributes("attributes live on different universes")
-    return len(set(zip(*(f.values for f in fs)))) == fs[0].universe.size
+    n = fs[0].universe.size
+    first, *rest = sorted(fs, key=lambda f: len(f.levels), reverse=True)
+    blocks = first.levels.values()
+    for f in rest:
+        if len(blocks) < n:
+            blocks = [b & c for b in blocks for c in f.levels.values() if b & c]
+    return len(blocks) == n
 
 
 def eigenkets(fs: Sequence[Attribute]) -> dict[str, tuple[Fraction, ...]]:

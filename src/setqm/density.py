@@ -4,12 +4,15 @@ rho(S) is the uniform block on a subset, rho(p) the mixture over a
 partition's blocks, and measurement only splits blocks, so every matrix
 here is a sum of w_B |B><B| over disjoint blocks B. Entry (j,k) is w_B
 when u_j and u_k share block B, else 0: off-diagonal entries record which
-pairs still cohere, and measuring zeroes the pairs it distinguishes.
+pairs still cohere, and measuring zeroes the pairs it distinguishes. The
+weights are held over one common denominator: every figure here is an
+integer sum that becomes one `Fraction` at the end.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .attributes import Attribute
@@ -18,35 +21,34 @@ from .partitions import Partition, _block_masks
 from .space import SubsetKet, Universe, rat_json
 
 
-def _union_by_weight(blocks) -> dict:
-    """Each weight mapped to the union of its disjoint blocks: one exact product per weight
-    in a sum that is linear in the elements."""
-    union: dict = {}
-    for mask, w in blocks:
-        union[w] = union.get(w, 0) | mask
-    return union
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """Sum of w_B |B><B| over disjoint nonempty blocks B (bitmasks), with trace 1.
 
     Blocks are ordered by least element index; elements in no block have
-    an all-zero row and column.
+    an all-zero row and column. Block k's weight is `_nums[k] / _den`.
     """
 
     universe: Universe
     blocks: tuple[tuple[int, Fraction], ...]
+    _den: int = field(init=False, repr=False, compare=False)
+    _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        masks = _block_masks(self.universe.size, [m for m, _ in self.blocks])
-        weights, union = dict(self.blocks), _union_by_weight(self.blocks)
-        if any(w <= 0 for w in union):
+        try:
+            pairs = [(m, w if type(w) is Fraction else Fraction(w)) for m, w in self.blocks]
+        except (TypeError, ValueError, ArithmeticError) as e:
+            raise InvalidBlocks("blocks must be (mask, rational weight) pairs") from e
+        masks, weights = _block_masks(self.universe.size, [m for m, _ in pairs]), dict(pairs)
+        den = math.lcm(*{w.denominator for w in weights.values()})
+        nums = tuple(weights[m].numerator * (den // weights[m].denominator) for m in masks)
+        if any(a <= 0 for a in nums):
             raise InvalidBlocks("block weights must be positive")
-        if sum(m.bit_count() * w for w, m in union.items()) != 1:
+        if sum(m.bit_count() * a for m, a in zip(masks, nums)) != den:
             raise InvalidBlocks("density matrix must have trace 1")
-        exact = {w: Fraction(w) for w in union}  # one Fraction per weight, shared by its blocks
-        object.__setattr__(self, "blocks", tuple((m, exact[weights[m]]) for m in masks))
+        object.__setattr__(self, "blocks", tuple((m, weights[m]) for m in masks))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", nums)
 
     @property
     def dim(self) -> int:
@@ -89,24 +91,32 @@ def rho_of_subset(s: SubsetKet) -> DensityMatrix:
     return DensityMatrix(s.universe, ((s.bits.bits, Fraction(1, s.cardinality)),))
 
 
+def _square_sum(rho: DensityMatrix) -> int:
+    """den^2 tr[rho^2]: block B holds |B|^2 entries equal to a_B / den."""
+    return sum((m.bit_count() * a) ** 2 for (m, _), a in zip(rho.blocks, rho._nums))
+
+
 def purity(rho: DensityMatrix) -> Fraction:
-    """tr[rho^2]: block B holds |B|^2 entries equal to w_B."""
-    return sum((mask.bit_count() ** 2 * w * w for mask, w in rho.blocks), Fraction(0))
+    """tr[rho^2] = sum of |B|^2 w_B^2."""
+    return Fraction(_square_sum(rho), rho._den ** 2)
 
 
 def logical_entropy_rho(rho: DensityMatrix) -> Fraction:
     """1 - tr[rho^2]: the probability that two draws land in distinct blocks."""
-    return Fraction(1) - purity(rho)
+    return Fraction(rho._den ** 2 - _square_sum(rho), rho._den ** 2)
 
 
 def expectation(f: Attribute, rho: DensityMatrix) -> Fraction:
-    """tr[f rho]: each weight w times the sum of r |B_w ∩ f^-1(r)|, B_w the union of w's blocks."""
+    """tr[f rho]: each numerator a times the sum of r |B_a ∩ f^-1(r)|, B_a the union of a's blocks."""
     if f.universe != rho.universe:
         raise UniverseMismatch("attribute and density matrix live on different universes")
-    total = Fraction(0)
-    for w, mask in _union_by_weight(rho.blocks).items():
-        total += w * sum(r * (mask & level).bit_count() for r, level in f.levels.items())
-    return total
+    union: dict[int, int] = {}
+    for (mask, _), a in zip(rho.blocks, rho._nums):
+        union[a] = union.get(a, 0) | mask
+    den = math.lcm(*(r.denominator for r in f.levels))
+    levels = [(r.numerator * (den // r.denominator), level) for r, level in f.levels.items()]
+    total = sum(a * c * (m & level).bit_count() for a, m in union.items() for c, level in levels)
+    return Fraction(total, rho._den * den)
 
 
 def measure_density(f: Attribute, rho: DensityMatrix) -> DensityMatrix:
@@ -134,8 +144,10 @@ def entropy_increase(before: DensityMatrix, after: DensityMatrix) -> Fraction:
     """
     if before.dim != after.dim:
         raise ShapeMismatch("density matrices differ in dimension")
-    lost = Fraction(0)
-    for mask, w in before.blocks:
-        kept = sum((mask & a).bit_count() ** 2 for a, _ in after.blocks)
-        lost += w * w * (mask.bit_count() ** 2 - kept)
-    return lost
+    if before.universe != after.universe:
+        raise UniverseMismatch("density matrices live on different universes")
+    parts, lost = [b for b, _ in after.blocks], 0
+    for (mask, _), a in zip(before.blocks, before._nums):
+        kept = sum((mask & b).bit_count() ** 2 for b in parts)
+        lost += a * a * (mask.bit_count() ** 2 - kept)
+    return Fraction(lost, before._den ** 2)

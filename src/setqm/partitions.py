@@ -19,6 +19,8 @@ def _block_masks(size: int, masks: Iterable[int]) -> tuple[int, ...]:
     masks = tuple(masks)
     union = 0
     for m in masks:
+        if not isinstance(m, int):
+            raise InvalidBlocks("block masks must be ints")
         if m >> size:  # a negative mask shifts to -1
             raise ShapeMismatch("block mask outside the universe")
         if not m or union & m:

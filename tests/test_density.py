@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setqm.attributes import Attribute, inverse_image_partition
+from setqm.attributes import Attribute, inverse_image_partition, is_complete
 from setqm.density import (
     DensityMatrix,
     entropy_increase,
@@ -208,6 +208,13 @@ def test_entropy_increase_shape_mismatch():
         )
 
 
+def test_entropy_increase_universe_mismatch():
+    u = universe_abc()
+    other = Universe(("x", "y", "z"))
+    with pytest.raises(UniverseMismatch):
+        entropy_increase(rho_of_subset(u.full()), rho_of_subset(other.full()))
+
+
 def test_density_validation():
     u = universe_abc()
     assert issubclass(InvalidBlocks, ValueError)
@@ -224,6 +231,43 @@ def test_density_validation():
             DensityMatrix(u, blocks)
 
 
+def test_float_weight_trace_is_checked_exactly():
+    # the float 1/3 is 6004799503160661 / 2^54, so three of it miss 1 by 2^-54
+    with pytest.raises(InvalidBlocks):
+        DensityMatrix(universe_abc(), ((0b111, 1 / 3),))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u: DensityMatrix(u, ((7, None),)),
+        lambda u: DensityMatrix(u, ((7, "x"),)),
+        lambda u: DensityMatrix(u, ((7, float("nan")),)),
+        lambda u: DensityMatrix(u, ((7, "1/0"),)),
+        lambda u: DensityMatrix(u, (7,)),  # a block that is not a pair
+        lambda u: DensityMatrix(u, ((7,),)),
+        lambda u: DensityMatrix(u, ((7, F(1, 3), 0),)),
+        lambda u: DensityMatrix(u, None),
+        lambda u: DensityMatrix(u, (("7", F(1, 3)),)),  # a mask that is not an int
+        lambda u: DensityMatrix(u, (([7], F(1, 3)),)),
+        lambda u: Partition(u, ("1",)),
+        lambda u: Partition(u, (1.0, 6)),
+    ],
+)
+def test_malformed_blocks_raise_invalid_blocks(call):
+    with pytest.raises(InvalidBlocks):
+        call(universe_abc())
+
+
+def test_weights_with_unrelated_denominators():
+    u = universe_abc()
+    rho = DensityMatrix(u, ((0b001, F(1, 2)), (0b010, F(1, 3)), (0b100, F(1, 6))))
+    assert (rho._den, rho._nums) == (6, (3, 2, 1))
+    assert purity(rho) == F(1, 4) + F(1, 9) + F(1, 36)
+    f = Attribute.from_values(u, {"a": F(1, 2), "b": F(2, 3), "c": 5})
+    assert expectation(f, rho) == F(1, 4) + F(2, 9) + F(5, 6)
+
+
 def test_density_blocks_are_canonical():
     u = universe_abc()
     shuffled = DensityMatrix(u, ((0b010, F(1, 3)), (0b101, F(1, 3))))
@@ -238,6 +282,14 @@ def test_density_weights_become_fractions():
     assert type(rho.blocks[0][1]) is F
     mixed = DensityMatrix(u, ((0b110, F(1, 4)), (0b001, F(1, 2))))
     assert mixed.blocks == ((0b001, F(1, 2)), (0b110, F(1, 4)))
+    # int, float and str weights build the same matrix as Fraction weights
+    for a, b in (
+        (rho, DensityMatrix(u, ((0b100, F(1)),))),
+        (DensityMatrix(u, ((0b001, 0.5), (0b110, "1/4"))), mixed),
+    ):
+        assert a == b and hash(a) == hash(b)
+        assert all(type(w) is F for _, w in a.blocks)
+        assert (a._den, a._nums) == (b._den, b._nums)
 
 
 def test_density_json():
@@ -297,7 +349,7 @@ def dense_json(entries):
 
 
 LABELS = tuple("abcdef")
-VALUES = (F(-1), F(0), F(1, 2), F(1), F(3))
+VALUES = (F(-1), F(0), F(1, 2), F(-2, 3), F(1), F(3))
 
 
 @st.composite
@@ -317,7 +369,8 @@ def partitions_of(draw, u):
 
 @st.composite
 def density_matrices(draw, u):
-    """Any block matrix on u: disjoint blocks, leftover elements, arbitrary positive weights."""
+    """Any block matrix on u: disjoint blocks, leftover elements, positive weights whose
+    denominators need not share a factor (such as 1/2, 1/3 and 1/6)."""
     assign = draw(st.lists(st.integers(-1, u.size - 1), min_size=u.size, max_size=u.size))
     if all(b < 0 for b in assign):
         assign[0] = 0
@@ -325,9 +378,9 @@ def density_matrices(draw, u):
     for j, b in enumerate(assign):
         if b >= 0:
             masks[b] = masks.get(b, 0) | 1 << j
-    counts = [draw(st.integers(1, 5)) for _ in masks]
+    counts = [F(draw(st.integers(1, 5)), draw(st.integers(1, 6))) for _ in masks]
     trace = sum(m.bit_count() * c for m, c in zip(masks.values(), counts))
-    return DensityMatrix(u, tuple((m, F(c, trace)) for m, c in zip(masks.values(), counts)))
+    return DensityMatrix(u, tuple((m, c / trace) for m, c in zip(masks.values(), counts)))
 
 
 @st.composite
@@ -380,3 +433,64 @@ def test_measuring_a_partition_state_is_the_join(data):
     assert after == rho_of_partition(joined)
     gain = logical_entropy(joined) - logical_entropy(p)
     assert entropy_increase(rho_of_partition(p), after) == gain
+
+
+# ---- the integer sums against the Fraction sums they replaced
+
+def ref_purity(rho):
+    return sum((mask.bit_count() ** 2 * w * w for mask, w in rho.blocks), F(0))
+
+
+def ref_logical_entropy_rho(rho):
+    return F(1) - ref_purity(rho)
+
+
+def ref_expectation(f, rho):
+    union = {}
+    for mask, w in rho.blocks:
+        union[w] = union.get(w, 0) | mask
+    total = F(0)
+    for w, mask in union.items():
+        total += w * sum(r * (mask & level).bit_count() for r, level in f.levels.items())
+    return total
+
+
+def ref_entropy_increase(before, after):
+    lost = F(0)
+    for mask, w in before.blocks:
+        kept = sum((mask & a).bit_count() ** 2 for a, _ in after.blocks)
+        lost += w * w * (mask.bit_count() ** 2 - kept)
+    return lost
+
+
+def ref_is_complete(fs):
+    return len(set(zip(*(f.values for f in fs)))) == fs[0].universe.size
+
+
+@st.composite
+def wide_universes(draw):
+    return Universe(tuple(f"u{j}" for j in range(draw(st.integers(1, 64)))))
+
+
+@st.composite
+def ramps_on(draw, u):
+    """A shuffled ramp j // k / k: each value on k elements, so families are often complete."""
+    k = draw(st.integers(1, 3))
+    return Attribute(u, tuple(draw(st.permutations([F(j // k, k) for j in range(u.size)]))))
+
+
+@given(st.data())
+def test_integer_sums_match_fraction_sums(data):
+    u = data.draw(wide_universes())
+    rho, other = data.draw(density_matrices(u)), data.draw(density_matrices(u))
+    count = data.draw(st.integers(1, 3))
+    fs = [data.draw(st.one_of(attributes_on(u), ramps_on(u))) for _ in range(count)]
+    assert purity(rho) == ref_purity(rho)
+    assert logical_entropy_rho(rho) == ref_logical_entropy_rho(rho)
+    after = measure_density(fs[0], rho)
+    for f in fs:
+        assert expectation(f, rho) == ref_expectation(f, rho)
+        assert expectation(f, after) == ref_expectation(f, after)
+    for a, b in ((rho, after), (rho, other), (after, rho)):
+        assert entropy_increase(a, b) == ref_entropy_increase(a, b)
+    assert is_complete(fs) == ref_is_complete(fs)

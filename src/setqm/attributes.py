@@ -23,7 +23,7 @@ from .errors import (
     ZeroState,
 )
 from .gf2 import BitVec, nth_set_bit
-from .partitions import Partition
+from .partitions import Partition, _least_bit
 from .space import SubsetKet, Universe, rat_json
 
 Rational = Fraction | int | str
@@ -81,8 +81,12 @@ class MeasurementOutcome:
 
 
 def inverse_image_partition(f: Attribute) -> Partition:
-    """Partition of the universe into the nonempty level sets of f."""
-    return Partition(f.universe, f.levels.values())
+    """Partition of the universe into the nonempty level sets of f.
+
+    A total attribute's level masks are nonempty, disjoint and cover the
+    universe, so they are only put in order.
+    """
+    return Partition._derived(f.universe, tuple(sorted(f.levels.values(), key=_least_bit)))
 
 
 def _check_universe(f: Attribute, s: SubsetKet) -> None:

@@ -15,6 +15,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from typing import Callable
 
 from . import dsl, presets
 from .attributes import Attribute, measure, measure_probs
@@ -28,7 +29,7 @@ from .density import (
 )
 from .dynamics import double_slit
 from .entangle import bell_violation
-from .errors import SetQMError
+from .errors import NotTotal, SetQMError
 from .partitions import Partition, logical_entropy, shannon_entropy
 from .qc import BooleanFunction, parity_sat, teleport
 from .space import BasisFrame, SubsetKet, Universe, born, bracket, ket_table, rat_json
@@ -63,8 +64,11 @@ def _parse_attr(text: str, universe: Universe) -> Attribute:
         label, _, value = chunk.partition(":")
         if not value:
             raise SetQMError(f"attribute entries look like label:value, got {chunk!r}")
+        label = label.strip()
+        if label in values:
+            raise NotTotal(f"label {label!r} is given more than one value")
         try:
-            values[label.strip()] = Fraction(value.strip())
+            values[label] = Fraction(value.strip())
         except (ValueError, ZeroDivisionError):
             raise SetQMError(f"bad rational value in {chunk!r}") from None
     return Attribute.from_values(universe, values)
@@ -77,11 +81,12 @@ def _parse_pairs(text: str):
     return presets.pair_space().state(pairs)
 
 
-def _emit(args, table_text: str, payload) -> None:
+def _emit(args, table_text: Callable[[], str], payload: Callable[[], object]) -> None:
+    """Print the format that --format names, building only that one."""
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print(table_text)
+        print(table_text())
 
 
 def _fmt_probs(probs: dict) -> str:
@@ -91,7 +96,7 @@ def _fmt_probs(probs: dict) -> str:
 def _cmd_ket_table(args) -> int:
     frames = _frames(args.dim)
     table = ket_table(args.dim, frames)
-    _emit(args, table.to_text(), table.to_json())
+    _emit(args, table.to_text, table.to_json)
     return 0
 
 
@@ -100,7 +105,7 @@ def _cmd_bracket(args) -> int:
     t = _parse_subset(args.t, universe)
     s = _parse_subset(args.s, universe)
     value = bracket(t, s)
-    _emit(args, str(value), {"bracket": value})
+    _emit(args, lambda: str(value), lambda: {"bracket": value})
     return 0
 
 
@@ -113,9 +118,9 @@ def _cmd_born(args) -> int:
     probs = born(s, frames[args.frame])
     _emit(
         args,
-        _fmt_probs(probs),
-        {"state": list(s.labels), "frame": args.frame,
-         "probabilities": {k: rat_json(v) for k, v in probs.items()}},
+        lambda: _fmt_probs(probs),
+        lambda: {"state": list(s.labels), "frame": args.frame,
+                 "probabilities": {k: rat_json(v) for k, v in probs.items()}},
     )
     return 0
 
@@ -126,19 +131,18 @@ def _cmd_measure(args) -> int:
     s = _parse_subset(args.state, universe)
     probs = measure_probs(f, s)
     outcome = measure(f, s, random.Random(args.seed))
-    text = "\n".join(
-        [
-            "eigenvalue probabilities",
-            *(f"{r}  {p}" for r, p in probs.items()),
-            f"observed eigenvalue: {outcome.eigenvalue}",
-            f"probability: {outcome.probability}",
-            f"post state: {outcome.post_state}",
-        ]
-    )
     _emit(
         args,
-        text,
-        {
+        lambda: "\n".join(
+            [
+                "eigenvalue probabilities",
+                *(f"{r}  {p}" for r, p in probs.items()),
+                f"observed eigenvalue: {outcome.eigenvalue}",
+                f"probability: {outcome.probability}",
+                f"post state: {outcome.post_state}",
+            ]
+        ),
+        lambda: {
             "probabilities": {rat_json(r): rat_json(p) for r, p in probs.items()},
             "eigenvalue": rat_json(outcome.eigenvalue),
             "probability": rat_json(outcome.probability),
@@ -155,8 +159,8 @@ def _cmd_entropy(args) -> int:
     hs = shannon_entropy(p)
     _emit(
         args,
-        f"h = {h}\nH = {hs:.4f}",
-        {"partition": p.to_json(), "logical": rat_json(h), "shannon": hs},
+        lambda: f"h = {h}\nH = {hs:.4f}",
+        lambda: {"partition": p.to_json(), "logical": rat_json(h), "shannon": hs},
     )
     return 0
 
@@ -172,8 +176,9 @@ def _cmd_density(args) -> int:
     gamma, h = purity(rho), logical_entropy_rho(rho)
     _emit(
         args,
-        "\n".join([rho.to_text(), f"purity = {gamma}", f"h = {h}"]),
-        {"matrix": rho.to_json(), "purity": rat_json(gamma), "logical_entropy": rat_json(h)},
+        lambda: "\n".join([rho.to_text(), f"purity = {gamma}", f"h = {h}"]),
+        lambda: {"matrix": rho.to_json(), "purity": rat_json(gamma),
+                 "logical_entropy": rat_json(h)},
     )
     return 0
 
@@ -187,14 +192,13 @@ def _cmd_measure_density(args) -> int:
         before = rho_of_partition(Partition.indiscrete(universe))
     after = measure_density(f, before)
     gain = entropy_increase(before, after)
-    text = "\n".join(
-        ["before", before.to_text(), "after", after.to_text(), f"entropy increase = {gain}"]
-    )
     _emit(
         args,
-        text,
-        {"before": before.to_json(), "after": after.to_json(),
-         "entropy_increase": rat_json(gain)},
+        lambda: "\n".join(
+            ["before", before.to_text(), "after", after.to_text(), f"entropy increase = {gain}"]
+        ),
+        lambda: {"before": before.to_json(), "after": after.to_json(),
+                 "entropy_increase": rat_json(gain)},
     )
     return 0
 
@@ -204,9 +208,9 @@ def _cmd_double_slit(args) -> int:
     dist = double_slit(cfg, args.measure_at_slits)
     _emit(
         args,
-        _fmt_probs(dist),
-        {"measured_at_slits": args.measure_at_slits,
-         "distribution": {k: rat_json(v) for k, v in dist.items()}},
+        lambda: _fmt_probs(dist),
+        lambda: {"measured_at_slits": args.measure_at_slits,
+                 "distribution": {k: rat_json(v) for k, v in dist.items()}},
     )
     return 0
 
@@ -221,29 +225,33 @@ def _cmd_bell(args) -> int:
     header = ["state"] + [label for f in frames for label in f.labels]
     # born() lists each frame's outcomes in f.labels order, the order of the header
     outcome = [[p for f in frames for p in born(s, f).values()] for s in given]
-    rows = [[str(s), *map(str, probs)] for s, probs in zip(given, outcome)]
-    widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
-    table_lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for r in rows:
-        table_lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
-
     report = bell_violation(state, frames)
-    seq_lines = [f"Pr{k} = {v}" for k, v in report.terms.items()]
-    verdict = "VIOLATED" if report.violated else "SATISFIED"
-    terms = list(report.terms.values())
-    verdict_line = f"{terms[0]} + {terms[1]} ≥ {terms[2]} : {verdict}"
 
-    text = "\n".join(
-        ["state-outcome probabilities", *table_lines, "",
-         f"sequential pair probabilities for {state}", *seq_lines, "", verdict_line]
-    )
-    payload = {
-        "state": [list(p) for p in state.sorted_pairs()],
-        "state_outcome": {
-            str(s): dict(zip(header[1:], map(rat_json, probs))) for s, probs in zip(given, outcome)
-        },
-        **report.to_json(),
-    }
+    def text() -> str:
+        rows = [[str(s), *map(str, probs)] for s, probs in zip(given, outcome)]
+        widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
+        table_lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
+        for r in rows:
+            table_lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+        seq_lines = [f"Pr{k} = {v}" for k, v in report.terms.items()]
+        verdict = "VIOLATED" if report.violated else "SATISFIED"
+        terms = list(report.terms.values())
+        verdict_line = f"{terms[0]} + {terms[1]} ≥ {terms[2]} : {verdict}"
+        return "\n".join(
+            ["state-outcome probabilities", *table_lines, "",
+             f"sequential pair probabilities for {state}", *seq_lines, "", verdict_line]
+        )
+
+    def payload() -> dict:
+        return {
+            "state": [list(p) for p in state.sorted_pairs()],
+            "state_outcome": {
+                str(s): dict(zip(header[1:], map(rat_json, probs)))
+                for s, probs in zip(given, outcome)
+            },
+            **report.to_json(),
+        }
+
     _emit(args, text, payload)
     return 0
 
@@ -252,18 +260,21 @@ def _cmd_teleport(args) -> int:
     rng = random.Random(args.seed)
     trace = teleport(args.alpha, args.beta, rng)
     ok = trace.bob == trace.input
-    text = "\n".join(
-        [
-            f"input: ({trace.input[0]}, {trace.input[1]})",
-            f"phi0 = {trace.phi0}",
-            f"phi1 = {trace.phi1}",
-            f"phi2 = {trace.phi2}",
-            f"classical bit M = {trace.measured}",
-            f"bob: ({trace.bob[0]}, {trace.bob[1]})",
-            "teleported" if ok else "FAILED",
-        ]
+    _emit(
+        args,
+        lambda: "\n".join(
+            [
+                f"input: ({trace.input[0]}, {trace.input[1]})",
+                f"phi0 = {trace.phi0}",
+                f"phi1 = {trace.phi1}",
+                f"phi2 = {trace.phi2}",
+                f"classical bit M = {trace.measured}",
+                f"bob: ({trace.bob[0]}, {trace.bob[1]})",
+                "teleported" if ok else "FAILED",
+            ]
+        ),
+        lambda: {**trace.to_json(), "teleported": ok},
     )
-    _emit(args, text, {**trace.to_json(), "teleported": ok})
     return 0
 
 
@@ -273,18 +284,22 @@ def _cmd_parity_sat(args) -> int:
         raise SetQMError("truth table must be a power-of-two string of 0/1 bits")
     f = BooleanFunction.from_bits(args.table)
     result = parity_sat(f)
-    parity_word = "odd" if result.parity else "even"
-    lines = [
-        f"measured |{result.measured_bits}>",
-        "slices: " + ", ".join(
-            f"prefix {j} {'odd' if b else 'even'}"
-            for j, b in enumerate(result.slice_parities)
-        ),
-        f"parity: {parity_word}",
-    ]
-    if f.arity == 1:
-        lines.append(f"deutsch: {'balanced' if result.parity else 'constant'}")
-    _emit(args, "\n".join(lines), {**result.to_json(), "table": args.table})
+
+    def text() -> str:
+        parity_word = "odd" if result.parity else "even"
+        lines = [
+            f"measured |{result.measured_bits}>",
+            "slices: " + ", ".join(
+                f"prefix {j} {'odd' if b else 'even'}"
+                for j, b in enumerate(result.slice_parities)
+            ),
+            f"parity: {parity_word}",
+        ]
+        if f.arity == 1:
+            lines.append(f"deutsch: {'balanced' if result.parity else 'constant'}")
+        return "\n".join(lines)
+
+    _emit(args, text, lambda: {**result.to_json(), "table": args.table})
     return 0
 
 
@@ -292,10 +307,14 @@ def _cmd_run(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     result = dsl.run(dsl.parse(text), seed=args.seed)
-    lines = [f"{entry.label}: {entry.register}" for entry in result.trace]
-    for m in result.measurements:
-        lines.append(f"line {m.line} -> {m.outcome} (p = {m.probability})")
-    _emit(args, "\n".join(lines), result.to_json())
+
+    def table() -> str:
+        lines = [f"{entry.label}: {entry.register}" for entry in result.trace]
+        for m in result.measurements:
+            lines.append(f"line {m.line} -> {m.outcome} (p = {m.probability})")
+        return "\n".join(lines)
+
+    _emit(args, table, result.to_json)
     return 0
 
 

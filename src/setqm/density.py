@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .attributes import Attribute
 from .errors import InvalidBlocks, ShapeMismatch, UniverseMismatch, ZeroState
-from .partitions import Partition, _block_masks
+from .partitions import Partition, _block_masks, _nested
 from .space import SubsetKet, Universe, rat_json
 
 
@@ -50,6 +50,24 @@ class DensityMatrix:
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_nums", nums)
 
+    @classmethod
+    def _derived(
+        cls, universe: Universe, blocks: tuple[tuple[int, Fraction], ...], den: int,
+        nums: tuple[int, ...],
+    ) -> DensityMatrix:
+        """The matrix of `blocks`, built without the constructor's checks.
+
+        Only for blocks that setqm derives from checked values: the masks
+        must already be nonempty, pairwise disjoint, inside `universe` and
+        ordered by least element, each weight a `Fraction` equal to
+        `nums[k] / den`, and `den` the lcm of the weights' denominators with
+        the trace 1. Splitting the blocks of a checked matrix by level masks
+        keeps all of that, as do the uniform blocks of `rho_of_*`.
+        """
+        rho = object.__new__(cls)
+        rho.__dict__.update(universe=universe, blocks=blocks, _den=den, _nums=nums)
+        return rho
+
     @property
     def dim(self) -> int:
         return self.universe.size
@@ -80,15 +98,18 @@ class DensityMatrix:
 
 def rho_of_partition(p: Partition) -> DensityMatrix:
     """Every block of p with weight 1/|U|."""
-    w = Fraction(1, p.universe.size)
-    return DensityMatrix(p.universe, tuple((m, w) for m in p.masks))
+    n = p.universe.size
+    w = Fraction(1, n)
+    blocks = tuple((m, w) for m in p.masks)
+    return DensityMatrix._derived(p.universe, blocks, n, (1,) * len(blocks))
 
 
 def rho_of_subset(s: SubsetKet) -> DensityMatrix:
     """The single block S with weight 1/|S|."""
     if s.is_zero:
         raise ZeroState("no density matrix for the zero ket")
-    return DensityMatrix(s.universe, ((s.bits.bits, Fraction(1, s.cardinality)),))
+    k = s.cardinality
+    return DensityMatrix._derived(s.universe, ((s.bits.bits, Fraction(1, k)),), k, (1,))
 
 
 def _square_sum(rho: DensityMatrix) -> int:
@@ -123,14 +144,19 @@ def measure_density(f: Attribute, rho: DensityMatrix) -> DensityMatrix:
     """Sum of P_r rho P_r over the eigenvalue projections of f.
 
     Splits each block by the level sets of f, keeping its weight; for rho
-    of a partition p the result is rho of join(f's partition, p).
+    of a partition p the result is rho of join(f's partition, p). Every
+    block keeps a nonempty part, so the common denominator stays the same.
     """
     if f.universe != rho.universe:
         raise UniverseMismatch("attribute and density matrix live on different universes")
     levels = f.levels.values()
-    return DensityMatrix(
-        rho.universe,
-        tuple((mask & level, w) for mask, w in rho.blocks for level in levels if mask & level),
+    parts = sorted(
+        ((mask & level, w, a)
+         for (mask, w), a in zip(rho.blocks, rho._nums) for level in levels if mask & level),
+        key=lambda part: part[0] & -part[0],
+    )
+    return DensityMatrix._derived(
+        rho.universe, tuple((m, w) for m, w, _ in parts), rho._den, tuple(a for *_, a in parts)
     )
 
 
@@ -141,13 +167,21 @@ def entropy_increase(before: DensityMatrix, after: DensityMatrix) -> Fraction:
     together: |B|^2 - sum over A of |B ∩ A|^2 entries, each w_B. Equals
     logical_entropy_rho(after) - logical_entropy_rho(before) when `after`
     came from measure_density on `before`.
+
+    When every block of `after` lies inside the block of `before` that
+    holds its least element (as after measure_density), the blocks A meeting
+    B lie inside it, and one pass over the blocks sums |A|^2. Otherwise
+    every block of `before` meets every block of `after`.
     """
     if before.dim != after.dim:
         raise ShapeMismatch("density matrices differ in dimension")
     if before.universe != after.universe:
         raise UniverseMismatch("density matrices live on different universes")
-    parts, lost = [b for b, _ in after.blocks], 0
-    for (mask, _), a in zip(before.blocks, before._nums):
-        kept = sum((mask & b).bit_count() ** 2 for b in parts)
-        lost += a * a * (mask.bit_count() ** 2 - kept)
+    masks, parts = [m for m, _ in before.blocks], [b for b, _ in after.blocks]
+    nested = _nested(masks, parts)
+    if nested is None:
+        kept = [sum((m & b).bit_count() ** 2 for b in parts) for m in masks]
+    else:
+        kept = [sum(b.bit_count() ** 2 for b in inside) for inside in nested]
+    lost = sum(a * a * (m.bit_count() ** 2 - k) for m, a, k in zip(masks, before._nums, kept))
     return Fraction(lost, before._den ** 2)

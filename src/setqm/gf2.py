@@ -128,6 +128,8 @@ class GF2Matrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     def column(self, j: int) -> BitVec:
+        if not 0 <= j < self.cols:
+            raise InvalidArgument(f"column {j} outside 0..{self.cols - 1}")
         return BitVec(self.rows, sum(((r >> j) & 1) << i for i, r in enumerate(self.row_bits)))
 
     def to_lists(self) -> list[list[int]]:

@@ -7,11 +7,15 @@ from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidBlocks, OutOfRange, ShapeMismatch, UniverseMismatch
 from .gf2 import BitVec
 from .space import SubsetKet, Universe
+
+
+def _least_bit(mask: int) -> int:
+    return mask & -mask
 
 
 def _block_masks(size: int, masks: Iterable[int]) -> tuple[int, ...]:
@@ -26,7 +30,23 @@ def _block_masks(size: int, masks: Iterable[int]) -> tuple[int, ...]:
         if not m or union & m:
             raise InvalidBlocks("blocks must be nonempty and pairwise disjoint")
         union |= m
-    return tuple(sorted(masks, key=lambda m: m & -m))
+    return tuple(sorted(masks, key=_least_bit))
+
+
+def _ket(universe: Universe, mask: int) -> SubsetKet:
+    """The ket of `mask`, built without the SubsetKet and BitVec checks.
+
+    Relies on `mask` being a nonnegative int below bit `universe.size`, as
+    every mask `_block_masks` has checked is, and every mask derived from
+    checked ones by AND.
+    """
+    bits = object.__new__(BitVec)
+    fields = bits.__dict__
+    fields["length"], fields["bits"] = universe.size, mask
+    ket = object.__new__(SubsetKet)
+    fields = ket.__dict__
+    fields["universe"], fields["bits"] = universe, bits
+    return ket
 
 
 @dataclass(frozen=True)
@@ -42,9 +62,27 @@ class Partition:
         masks = _block_masks(n, self.masks)
         if sum(m.bit_count() for m in masks) != n:
             raise InvalidBlocks("blocks must cover the universe")
+        self._set_masks(masks)
+
+    @classmethod
+    def _derived(cls, universe: Universe, masks: tuple[int, ...]) -> Partition:
+        """The partition of `masks`, built without the constructor's checks.
+
+        Only for masks that setqm derives from checked values: they must
+        already be nonempty, pairwise disjoint, cover `universe` and be
+        ordered by least element. The level masks of a total attribute and
+        the nonempty pairwise intersections of two partitions of one
+        universe are all of that once sorted by least element.
+        """
+        p = object.__new__(cls)
+        p.__dict__["universe"] = universe
+        p._set_masks(masks)
+        return p
+
+    def _set_masks(self, masks: tuple[int, ...]) -> None:
+        """Store checked masks, with `.blocks` built from them once."""
         object.__setattr__(self, "masks", masks)
-        blocks = tuple(SubsetKet(self.universe, BitVec(n, m)) for m in masks)
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "blocks", tuple(_ket(self.universe, m) for m in masks))
 
     @classmethod
     def from_blocks(cls, universe: Universe, blocks: Iterable[Iterable[str]]) -> Partition:
@@ -172,13 +210,45 @@ def _check_same_universe(p: Partition, q: Partition) -> None:
 def join(p: Partition, q: Partition) -> Partition:
     """Partition whose blocks are the nonempty pairwise block intersections."""
     _check_same_universe(p, q)
-    return Partition(p.universe, tuple(b & c for b in p.masks for c in q.masks if b & c))
+    masks = sorted((b & c for b in p.masks for c in q.masks if b & c), key=_least_bit)
+    return Partition._derived(p.universe, tuple(masks))
+
+
+def _nested(coarse: Sequence[int], fine: Sequence[int]) -> list[list[int]] | None:
+    """The fine masks inside each coarse mask, in coarse order, or None when
+    some fine mask lies inside no coarse mask. Both hold disjoint masks.
+
+    A fine mask can lie only inside the coarse mask that holds its least
+    element, so each fine mask is tested once, against that one.
+    """
+    by_least, firsts = {}, 0
+    for b in fine:
+        low = b & -b
+        by_least[low] = b
+        firsts |= low
+    out, found = [], 0
+    for c in coarse:
+        inside, hits = [], c & firsts
+        while hits:
+            low = hits & -hits
+            b = by_least[low]
+            if b & ~c:
+                return None
+            inside.append(b)
+            hits ^= low
+        out.append(inside)
+        found += len(inside)
+    return out if found == len(by_least) else None
 
 
 def refines(coarse: Partition, fine: Partition) -> bool:
-    """True when every block of `fine` lies inside some block of `coarse`."""
+    """True when every block of `fine` lies inside some block of `coarse`.
+
+    Each fine block is tested only against the coarse block that holds its
+    least element: O(|coarse| + |fine|) mask operations.
+    """
     _check_same_universe(coarse, fine)
-    return all(any(b & ~c == 0 for c in coarse.masks) for b in fine.masks)
+    return _nested(coarse.masks, fine.masks) is not None
 
 
 def dit_set(p: Partition) -> DitSet:

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from setqm.cli import build_parser, main
+from setqm.density import DensityMatrix
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
@@ -225,6 +226,8 @@ def test_usage_error_exits_2(capsys):
         (("bracket", "{a,z}", "{a}"), "UnknownLabel"),
         (("entropy", "--partition", "{a}|{b}"), "InvalidBlocks"),
         (("measure", "--attr", "a:1,b:2", "--state", "{a}"), "NotTotal"),
+        (("measure", "--attr", "a:1,a:2,b:3,c:4", "--state", "{a}"), "NotTotal"),
+        (("measure-density", "--attr", "a:1,b:2,c:3,a:1"), "NotTotal"),
         (("bell", "--state", "{(a,z)}"), "UnknownLabel"),
     ],
 )
@@ -232,6 +235,30 @@ def test_bad_labels_and_blocks_exit_1_with_the_error_name(capsys, argv, error):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"{error}: ") and "Traceback" not in err
+
+
+def test_repeated_attribute_label_is_named(capsys):
+    code, _, err = run_cli(capsys, "measure", "--attr", "a:1,b:3,c:4, a :2", "--state", "{a}")
+    assert code == 1 and err == "NotTotal: label 'a' is given more than one value\n"
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("argv,reads", [
+    (("density", "--partition", "{a,b}|{c}"), 1),
+    (("density", "--state", "{a,c}"), 1),
+    (("measure-density", "--attr", "a:0,b:1,c:1"), 2),
+])
+def test_only_the_chosen_format_is_rendered(capsys, monkeypatch, fmt, argv, reads):
+    entries = DensityMatrix.entries
+    calls = []
+
+    def counted(rho):
+        calls.append(rho)
+        return entries.fget(rho)
+
+    monkeypatch.setattr(DensityMatrix, "entries", property(counted))
+    code, _, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0 and len(calls) == reads
 
 
 def test_bad_rational_exits_1(capsys):

@@ -494,3 +494,73 @@ def test_integer_sums_match_fraction_sums(data):
     for a, b in ((rho, after), (rho, other), (after, rho)):
         assert entropy_increase(a, b) == ref_entropy_increase(a, b)
     assert is_complete(fs) == ref_is_complete(fs)
+
+
+# ---- values built by the private constructors against the public constructors
+
+def assert_same_matrix(rho, public):
+    assert rho == public and hash(rho) == hash(public)
+    assert rho.blocks == public.blocks
+    assert rho._den == public._den and rho._nums == public._nums
+    assert all(type(w) is F for _, w in rho.blocks)
+
+
+@given(st.data())
+def test_derived_values_match_the_public_constructors(data):
+    u = data.draw(wide_universes())
+    n = u.size
+    p = data.draw(partitions_of(u))
+    f = data.draw(st.one_of(attributes_on(u), ramps_on(u)))
+    rho = data.draw(density_matrices(u))
+
+    q = inverse_image_partition(f)
+    public = Partition(u, tuple(f.levels.values()))
+    assert q == public and hash(q) == hash(public)
+    assert q.masks == public.masks and q.blocks == public.blocks
+
+    assert_same_matrix(rho_of_partition(p), DensityMatrix(u, tuple((m, F(1, n)) for m in p.masks)))
+    mask = data.draw(st.integers(1, (1 << n) - 1))
+    s = SubsetKet(u, BitVec(n, mask))
+    assert_same_matrix(rho_of_subset(s), DensityMatrix(u, ((mask, F(1, mask.bit_count())),)))
+
+    for before in (rho, rho_of_partition(p)):
+        after = measure_density(f, before)
+        split = tuple((m & level, w) for m, w in before.blocks for level in f.levels.values()
+                      if m & level)
+        assert_same_matrix(after, DensityMatrix(u, split))
+
+
+# ---- entropy_increase in one pass against the pairwise sum it keeps as a fallback
+
+@given(st.data())
+def test_entropy_increase_matches_the_pairwise_sum(data):
+    u = data.draw(wide_universes())
+    p = data.draw(partitions_of(u))
+    f, g = data.draw(attributes_on(u)), data.draw(ramps_on(u))
+    rho, other = data.draw(density_matrices(u)), data.draw(density_matrices(u))
+    refining = [
+        (rho, measure_density(f, rho)),
+        (rho, measure_density(g, measure_density(f, rho))),
+        (rho_of_partition(p), rho_of_partition(join(p, inverse_image_partition(g)))),
+        (rho, rho),
+    ]
+    # `other` rarely refines `rho`; measured `rho` against `rho` refines only when equal;
+    # blocks of `rho` and `other` leave elements out, so some start outside every block
+    unrelated = [(rho, other), (other, rho), (measure_density(f, rho), rho),
+                 (rho_of_partition(p), rho), (rho, rho_of_partition(p))]
+    for before, after in refining + unrelated:
+        assert entropy_increase(before, after) == ref_entropy_increase(before, after)
+    for before, after in refining:
+        assert entropy_increase(before, after) == (
+            logical_entropy_rho(after) - logical_entropy_rho(before))
+
+
+def test_entropy_increase_when_a_block_starts_outside_before():
+    # before is {a}|{c,d}; after's block {b,c} starts at b, which no block of before
+    # holds, yet meets {c,d}, while {a} and {d} lie inside the blocks holding their starts
+    u = Universe(tuple("abcd"))
+    before = DensityMatrix(u, ((0b0001, F(1, 3)), (0b1100, F(1, 3))))
+    after = DensityMatrix(u, ((0b0001, F(1, 4)), (0b0110, F(1, 4)), (0b1000, F(1, 4))))
+    assert entropy_increase(before, after) == ref_entropy_increase(before, after) == F(2, 9)
+    inside = DensityMatrix(u, ((0b0001, F(1, 2)), (0b0100, F(1, 2))))
+    assert entropy_increase(before, inside) == ref_entropy_increase(before, inside) == F(1, 3)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setqm.errors import DimMismatch, LengthMismatch, NotSquare, Singular
+from setqm.errors import DimMismatch, InvalidArgument, LengthMismatch, NotSquare, Singular
 from setqm.gf2 import (
     BitVec,
     GF2Matrix,
@@ -120,6 +120,14 @@ def test_invert_matches_nonsingularity_exhaustively():
             else:
                 with pytest.raises(Singular):
                     invert(m)
+
+
+def test_column_outside_the_matrix_raises():
+    m = GF2Matrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    assert [m.column(j).bits for j in range(3)] == [0b01, 0b10, 0b11]
+    for j in (-1, 3, 64):
+        with pytest.raises(InvalidArgument, match="outside 0..2"):
+            m.column(j)
 
 
 def test_solve_ket_table_columns():

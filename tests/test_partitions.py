@@ -5,9 +5,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setqm.density import entropy_increase, rho_of_partition
 from setqm.errors import InvalidBlocks, OutOfRange, ShapeMismatch, UniverseMismatch
 from setqm.partitions import (
     DitSet,
@@ -137,6 +138,18 @@ def test_dit_set_of_a_large_discrete_partition_stores_no_pairs():
     assert ("e0", "e1") in ds
     assert ("e0", "e0") not in ds and ("e0", "x") not in ds and "e0" not in ds
     assert time.perf_counter() - start < 1.0
+
+
+def test_refinement_of_a_large_discrete_partition_is_linear():
+    # pairwise, each call compares 4096 x 4096 blocks (seconds); by least element, 4096
+    p = Partition.discrete(Universe(tuple(f"e{j}" for j in range(4096))))
+    rho = rho_of_partition(p)
+    start = time.perf_counter()
+    assert refines(p, p)
+    assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    assert entropy_increase(rho, rho) == 0
+    assert time.perf_counter() - start < 0.5
 
 
 def test_dit_count_formula():
@@ -359,3 +372,74 @@ def test_invalid_masks_are_rejected(data):
         Partition(u, masks[:k] + (masks[k] | 1 << n,) + masks[k + 1:])
     with pytest.raises(ShapeMismatch):
         Partition(u, masks + (-1,))
+
+
+# ---- refinement by least element against the pairwise comparison it replaced
+
+def pairwise_refines(coarse, fine):
+    """Every fine block against every coarse block: the reference for `refines`."""
+    return all(any(b & ~c == 0 for c in coarse.masks) for b in fine.masks)
+
+
+@st.composite
+def partition_pairs(draw):
+    """Two partitions of up to 64 elements: the second often refines the first, coarsens
+    it, or misses refining it by one moved element."""
+    n = draw(st.integers(1, 64))
+    u = Universe(tuple(f"e{j}" for j in range(n)))
+
+    def assigned(k):
+        return Partition.from_blocks(u, _blocks_of(u, draw(
+            st.lists(st.integers(0, k - 1), min_size=n, max_size=n))))
+
+    p = assigned(draw(st.integers(1, n)))
+    kind = draw(st.sampled_from(("finer", "coarser", "moved", "same", "random")))
+    if kind == "finer":
+        q = join(p, assigned(draw(st.integers(1, n))))
+    elif kind == "coarser":
+        merge = draw(st.lists(st.integers(0, 2), min_size=len(p.masks), max_size=len(p.masks)))
+        merged = {}
+        for m, k in zip(p.masks, merge):
+            merged[k] = merged.get(k, 0) | m
+        q = Partition(u, tuple(merged.values()))
+    elif kind == "moved":
+        # one element leaves its block of a refinement of p for another block
+        fine = list(join(p, assigned(draw(st.integers(1, n)))).masks)
+        j = draw(st.integers(0, n - 1))
+        src = next(k for k, m in enumerate(fine) if m >> j & 1)
+        dst = draw(st.integers(0, len(fine) - 1))
+        fine[src] ^= 1 << j
+        fine[dst] |= 1 << j
+        q = Partition(u, tuple(m for m in fine if m))
+    elif kind == "same":
+        q = p
+    else:
+        q = assigned(draw(st.integers(1, n)))
+    return p, q
+
+
+def _blocks_of(universe, block_of):
+    blocks = {}
+    for label, b in zip(universe.labels, block_of):
+        blocks.setdefault(b, []).append(label)
+    return blocks.values()
+
+
+@settings(max_examples=300)
+@given(partition_pairs())
+def test_refines_matches_pairwise_comparison(pq):
+    p, q = pq
+    assert refines(p, q) == pairwise_refines(p, q)
+    assert refines(q, p) == pairwise_refines(q, p)
+    assert refines(p, p) and refines(q, q)
+
+
+@settings(max_examples=200)
+@given(partition_pairs())
+def test_join_matches_the_public_constructor(pq):
+    p, q = pq
+    joined = join(p, q)
+    public = Partition(p.universe, tuple(b & c for b in p.masks for c in q.masks if b & c))
+    assert joined == public and hash(joined) == hash(public)
+    assert joined.masks == public.masks and joined.blocks == public.blocks
+    assert [hash(b) for b in joined.blocks] == [hash(b) for b in public.blocks]

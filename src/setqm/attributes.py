@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 from .errors import (
     ImpossibleOutcome,
     IncompatibleAttributes,
+    InvalidArgument,
     NotComplete,
     NotTotal,
     UniverseMismatch,
@@ -29,6 +30,15 @@ from .space import SubsetKet, Universe, rat_json
 Rational = Fraction | int | str
 
 
+def _rational(v: Rational) -> Fraction:
+    if type(v) is Fraction:
+        return v
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, ArithmeticError):
+        raise InvalidArgument(f"attribute value {v!r} is not a rational") from None
+
+
 @dataclass(frozen=True)
 class Attribute:
     """A total map from universe elements to exact rational eigenvalues."""
@@ -39,17 +49,18 @@ class Attribute:
     def __post_init__(self):
         if len(self.values) != self.universe.size:
             raise NotTotal("attribute must assign a value to every element")
+        object.__setattr__(self, "values", tuple(map(_rational, self.values)))
 
     @classmethod
     def from_values(cls, universe: Universe, values: Mapping[str, Rational]) -> Attribute:
         if set(values) != set(universe.labels):
             raise NotTotal("attribute must be total on the universe")
-        return cls(universe, tuple(Fraction(values[x]) for x in universe.labels))
+        return cls(universe, tuple(values[x] for x in universe.labels))
 
     @classmethod
     def indicator(cls, universe: Universe, labels: Sequence[str]) -> Attribute:
         """Characteristic function of a subset; raises UnknownLabel outside the universe."""
-        return cls(universe, tuple(map(Fraction, universe.subset(labels).bits.coords())))
+        return cls(universe, universe.subset(labels).bits.coords())
 
     def value(self, label: str) -> Fraction:
         return self.values[self.universe.index(label)]

@@ -248,6 +248,14 @@ class TraceEntry:
     label: str
     register: qc.Register
 
+    @classmethod
+    def _derived(cls, label: str, register: qc.Register) -> TraceEntry:
+        """The entry built by writing its fields, without the frozen __setattr__."""
+        entry = object.__new__(cls)
+        fields = entry.__dict__
+        fields["label"], fields["register"] = label, register
+        return entry
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -289,7 +297,8 @@ def run(ast: CircuitAst, seed: int | None = None) -> RunResult:
         raise ZeroInitial("initial ket expression cancels to the zero vector") from None
 
     rng = random.Random(seed)
-    trace = [TraceEntry("init", reg)]
+    entry = TraceEntry._derived
+    trace = [entry("init", reg)]
     measurements: list[MeasureRecord] = []
 
     def do_measure(line: int) -> None:
@@ -301,23 +310,23 @@ def run(ast: CircuitAst, seed: int | None = None) -> RunResult:
         else:
             outcome, reg = qc.measure_line(reg, line, rng)
         measurements.append(MeasureRecord(line, outcome, probs[outcome]))
-        trace.append(TraceEntry(f"measure {line} -> {outcome}", reg))
+        trace.append(entry(f"measure {line} -> {outcome}", reg))
 
     for step in ast.steps:
-        if isinstance(step, GateStep):
+        kind = type(step)
+        if kind is GateStep:
             reg = qc.apply(qc.standard_gate(step.name), reg, step.line)
-            trace.append(TraceEntry(f"gate {step.name} {step.line}", reg))
-        elif isinstance(step, CnotStep):
+            trace.append(entry(f"gate {step.name} {step.line}", reg))
+        elif kind is CnotStep:
             name = "CNOT_A" if step.control < step.target else "CNOT_B"
             reg = qc.apply(qc.standard_gate(name), reg, min(step.control, step.target))
-            trace.append(TraceEntry(f"gate CNOT {step.control} {step.target}", reg))
-        elif isinstance(step, EfStep):
+            trace.append(entry(f"gate CNOT {step.control} {step.target}", reg))
+        elif kind is EfStep:
             reg = qc.apply_ef(qc.BooleanFunction.from_bits(step.table), reg)
-            trace.append(TraceEntry(f"gate EF {step.table}", reg))
+            trace.append(entry(f"gate EF {step.table}", reg))
+        elif step.line is None:
+            for line in range(ast.lines):
+                do_measure(line)
         else:
-            if step.line is None:
-                for line in range(ast.lines):
-                    do_measure(line)
-            else:
-                do_measure(step.line)
+            do_measure(step.line)
     return RunResult(ast, tuple(trace), tuple(measurements))

@@ -33,6 +33,18 @@ class BitVec:
         return cls(length, 0)
 
     @classmethod
+    def _derived(cls, length: int, bits: int) -> BitVec:
+        """The vector of `bits`, built without the constructor's checks.
+
+        Only for a positive `length` and a nonnegative int `bits` below
+        2^length that setqm derives from checked values.
+        """
+        v = object.__new__(cls)
+        fields = v.__dict__
+        fields["length"], fields["bits"] = length, bits
+        return v
+
+    @classmethod
     def from_coords(cls, coords: Sequence[int]) -> BitVec:
         bits = 0
         for j, c in enumerate(coords):

@@ -40,12 +40,9 @@ def _ket(universe: Universe, mask: int) -> SubsetKet:
     every mask `_block_masks` has checked is, and every mask derived from
     checked ones by AND.
     """
-    bits = object.__new__(BitVec)
-    fields = bits.__dict__
-    fields["length"], fields["bits"] = universe.size, mask
     ket = object.__new__(SubsetKet)
     fields = ket.__dict__
-    fields["universe"], fields["bits"] = universe, bits
+    fields["universe"], fields["bits"] = universe, BitVec._derived(universe.size, mask)
     return ket
 
 

@@ -5,9 +5,21 @@ the n-bit string of k with line 0 as the most significant bit (Alice on
 top). Gates are any nonsingular GF(2) matrices, so a nonzero state can
 never be driven to zero.
 
-Gates act locally on the packed state: the kets whose gate lines spell j
+Gates act locally on the packed state; no matrix of the register's full
+width is built. The kernel is chosen by the gate's matrix, not its name.
+With m the kets whose gate lines are all 0 and s the distance between
+neighbouring local values:
+
+- an identity of any width returns the register itself;
+- the 2x2 matrices are the six elements of GL(2, Z2): H0 and H1 are one
+  transvection, b ^ ((b & m) << s) and b ^ ((b >> s) & m); X swaps the
+  two halves; XH0 and XH1 are a transvection followed by that swap;
+- the two Cnots are a delta swap of two local values,
+  t = ((b >> d) ^ b) & M; b ^ t ^ (t << d).
+
+Any other gate takes the column loop: the kets whose gate lines spell j
 are masked out, shifted down to j = 0 and shifted back up once per set
-entry of column j. No matrix of the register's full width is built.
+entry of column j.
 """
 
 from __future__ import annotations
@@ -15,8 +27,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
-from typing import Iterable
+from functools import cached_property, lru_cache, partial, reduce
+from typing import Callable, Iterable
 
 from .errors import (
     ImpossibleOutcome,
@@ -50,7 +62,7 @@ class Gate:
         if not is_nonsingular(self.matrix):
             raise Singular(f"gate {self.name} must be nonsingular")
 
-    @property
+    @cached_property
     def width(self) -> int:
         return self.matrix.rows.bit_length() - 1
 
@@ -58,6 +70,62 @@ class Gate:
     def columns(self) -> tuple[tuple[int, ...], ...]:
         """Row indices of the set entries of each column: local value j goes to each i."""
         return tuple(self.matrix.column(j).indices() for j in range(self.matrix.cols))
+
+    @cached_property
+    def _kernel(self) -> Callable[[int, int, int], int] | None:
+        """kernel(bits, m, s) for this matrix; None for an identity."""
+        if self.matrix == GF2Matrix.identity(self.matrix.rows):
+            return None
+        return _KERNELS.get(self.matrix.row_bits) or partial(_column_loop, self.columns)
+
+
+# Each kernel maps the packed state b to the gate's image of it. m holds the
+# kets whose gate lines are all 0 and s = 2^pos is the distance between
+# neighbouring local values, so the kets with local value j are m << j*s.
+
+
+def _column_loop(columns: tuple[tuple[int, ...], ...], b: int, m: int, s: int) -> int:
+    out = 0
+    for j, column in enumerate(columns):
+        part = (b >> j * s) & m
+        if part:
+            for i in column:
+                out ^= part << i * s
+    return out
+
+
+def _swap(b: int, m: int, s: int) -> int:
+    return ((b & m) << s) | ((b >> s) & m)
+
+
+def _h0(b: int, m: int, s: int) -> int:
+    return b ^ ((b & m) << s)
+
+
+def _h1(b: int, m: int, s: int) -> int:
+    return b ^ ((b >> s) & m)
+
+
+def _xh0(b: int, m: int, s: int) -> int:
+    return _swap(b ^ ((b & m) << s), m, s)
+
+
+def _xh1(b: int, m: int, s: int) -> int:
+    return _swap(b ^ ((b >> s) & m), m, s)
+
+
+def _delta_swap(b: int, mask: int, d: int) -> int:
+    """Swap each ket in `mask` with the ket d above it."""
+    t = ((b >> d) ^ b) & mask
+    return b ^ t ^ (t << d)
+
+
+def _cnot_a(b: int, m: int, s: int) -> int:
+    return _delta_swap(b, m << 2 * s, s)  # local values 10 <-> 11
+
+
+def _cnot_b(b: int, m: int, s: int) -> int:
+    return _delta_swap(b, m << s, 2 * s)  # local values 01 <-> 11
 
 
 _GATE_ROWS = {
@@ -73,6 +141,12 @@ _GATE_ROWS = {
 
 
 _LIBRARY = {name: Gate(name, GF2Matrix.from_rows(rows)) for name, rows in _GATE_ROWS.items()}
+
+_KERNELS = {
+    _LIBRARY[name].matrix.row_bits: kernel
+    for name, kernel in (("X", _swap), ("H0", _h0), ("H1", _h1), ("XH0", _xh0), ("XH1", _xh1),
+                         ("CNOT_A", _cnot_a), ("CNOT_B", _cnot_b))
+}
 
 
 def standard_gate(name: str) -> Gate:
@@ -98,6 +172,8 @@ def _block_mask(lines: int, pos: int, width: int) -> int:
 
 
 def _check_width(lines: int) -> None:
+    if lines < 1:
+        raise InvalidArgument("register needs at least one line")
     if lines > MAX_LINES:
         raise RegisterTooWide(f"{lines} lines exceed the limit of {MAX_LINES}")
 
@@ -110,8 +186,6 @@ class Register:
     state: BitVec
 
     def __post_init__(self):
-        if self.lines < 1:
-            raise InvalidArgument("register needs at least one line")
         _check_width(self.lines)
         if self.state.length != 1 << self.lines:
             raise SizeMismatch("state length must be 2^lines")
@@ -131,12 +205,27 @@ class Register:
     @classmethod
     def from_bitstrings(cls, lines: int, strings: Iterable[str]) -> Register:
         _check_width(lines)
-        bits = BitVec.zero(1 << lines)
+        bits = 0
         for s in strings:
-            if len(s) != lines or set(s) - {"0", "1"}:
+            if not isinstance(s, str) or len(s) != lines or s.strip("01"):
                 raise InvalidArgument(f"bad basis bitstring {s!r}")
-            bits ^= BitVec.from_indices(1 << lines, [int(s, 2)])
-        return cls(lines, bits)
+            bits ^= 1 << int(s, 2)
+        if not bits:
+            raise ZeroState("register state must be nonzero")
+        return cls._derived(lines, bits)
+
+    @classmethod
+    def _derived(cls, lines: int, bits: int) -> Register:
+        """The register of `bits`, built without the constructor's checks.
+
+        Only for a nonzero state below 2^(2^lines) on a checked number of
+        lines, such as the image of a checked register under a nonsingular
+        gate or a nonempty part of its support.
+        """
+        r = object.__new__(cls)
+        fields = r.__dict__
+        fields["lines"], fields["state"] = lines, BitVec._derived(1 << lines, bits)
+        return r
 
     def support(self) -> tuple[int, ...]:
         return self.state.indices()
@@ -160,30 +249,28 @@ class Register:
 def apply(g: Gate, r: Register, line: int = 0) -> Register:
     """Apply the gate to the contiguous lines starting at `line`, identity elsewhere.
 
-    Column-driven: the kets whose local value is j are moved to every i with
-    a set entry in column j. The cost is one mask-and-shift per local value
-    plus one shift-and-XOR per set entry of a column whose kets are present.
+    Library matrices take a constant number of mask-and-shift passes over
+    the packed state (see the module docstring). The column loop moves the
+    kets whose local value is j to every i with a set entry in column j: one
+    mask-and-shift per local value plus one shift-and-XOR per set entry of a
+    column whose kets are present.
     """
-    if not 0 <= line <= r.lines - g.width:
+    width, lines = g.width, r.lines
+    if not (isinstance(line, int) and 0 <= line <= lines - width):
         raise SizeMismatch(
-            f"gate {g.name} spans lines {line}..{line + g.width - 1}, register has {r.lines}"
+            f"gate {g.name} spans lines {line!r} onward ({width} lines), register has {lines}"
         )
-    pos = r.lines - line - g.width
-    bits = r.state.bits
-    block = _block_mask(r.lines, pos, g.width)
-    out = 0
-    for j, column in enumerate(g.columns):
-        part = (bits >> (j << pos)) & block
-        if part:
-            for i in column:
-                out ^= part << (i << pos)
-    return Register(r.lines, BitVec(r.state.length, out))
+    kernel = g._kernel
+    if kernel is None:
+        return r
+    pos = lines - line - width
+    return Register._derived(lines, kernel(r.state.bits, _block_mask(lines, pos, width), 1 << pos))
 
 
 def _line_mask(r: Register, line: int, value: int) -> int:
     """Basis indices of the register whose bit on `line` is `value` (none if not a bit)."""
-    if not 0 <= line < r.lines:
-        raise LineOutOfRange(f"line {line} outside 0..{r.lines - 1}")
+    if not (isinstance(line, int) and 0 <= line < r.lines):
+        raise LineOutOfRange(f"line {line!r} outside 0..{r.lines - 1}")
     if value not in (0, 1):
         return 0
     pos = r.lines - 1 - line
@@ -209,7 +296,7 @@ def measure_line_given(r: Register, line: int, outcome: int) -> tuple[int, Regis
     kept = r.state.bits & _line_mask(r, line, outcome)
     if not kept:
         raise ImpossibleOutcome(f"outcome {outcome} on line {line} has probability 0")
-    return outcome, Register(r.lines, BitVec(r.state.length, kept))
+    return outcome, Register._derived(r.lines, kept)
 
 
 @dataclass(frozen=True)
@@ -245,6 +332,8 @@ def teleport(
     Bob superposes his |0> with H0, Cnot_B entangles the pair, Alice
     measures her line and sends the result M, and Bob applies X^M.
     """
+    if not all(isinstance(a, int) and a in (0, 1) for a in (alpha, beta)):
+        raise InvalidArgument(f"amplitudes over Z2 are 0 or 1, got ({alpha!r}, {beta!r})")
     if (alpha, beta) == (0, 0):
         raise ZeroState("cannot teleport the zero vector")
     phi0 = Register.from_indices(2, [k for k, amp in ((0, alpha), (2, beta)) if amp])

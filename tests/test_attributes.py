@@ -21,6 +21,7 @@ from setqm.attributes import (
 from setqm.errors import (
     ImpossibleOutcome,
     IncompatibleAttributes,
+    InvalidArgument,
     NotComplete,
     UniverseMismatch,
     UnknownLabel,
@@ -34,6 +35,19 @@ from setqm.space import SubsetKet, Universe
 
 def ordinal(universe):
     return Attribute.from_values(universe, {x: i + 1 for i, x in enumerate(universe.labels)})
+
+
+def test_attribute_values_must_be_rationals():
+    u = universe_abc()
+    for values in (("x", "y", 0.5), ([1], [2], [3]), (1, None, 2), (1, "1/0", 2),
+                   (1, float("inf"), 2), (1, float("nan"), 2)):
+        with pytest.raises(InvalidArgument, match="is not a rational"):
+            Attribute(u, values)
+    with pytest.raises(InvalidArgument):
+        Attribute.from_values(u, {"a": 1, "b": "two", "c": 3})
+    f = Attribute(u, (1, "1/2", 0.5))
+    assert f.values == (Fraction(1), Fraction(1, 2), Fraction(1, 2))
+    assert inverse_image_partition(f) == Partition.from_blocks(u, [["a"], ["b", "c"]])
 
 
 def test_inverse_image_partition():

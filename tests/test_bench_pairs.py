@@ -1,0 +1,97 @@
+"""tools/bench_pairs.py: one short pair of benchmark runs and the keys of the file it writes."""
+
+import importlib.util
+import json
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPT = ROOT / "tools" / "bench_pairs.py"
+
+
+def _in_git_checkout() -> bool:
+    try:
+        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                              capture_output=True).returncode == 0
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout with a commit")
+def test_one_second_pair_writes_every_key(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(SCRIPT), "--parent", "HEAD", "--workloads", "circuits",
+                    "--seeds", "1", "--seconds", "1", "--out", str(out)],
+                   check=True, capture_output=True, timeout=300)
+    report = json.loads(out.read_text())
+    assert set(report) >= {"host", "parent", "change", "command", "seconds", "seeds", "workloads"}
+    assert set(report["host"]) >= {"cpu", "nproc", "python"}
+    assert report["seeds"] == [1] and report["seconds"] == 1
+    assert len(report["parent"]["commit"]) == 40 and len(report["change"]["commit"]) == 40
+    circuits = report["workloads"]["circuits"]
+    (pair,) = circuits["pairs"]
+    assert pair["seed"] == 1 and pair["order"] == ["parent", "change"]
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    names = [m["name"] for m in spec]
+    for side in ("parent", "change"):
+        assert sorted(pair[side]["metrics"]) == sorted(names)
+        assert pair[side]["failed"] == 0 and pair[side]["attempted"] > 0
+        assert circuits["failed_share"][side] == 0
+        assert circuits["crashed"][side] == 0
+    for m in spec:
+        row = circuits["metrics"][m["name"]]
+        assert row["bound"] == m["bound"] and row["better"] == m["better"]
+        assert row["pairs"] == 1 and row["wins"] in (0, 1) and row["parent_iqr"] == 0
+        assert set(row) >= {"parent_median", "change_median", "relative_change", "within_bound"}
+
+
+def test_seed_ranges():
+    parse_seeds = runpy.run_path(str(SCRIPT))["parse_seeds"]
+    assert parse_seeds("1-10") == list(range(1, 11))
+    assert parse_seeds("1,4-5,9") == [1, 4, 5, 9]
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout with a commit")
+def test_crashed_change_side_fails_the_report(tmp_path, monkeypatch):
+    bench_pairs = _load_script()
+    real_run_side = bench_pairs.run_side
+    crash = [sys.executable, "-c", "import sys; sys.exit(1)"]
+
+    def run_side(command, tree, workload, seed, seconds):
+        # the change side is this checkout; its runs exit 1 at once
+        return real_run_side(crash if tree == bench_pairs.ROOT else command,
+                             tree, workload, seed, seconds)
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main(["--parent", "HEAD", "--workloads", "circuits", "--seeds", "1-2",
+                             "--seconds", "0.5", "--out", str(out)])
+    assert code == 1
+    circuits = json.loads(out.read_text())["workloads"]["circuits"]
+    assert circuits["crashed"] == {"parent": 0, "change": 2}
+    assert all(pair["change"]["exit"] == 1 for pair in circuits["pairs"])
+    for row in circuits["metrics"].values():
+        assert row["pairs"] == 2 and row["wins"] == 0 and row["within_bound"] is False
+
+
+def test_one_crashed_change_run_loses_its_pair_and_the_bound():
+    summarize = runpy.run_path(str(SCRIPT))["summarize"]
+    spec = [{"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
+    ok = {"attempted": 10, "failed": 0, "metrics": {"ops_per_s": 100.0}}
+    fast = {"attempted": 10, "failed": 0, "metrics": {"ops_per_s": 200.0}}
+    pairs = [{"parent": ok, "change": fast}, {"parent": ok, "change": {"exit": 1, "stderr": ""}}]
+    row = summarize(pairs, spec)["ops_per_s"]
+    assert row["pairs"] == 2 and row["wins"] == 1
+    assert row["change_median"] == 200.0 and row["within_bound"] is False
+    assert summarize(pairs[:1], spec)["ops_per_s"]["within_bound"] is True

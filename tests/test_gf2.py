@@ -43,6 +43,14 @@ def test_add_self_inverse():
     assert add(v, v) == BitVec.zero(4)
 
 
+@given(st.integers(1, 70).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+def test_derived_bitvec_equals_constructed(case):
+    length, bits = case
+    v = BitVec._derived(length, bits)
+    assert v == BitVec(length, bits) and hash(v) == hash(BitVec(length, bits))
+    assert v.indices() == BitVec(length, bits).indices()
+
+
 def test_add_length_mismatch():
     with pytest.raises(LengthMismatch):
         add(vec(3, 0), vec(4, 0))

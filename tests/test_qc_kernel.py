@@ -1,13 +1,22 @@
-"""The local gate kernel and popcount measurement against the full-width references."""
+"""The local gate kernels and popcount measurement against the full-width references."""
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setqm.errors import ImpossibleOutcome, LineOutOfRange, RegisterTooWide, SizeMismatch
+from setqm import qc
+from setqm.errors import (
+    ImpossibleOutcome,
+    InvalidArgument,
+    LineOutOfRange,
+    RegisterTooWide,
+    SizeMismatch,
+    ZeroState,
+)
 from setqm.gf2 import BitVec, GF2Matrix, kron, mat_apply
 from setqm.qc import (
     MAX_LINES,
@@ -22,9 +31,11 @@ from setqm.qc import (
     measure_line_given,
     parity_sat,
     standard_gate,
+    teleport,
 )
 
 ONE_LINE = ("I", "X", "H0", "H1", "XH0", "XH1")
+LIBRARY = ONE_LINE + ("CNOT_A", "CNOT_B")
 
 
 def reference_apply(g: Gate, r: Register, line: int) -> Register:
@@ -57,20 +68,113 @@ def nonsingular(draw, width):
     return Gate("random", GF2Matrix(n, n, tuple(rows)))
 
 
+def column_loop_apply(g: Gate, r: Register, line: int) -> Register:
+    """The general column loop on its own: every local value j moved to each row i of column j."""
+    pos = r.lines - line - g.width
+    block = qc._block_mask(r.lines, pos, g.width)
+    out = 0
+    for j, column in enumerate(g.columns):
+        part = (r.state.bits >> (j << pos)) & block
+        for i in column:
+            out ^= part << (i << pos)
+    return Register(r.lines, BitVec(r.state.length, out))
+
+
+@given(registers(max_lines=12))
+def test_library_kernels_match_kron_and_column_loop_on_every_line(r):
+    for name in LIBRARY:
+        g = standard_gate(name)
+        for line in range(r.lines - g.width + 1):
+            got = apply(g, r, line)
+            assert got == reference_apply(g, r, line)
+            assert got == column_loop_apply(g, r, line)
+
+
+def test_every_library_matrix_has_a_kernel():
+    for name in LIBRARY:
+        kernel = standard_gate(name)._kernel
+        assert (kernel is None) == (name == "I")
+        assert not isinstance(kernel, partial)
+
+
+@given(registers(max_lines=8))
+def test_kernel_follows_the_matrix_not_the_name(r):
+    for name in LIBRARY:
+        lib = standard_gate(name)
+        mine = Gate("mine", GF2Matrix(lib.matrix.rows, lib.matrix.cols, lib.matrix.row_bits))
+        assert mine._kernel is lib._kernel
+        for line in range(r.lines - lib.width + 1):
+            assert apply(mine, r, line) == apply(lib, r, line)
+
+
+# a 4x4 gate that is no permutation: local value 00 goes to 00 and 11
+MIXING = Gate("mixing", GF2Matrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                                              [1, 0, 0, 1]]))
+
+
+@given(registers(min_lines=2, max_lines=10))
+def test_other_gates_take_the_column_loop(r):
+    assert isinstance(MIXING._kernel, partial) and MIXING._kernel.func is qc._column_loop
+    for line in range(r.lines - 1):
+        assert apply(MIXING, r, line) == reference_apply(MIXING, r, line)
+
+
+def test_identity_of_any_width_returns_its_input():
+    r = Register.from_indices(4, [1, 6, 11])
+    assert apply(standard_gate("I"), r, 2) is r
+    for width in (1, 2, 3):
+        g = Gate("id", GF2Matrix.identity(1 << width))
+        assert apply(g, r, 4 - width) is r
+
+
 @given(registers())
-def test_library_gates_match_kron_on_every_line(r):
-    for name in ONE_LINE:
-        g = standard_gate(name)
-        for line in range(r.lines):
-            assert apply(g, r, line) == reference_apply(g, r, line)
+def test_derived_register_equals_and_hashes_like_a_checked_one(r):
+    derived = Register._derived(r.lines, r.state.bits)
+    assert derived == r and hash(derived) == hash(r)
+    assert derived.state == r.state and hash(derived.state) == hash(r.state)
+    assert type(derived.state) is BitVec and derived.state.length == 1 << r.lines
 
 
-@given(registers(min_lines=2))
-def test_cnot_both_directions_match_kron(r):
-    for name in ("CNOT_A", "CNOT_B"):
-        g = standard_gate(name)
-        for line in range(r.lines - 1):
-            assert apply(g, r, line) == reference_apply(g, r, line)
+@given(st.integers(1, 6), st.data())
+def test_from_bitstrings_is_the_sum_of_its_kets(lines, data):
+    strings = data.draw(st.lists(st.integers(0, (1 << lines) - 1), min_size=1, max_size=6))
+    strings = [format(k, f"0{lines}b") for k in strings]
+    bits = 0
+    for s in strings:
+        bits ^= 1 << int(s, 2)
+    if bits:
+        assert Register.from_bitstrings(lines, strings) == Register(lines, BitVec(1 << lines, bits))
+    else:
+        with pytest.raises(ZeroState):
+            Register.from_bitstrings(lines, strings)
+
+
+def test_a_line_that_is_not_an_int_is_rejected():
+    r = Register.from_indices(3, [1, 6])
+    for line in (0.5, 1.0, "1", None):
+        with pytest.raises(SizeMismatch):
+            apply(standard_gate("H0"), r, line)
+        with pytest.raises(LineOutOfRange):
+            line_probs(r, line)
+        with pytest.raises(LineOutOfRange):
+            measure_line_given(r, line, 0)
+        with pytest.raises(LineOutOfRange):
+            measure_line(r, line, random.Random(0))
+
+
+def test_teleport_amplitudes_are_bits():
+    for alpha, beta in ((1, 3), (2, 0), (-1, 1), (0.5, 1), (1.0, 0), ("1", 0)):
+        with pytest.raises(InvalidArgument):
+            teleport(alpha, beta, force_outcome=0)
+    assert teleport(True, False, force_outcome=0).bob == (1, 0)
+
+
+def test_from_bitstrings_rejects_terms_that_are_not_bitstrings():
+    for term in (5, None, b"01", ["0", "1"], "0 1", "1_0", "+01", "012", "0", "0000"):
+        with pytest.raises(InvalidArgument, match="bad basis bitstring"):
+            Register.from_bitstrings(3, ["010", term])
+    with pytest.raises(InvalidArgument):
+        Register.from_bitstrings(0, [""])
 
 
 @given(st.data())
@@ -145,6 +249,7 @@ def test_measure_checks_line_and_outcome():
 def test_library_gates_are_built_once():
     assert standard_gate("H0") is standard_gate("H0")
     assert standard_gate("CNOT_B").columns == ((0,), (3,), (2,), (1,))
+    assert standard_gate("CNOT_B").width == 2 and "width" in vars(standard_gate("CNOT_B"))
 
 
 def test_register_width_limit():

@@ -12,8 +12,10 @@ integer sum that becomes one `Fraction` at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from typing import Iterable
 
 from .attributes import Attribute
 from .errors import InvalidBlocks, ShapeMismatch, UniverseMismatch, ZeroState
@@ -21,52 +23,56 @@ from .partitions import Partition, _block_masks, _nested
 from .space import SubsetKet, Universe, rat_json
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DensityMatrix:
     """Sum of w_B |B><B| over disjoint nonempty blocks B (bitmasks), with trace 1.
 
-    Blocks are ordered by least element index; elements in no block have
-    an all-zero row and column. Block k's weight is `_nums[k] / _den`.
+    Stored as the masks, ordered by least element index, and integer
+    numerators: block k's weight is `_nums[k] / _den`, `_den` the lcm of
+    the reduced denominators. `.blocks` builds the (mask, Fraction) pairs
+    on first read. Elements in no block have an all-zero row and column.
     """
 
     universe: Universe
-    blocks: tuple[tuple[int, Fraction], ...]
-    _den: int = field(init=False, repr=False, compare=False)
-    _nums: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...]
+    _den: int
+    _nums: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, universe: Universe, blocks: Iterable[tuple[int, Fraction]]):
         try:
-            pairs = [(m, w if type(w) is Fraction else Fraction(w)) for m, w in self.blocks]
+            pairs = [(m, w if type(w) is Fraction else Fraction(w)) for m, w in blocks]
         except (TypeError, ValueError, ArithmeticError) as e:
             raise InvalidBlocks("blocks must be (mask, rational weight) pairs") from e
-        masks, weights = _block_masks(self.universe.size, [m for m, _ in pairs]), dict(pairs)
+        masks, weights = _block_masks(universe.size, [m for m, _ in pairs]), dict(pairs)
         den = math.lcm(*{w.denominator for w in weights.values()})
         nums = tuple(weights[m].numerator * (den // weights[m].denominator) for m in masks)
         if any(a <= 0 for a in nums):
             raise InvalidBlocks("block weights must be positive")
         if sum(m.bit_count() * a for m, a in zip(masks, nums)) != den:
             raise InvalidBlocks("density matrix must have trace 1")
-        object.__setattr__(self, "blocks", tuple((m, weights[m]) for m in masks))
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_nums", nums)
+        self.__dict__.update(universe=universe, masks=masks, _den=den, _nums=nums)
 
     @classmethod
     def _derived(
-        cls, universe: Universe, blocks: tuple[tuple[int, Fraction], ...], den: int,
-        nums: tuple[int, ...],
+        cls, universe: Universe, masks: tuple[int, ...], den: int, nums: tuple[int, ...]
     ) -> DensityMatrix:
-        """The matrix of `blocks`, built without the constructor's checks.
+        """The matrix of block k with weight `nums[k] / den`, built without the checks.
 
-        Only for blocks that setqm derives from checked values: the masks
+        Only for values that setqm derives from checked ones: the masks
         must already be nonempty, pairwise disjoint, inside `universe` and
-        ordered by least element, each weight a `Fraction` equal to
-        `nums[k] / den`, and `den` the lcm of the weights' denominators with
-        the trace 1. Splitting the blocks of a checked matrix by level masks
-        keeps all of that, as do the uniform blocks of `rho_of_*`.
+        ordered by least element, each numerator positive, and `den` the
+        lcm of the weights' reduced denominators with the trace 1. Splitting
+        the blocks of a checked matrix by level masks keeps all of that, as
+        do the uniform blocks of `rho_of_*`.
         """
         rho = object.__new__(cls)
-        rho.__dict__.update(universe=universe, blocks=blocks, _den=den, _nums=nums)
+        rho.__dict__.update(universe=universe, masks=masks, _den=den, _nums=nums)
         return rho
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, Fraction], ...]:
+        """Each block as (mask, weight), built from the numerators on first read."""
+        return tuple((m, Fraction(a, self._den)) for m, a in zip(self.masks, self._nums))
 
     @property
     def dim(self) -> int:
@@ -98,10 +104,7 @@ class DensityMatrix:
 
 def rho_of_partition(p: Partition) -> DensityMatrix:
     """Every block of p with weight 1/|U|."""
-    n = p.universe.size
-    w = Fraction(1, n)
-    blocks = tuple((m, w) for m in p.masks)
-    return DensityMatrix._derived(p.universe, blocks, n, (1,) * len(blocks))
+    return DensityMatrix._derived(p.universe, p.masks, p.universe.size, (1,) * len(p.masks))
 
 
 def rho_of_subset(s: SubsetKet) -> DensityMatrix:
@@ -109,12 +112,12 @@ def rho_of_subset(s: SubsetKet) -> DensityMatrix:
     if s.is_zero:
         raise ZeroState("no density matrix for the zero ket")
     k = s.cardinality
-    return DensityMatrix._derived(s.universe, ((s.bits.bits, Fraction(1, k)),), k, (1,))
+    return DensityMatrix._derived(s.universe, (s.bits.bits,), k, (1,))
 
 
 def _square_sum(rho: DensityMatrix) -> int:
     """den^2 tr[rho^2]: block B holds |B|^2 entries equal to a_B / den."""
-    return sum((m.bit_count() * a) ** 2 for (m, _), a in zip(rho.blocks, rho._nums))
+    return sum((m.bit_count() * a) ** 2 for m, a in zip(rho.masks, rho._nums))
 
 
 def purity(rho: DensityMatrix) -> Fraction:
@@ -132,7 +135,7 @@ def expectation(f: Attribute, rho: DensityMatrix) -> Fraction:
     if f.universe != rho.universe:
         raise UniverseMismatch("attribute and density matrix live on different universes")
     union: dict[int, int] = {}
-    for (mask, _), a in zip(rho.blocks, rho._nums):
+    for mask, a in zip(rho.masks, rho._nums):
         union[a] = union.get(a, 0) | mask
     den = math.lcm(*(r.denominator for r in f.levels))
     levels = [(r.numerator * (den // r.denominator), level) for r, level in f.levels.items()]
@@ -150,14 +153,10 @@ def measure_density(f: Attribute, rho: DensityMatrix) -> DensityMatrix:
     if f.universe != rho.universe:
         raise UniverseMismatch("attribute and density matrix live on different universes")
     levels = f.levels.values()
-    parts = sorted(
-        ((mask & level, w, a)
-         for (mask, w), a in zip(rho.blocks, rho._nums) for level in levels if mask & level),
-        key=lambda part: part[0] & -part[0],
-    )
-    return DensityMatrix._derived(
-        rho.universe, tuple((m, w) for m, w, _ in parts), rho._den, tuple(a for *_, a in parts)
-    )
+    parts = sorted(((mask & level, a) for mask, a in zip(rho.masks, rho._nums)
+                    for level in levels if mask & level), key=lambda part: part[0] & -part[0])
+    masks, nums = zip(*parts)
+    return DensityMatrix._derived(rho.universe, masks, rho._den, nums)
 
 
 def entropy_increase(before: DensityMatrix, after: DensityMatrix) -> Fraction:
@@ -177,7 +176,7 @@ def entropy_increase(before: DensityMatrix, after: DensityMatrix) -> Fraction:
         raise ShapeMismatch("density matrices differ in dimension")
     if before.universe != after.universe:
         raise UniverseMismatch("density matrices live on different universes")
-    masks, parts = [m for m, _ in before.blocks], [b for b, _ in after.blocks]
+    masks, parts = before.masks, after.masks
     nested = _nested(masks, parts)
     if nested is None:
         kept = [sum((m & b).bit_count() ** 2 for b in parts) for m in masks]

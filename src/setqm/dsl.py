@@ -37,21 +37,33 @@ class GateStep:
     name: str
     line: int
 
+    def __str__(self) -> str:
+        return f"gate {self.name} {self.line}"
+
 
 @dataclass(frozen=True)
 class CnotStep:
     control: int
     target: int
 
+    def __str__(self) -> str:
+        return f"gate CNOT {self.control} {self.target}"
+
 
 @dataclass(frozen=True)
 class EfStep:
     table: str
 
+    def __str__(self) -> str:
+        return f"gate EF {self.table}"
+
 
 @dataclass(frozen=True)
 class MeasureStep:
     line: int | None  # None measures every line in order
+
+    def __str__(self) -> str:
+        return f"measure {'all' if self.line is None else self.line}"
 
 
 Step = Union[GateStep, CnotStep, EfStep, MeasureStep]
@@ -217,22 +229,13 @@ def _parse_measure(stmt: _Statement, n: int) -> MeasureStep:
 
 
 def render(ast: CircuitAst) -> str:
-    """Canonical text for an AST; parse(render(ast)) == ast."""
+    """Canonical text for an AST, each step as its str; parse(render(ast)) == ast."""
     out = [f"lines {ast.lines}"]
     if len(ast.initial) == 1:
         out.append(f"init {ast.initial[0]}")
     else:
         out.append("init ket " + "+".join(ast.initial))
-    for step in ast.steps:
-        if isinstance(step, GateStep):
-            out.append(f"gate {step.name} {step.line}")
-        elif isinstance(step, CnotStep):
-            out.append(f"gate CNOT {step.control} {step.target}")
-        elif isinstance(step, EfStep):
-            out.append(f"gate EF {step.table}")
-        else:
-            target = "all" if step.line is None else str(step.line)
-            out.append(f"measure {target}")
+    out.extend(map(str, ast.steps))
     return "\n".join(out) + "\n"
 
 
@@ -302,31 +305,29 @@ def run(ast: CircuitAst, seed: int | None = None) -> RunResult:
     measurements: list[MeasureRecord] = []
 
     def do_measure(line: int) -> None:
+        # the outcome is certain when no ket, or every ket, has a 1 on the line
         nonlocal reg
-        probs = qc.line_probs(reg, line)
-        if probs[0] == 0 or probs[1] == 0:
-            outcome = 0 if probs[1] == 0 else 1
-            _, reg = qc.measure_line_given(reg, line, outcome)
-        else:
+        total = reg.state.weight()
+        ones = (reg.state.bits & qc._line_mask(reg, line, 1)).bit_count()
+        if 0 < ones < total:
             outcome, reg = qc.measure_line(reg, line, rng)
-        measurements.append(MeasureRecord(line, outcome, probs[outcome]))
+        else:
+            outcome, reg = qc.measure_line_given(reg, line, 1 if ones else 0)
+        measurements.append(MeasureRecord(line, outcome, Fraction(reg.state.weight(), total)))
         trace.append(entry(f"measure {line} -> {outcome}", reg))
 
     for step in ast.steps:
         kind = type(step)
+        if kind is MeasureStep:
+            for line in range(ast.lines) if step.line is None else (step.line,):
+                do_measure(line)
+            continue
         if kind is GateStep:
             reg = qc.apply(qc.standard_gate(step.name), reg, step.line)
-            trace.append(entry(f"gate {step.name} {step.line}", reg))
         elif kind is CnotStep:
             name = "CNOT_A" if step.control < step.target else "CNOT_B"
             reg = qc.apply(qc.standard_gate(name), reg, min(step.control, step.target))
-            trace.append(entry(f"gate CNOT {step.control} {step.target}", reg))
-        elif kind is EfStep:
-            reg = qc.apply_ef(qc.BooleanFunction.from_bits(step.table), reg)
-            trace.append(entry(f"gate EF {step.table}", reg))
-        elif step.line is None:
-            for line in range(ast.lines):
-                do_measure(line)
         else:
-            do_measure(step.line)
+            reg = qc.apply_ef(qc.BooleanFunction.from_bits(step.table), reg)
+        trace.append(entry(str(step), reg))
     return RunResult(ast, tuple(trace), tuple(measurements))

@@ -8,14 +8,13 @@ would not.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimMismatch, Singular, ZeroState
-from .gf2 import GF2Matrix, is_nonsingular, mat_apply, mat_mul
-from .space import BasisFrame, SubsetKet, born
+from .gf2 import GF2Matrix, is_nonsingular, mat_apply, mat_mul, nth_set_bit
+from .space import BasisFrame, SubsetKet, born, to_basis
 
 
 @dataclass(frozen=True)
@@ -115,20 +114,11 @@ def double_slit_sample(cfg: SlitConfig, measure_at_slits: bool, rng: random.Rand
     frame = cfg.position_frame
     state = cfg.slit_state
     if measure_at_slits:
-        label = _sample(born(state, frame), rng)
-        state = frame.basis_ket(label, state.universe)
-    landed = evolve(cfg.dynamics, state)
-    return _sample(born(landed, frame), rng)
+        state = frame.basis_ket(_draw(state, frame, rng), state.universe)
+    return _draw(evolve(cfg.dynamics, state), frame, rng)
 
 
-def _sample(probs: dict[str, Fraction], rng: random.Random) -> str:
-    """Exact draw from a rational distribution (probabilities sum to 1)."""
-    support = [(label, p) for label, p in probs.items() if p > 0]
-    denom = math.lcm(*(p.denominator for _, p in support))
-    pick = rng.randrange(denom)
-    acc = 0
-    for label, p in support:
-        acc += p.numerator * (denom // p.denominator)
-        if pick < acc:
-            return label
-    raise AssertionError("unreachable")
+def _draw(s: SubsetKet, frame: BasisFrame, rng: random.Random) -> str:
+    """A Born-rule draw: the frame label of a uniform pick from the support of `s` in `frame`."""
+    bits = to_basis(s, frame).bits
+    return frame.labels[nth_set_bit(bits.bits, rng.randrange(bits.weight()))]

@@ -23,10 +23,13 @@ class BitVec:
     bits: int
 
     def __post_init__(self):
-        if self.length < 1:
-            raise InvalidArgument("BitVec needs positive length")
-        if self.bits < 0 or self.bits >> self.length:
-            raise InvalidArgument("bits outside the declared length")
+        try:
+            if self.length < 1:
+                raise InvalidArgument("BitVec needs positive length")
+            if self.bits < 0 or self.bits >> self.length:
+                raise InvalidArgument("bits outside the declared length")
+        except TypeError:
+            raise InvalidArgument("BitVec length and bits must be ints") from None
 
     @classmethod
     def zero(cls, length: int) -> BitVec:
@@ -56,10 +59,13 @@ class BitVec:
     @classmethod
     def from_indices(cls, length: int, indices: Iterable[int]) -> BitVec:
         bits = 0
-        for j in indices:
-            if not 0 <= j < length:
-                raise InvalidArgument(f"index {j} outside 0..{length - 1}")
-            bits ^= 1 << j
+        try:
+            for j in indices:
+                if not 0 <= j < length:
+                    raise InvalidArgument(f"index {j} outside 0..{length - 1}")
+                bits ^= 1 << j
+        except TypeError:
+            raise InvalidArgument("indices must be ints") from None
         return cls(length, bits)
 
     def coords(self) -> tuple[int, ...]:

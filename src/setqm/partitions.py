@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
@@ -52,14 +53,13 @@ class Partition:
 
     universe: Universe
     masks: tuple[int, ...]
-    blocks: tuple[SubsetKet, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.universe.size
         masks = _block_masks(n, self.masks)
         if sum(m.bit_count() for m in masks) != n:
             raise InvalidBlocks("blocks must cover the universe")
-        self._set_masks(masks)
+        object.__setattr__(self, "masks", masks)
 
     @classmethod
     def _derived(cls, universe: Universe, masks: tuple[int, ...]) -> Partition:
@@ -72,14 +72,13 @@ class Partition:
         universe are all of that once sorted by least element.
         """
         p = object.__new__(cls)
-        p.__dict__["universe"] = universe
-        p._set_masks(masks)
+        p.__dict__.update(universe=universe, masks=masks)
         return p
 
-    def _set_masks(self, masks: tuple[int, ...]) -> None:
-        """Store checked masks, with `.blocks` built from them once."""
-        object.__setattr__(self, "masks", masks)
-        object.__setattr__(self, "blocks", tuple(_ket(self.universe, m) for m in masks))
+    @cached_property
+    def blocks(self) -> tuple[SubsetKet, ...]:
+        """The ket of each block, built from the masks on first read."""
+        return tuple(_ket(self.universe, m) for m in self.masks)
 
     @classmethod
     def from_blocks(cls, universe: Universe, blocks: Iterable[Iterable[str]]) -> Partition:

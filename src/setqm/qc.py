@@ -359,13 +359,17 @@ class BooleanFunction:
     def __post_init__(self):
         if self.arity < 1:
             raise WrongArity("arity must be at least 1")
-        if len(self.table) != 1 << self.arity or set(self.table) - {0, 1}:
-            raise InvalidArgument("truth table must hold 2^arity bits")
+        table = self.table
+        if len(table) != 1 << self.arity or set(table) - {0, 1} or set(map(type, table)) - {int}:
+            raise InvalidArgument("truth table must hold 2^arity bits, each the int 0 or 1")
 
     @classmethod
     def from_bits(cls, bits: str) -> BooleanFunction:
-        n = len(bits).bit_length() - 1
-        return cls(n, tuple(int(c) for c in bits))
+        try:
+            table = tuple(int(c) for c in bits)
+        except ValueError:
+            raise InvalidArgument(f"truth table {bits!r} must be 0/1 bits") from None
+        return cls(len(bits).bit_length() - 1, table)
 
     def value(self, index: int) -> int:
         return self.table[index]

@@ -498,11 +498,24 @@ def test_integer_sums_match_fraction_sums(data):
 
 # ---- values built by the private constructors against the public constructors
 
+STORED = {"universe", "masks", "_den", "_nums"}
+
+
 def assert_same_matrix(rho, public):
+    assert vars(rho).keys() == vars(public).keys() == STORED  # no blocks until read
     assert rho == public and hash(rho) == hash(public)
-    assert rho.blocks == public.blocks
+    assert rho.masks == public.masks
     assert rho._den == public._den and rho._nums == public._nums
+    assert rho.blocks == public.blocks
     assert all(type(w) is F for _, w in rho.blocks)
+    assert rho.blocks is rho.blocks
+
+
+def assert_same_partition(p, public):
+    assert vars(p).keys() == vars(public).keys() == {"universe", "masks"}
+    assert p == public and hash(p) == hash(public)
+    assert p.masks == public.masks and p.blocks == public.blocks
+    assert [hash(b) for b in p.blocks] == [hash(b) for b in public.blocks]
 
 
 @given(st.data())
@@ -513,10 +526,11 @@ def test_derived_values_match_the_public_constructors(data):
     f = data.draw(st.one_of(attributes_on(u), ramps_on(u)))
     rho = data.draw(density_matrices(u))
 
-    q = inverse_image_partition(f)
-    public = Partition(u, tuple(f.levels.values()))
-    assert q == public and hash(q) == hash(public)
-    assert q.masks == public.masks and q.blocks == public.blocks
+    assert_same_partition(inverse_image_partition(f), Partition(u, tuple(f.levels.values())))
+    g = data.draw(attributes_on(u))
+    joined = join(p, inverse_image_partition(g))
+    assert_same_partition(joined, Partition(
+        u, (b & c for b in p.masks for c in g.levels.values() if b & c)))
 
     assert_same_matrix(rho_of_partition(p), DensityMatrix(u, tuple((m, F(1, n)) for m in p.masks)))
     mask = data.draw(st.integers(1, (1 << n) - 1))

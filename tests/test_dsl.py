@@ -1,3 +1,4 @@
+import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -11,13 +12,24 @@ from setqm.dsl import (
     CnotStep,
     EfStep,
     GateStep,
+    MeasureRecord,
     MeasureStep,
     parse,
     render,
     run,
 )
 from setqm.errors import ParseError, RegisterTooWide, ZeroInitial
-from setqm.qc import MAX_LINES
+from setqm.qc import (
+    MAX_LINES,
+    BooleanFunction,
+    Register,
+    apply,
+    apply_ef,
+    line_probs,
+    measure_line,
+    measure_line_given,
+    standard_gate,
+)
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
@@ -222,6 +234,61 @@ def circuit_asts(draw):
 @given(circuit_asts())
 def test_parse_inverts_render(ast):
     assert parse(render(ast)) == ast
+
+
+def reference_statement(step):
+    if isinstance(step, GateStep):
+        return f"gate {step.name} {step.line}"
+    if isinstance(step, CnotStep):
+        return f"gate CNOT {step.control} {step.target}"
+    if isinstance(step, EfStep):
+        return f"gate EF {step.table}"
+    return f"measure {'all' if step.line is None else step.line}"
+
+
+def reference_run(ast, seed):
+    """Trace labels, states and measurements, with certainty read from `line_probs`."""
+    reg = Register.from_bitstrings(ast.lines, ast.initial)
+    rng = random.Random(seed)
+    trace, records = [("init", reg)], []
+
+    def measure(line):
+        nonlocal reg
+        probs = line_probs(reg, line)
+        if probs[0] == 0 or probs[1] == 0:
+            outcome = 0 if probs[1] == 0 else 1
+            _, reg = measure_line_given(reg, line, outcome)
+        else:
+            outcome, reg = measure_line(reg, line, rng)
+        records.append(MeasureRecord(line, outcome, probs[outcome]))
+        trace.append((f"measure {line} -> {outcome}", reg))
+
+    for step in ast.steps:
+        if isinstance(step, MeasureStep):
+            for line in range(ast.lines) if step.line is None else [step.line]:
+                measure(line)
+            continue
+        if isinstance(step, GateStep):
+            reg = apply(standard_gate(step.name), reg, step.line)
+        elif isinstance(step, CnotStep):
+            name = "CNOT_A" if step.control < step.target else "CNOT_B"
+            reg = apply(standard_gate(name), reg, min(step.control, step.target))
+        else:
+            reg = apply_ef(BooleanFunction.from_bits(step.table), reg)
+        trace.append((reference_statement(step), reg))
+    return trace, records
+
+
+@given(circuit_asts(), st.integers(0, 2 ** 32))
+def test_run_and_render_match_the_reference(ast, seed):
+    assert render(ast).splitlines()[2:] == [reference_statement(s) for s in ast.steps]
+    try:
+        result = run(ast, seed)
+    except ZeroInitial:
+        return
+    trace, records = reference_run(ast, seed)
+    assert [(t.label, t.register) for t in result.trace] == trace
+    assert list(result.measurements) == records
 
 
 # statements of the language with arguments drawn from good values, near misses and

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from setqm.dynamics import (
 from setqm.errors import DimMismatch, Singular, ZeroState
 from setqm.gf2 import GF2Matrix, is_nonsingular
 from setqm.presets import double_slit_setup, universe_abc
-from setqm.space import SubsetKet, Universe, bracket, from_basis, to_basis
+from setqm.space import SubsetKet, Universe, born, bracket, from_basis, to_basis
 
 F = Fraction
 
@@ -147,6 +148,35 @@ def test_double_slit_sampling_matches_support():
     rng = random.Random(0)
     seen = {double_slit_sample(cfg, True, rng) for _ in range(200)}
     assert seen == {"a", "b", "c"}
+
+
+def reference_sample(cfg, measure_at_slits, rng):
+    """A run drawn from the Born distribution as Fractions over their common denominator."""
+
+    def sample(probs):
+        support = [(label, p) for label, p in probs.items() if p > 0]
+        denom = math.lcm(*(p.denominator for _, p in support))
+        pick, acc = rng.randrange(denom), 0
+        for label, p in support:
+            acc += p.numerator * (denom // p.denominator)
+            if pick < acc:
+                return label
+        raise AssertionError("probabilities sum to less than 1")
+
+    frame, state = cfg.position_frame, cfg.slit_state
+    if measure_at_slits:
+        state = frame.basis_ket(sample(born(state, frame)), state.universe)
+    return sample(born(evolve(cfg.dynamics, state), frame))
+
+
+@pytest.mark.parametrize("measure_at_slits", [False, True])
+def test_sampling_draws_as_the_fraction_distribution_does(measure_at_slits):
+    cfg = double_slit_setup()
+    for seed in range(200):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        labels = [double_slit_sample(cfg, measure_at_slits, rng) for _ in range(10)]
+        assert labels == [reference_sample(cfg, measure_at_slits, ref_rng) for _ in range(10)]
+        assert rng.getstate() == ref_rng.getstate()
 
 
 def test_dimension_checks():

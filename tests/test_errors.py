@@ -28,3 +28,21 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
     with pytest.raises(InvalidArgument, match=message) as exc:
         call()
     assert isinstance(exc.value, SetQMError) and isinstance(exc.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Register.basis(2, 0.5),
+        lambda: Register.from_indices(2, [1.5]),
+        lambda: BitVec(2, 1.0),
+        lambda: BitVec.from_indices(4, ["1"]),
+        lambda: BooleanFunction.from_bits("1x"),
+        lambda: BooleanFunction(1, (0, 1.0)),
+    ],
+    ids=["basis-float-index", "from-indices-float", "bitvec-float-bits",
+         "from-indices-str", "from-bits-letter", "table-float-entry"],
+)
+def test_wrongly_typed_arguments_raise_invalid_argument(call):
+    with pytest.raises(InvalidArgument):
+        call()

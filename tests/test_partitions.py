@@ -440,6 +440,16 @@ def test_join_matches_the_public_constructor(pq):
     p, q = pq
     joined = join(p, q)
     public = Partition(p.universe, tuple(b & c for b in p.masks for c in q.masks if b & c))
+    assert vars(joined).keys() == vars(public).keys() == {"universe", "masks"}
     assert joined == public and hash(joined) == hash(public)
     assert joined.masks == public.masks and joined.blocks == public.blocks
     assert [hash(b) for b in joined.blocks] == [hash(b) for b in public.blocks]
+
+
+def test_blocks_are_built_once_on_first_read():
+    u = Universe(tuple("abcde"))
+    joined = join(part(u, ["a", "b", "c"], ["d", "e"]), part(u, ["a", "d"], ["b", "c", "e"]))
+    assert "blocks" not in vars(joined)
+    blocks = joined.blocks
+    assert [b.labels for b in blocks] == [("a",), ("b", "c"), ("d",), ("e",)]
+    assert joined.blocks is blocks

@@ -9,11 +9,11 @@ would not.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DimMismatch, Singular, ZeroState
-from .gf2 import GF2Matrix, is_nonsingular, mat_apply, mat_mul, nth_set_bit
+from .errors import DimMismatch, InvalidArgument, Singular, ZeroState
+from .gf2 import GF2Matrix, invert, mat_apply, mat_mul, nth_set_bit
 from .space import BasisFrame, SubsetKet, born, to_basis
 
 
@@ -22,12 +22,18 @@ class Dynamics:
     """One time step of evolution: a square nonsingular GF(2) matrix."""
 
     matrix: GF2Matrix
+    _inverse: GF2Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.matrix, GF2Matrix):
+            raise InvalidArgument(
+                f"dynamics matrix must be a GF2Matrix, not {type(self.matrix).__name__}")
         if not self.matrix.is_square:
             raise DimMismatch("dynamics matrix must be square")
-        if not is_nonsingular(self.matrix):
-            raise Singular("dynamics must be nonsingular")
+        try:
+            object.__setattr__(self, "_inverse", invert(self.matrix))
+        except Singular:
+            raise Singular("dynamics must be nonsingular") from None
 
     @property
     def dim(self) -> int:
@@ -59,13 +65,18 @@ def evolve(d: Dynamics, s: SubsetKet) -> SubsetKet:
 
 
 def evolved_frame(d: Dynamics, frame: BasisFrame) -> BasisFrame:
-    """The frame whose basis kets are the images of the input frame's basis kets."""
+    """The frame whose basis kets are the images of the input frame's basis kets.
+
+    Its matrix is D*F, so its inverse is F^-1 * D^-1: one product of the
+    inverses both inputs keep, with no elimination.
+    """
     if d.dim != frame.dim:
         raise DimMismatch("dynamics dimension differs from the frame")
-    return BasisFrame(
+    return BasisFrame._derived(
         frame.name + "'",
         tuple(x + "'" for x in frame.labels),
         mat_mul(d.matrix, frame.matrix),
+        mat_mul(frame._inverse, d._inverse),
     )
 
 
@@ -74,17 +85,16 @@ def interference_coefficients(
 ) -> dict[str, int]:
     """Coefficients of `s` (given in `via` coordinates) in the target frame.
 
-    Each via-basis component is expanded in the target frame separately and
-    the expansions are summed mod 2, which is where cancellation shows up.
-    Agrees with converting the ket directly via to_basis.
+    Expanding each via-basis component in the target frame and summing
+    the expansions mod 2 is linear, so it is one change of coordinates:
+    `s` to canonical coordinates, then to the target frame. Cancellation
+    is the XOR inside `mat_apply`. Agrees with converting the ket
+    directly via to_basis.
     """
     if via.dim != target.dim or s.bits.length != via.dim:
         raise DimMismatch("frame dimensions do not agree")
-    acc = 0
-    for j in s.bits.indices():
-        component = mat_apply(target._inverse, via.matrix.column(j))
-        acc ^= component.bits
-    return {label: (acc >> k) & 1 for k, label in enumerate(target.labels)}
+    coords = mat_apply(target._inverse, mat_apply(via.matrix, s.bits)).coords()
+    return dict(zip(target.labels, coords))
 
 
 def double_slit(cfg: SlitConfig, measure_at_slits: bool) -> dict[str, Fraction]:

@@ -121,31 +121,45 @@ class GF2Matrix:
     row_bits: tuple[int, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.rows, int) and isinstance(self.cols, int)):
+            raise InvalidArgument("matrix dimensions must be ints")
         if self.rows < 1 or self.cols < 1:
             raise InvalidArgument("matrix needs positive dimensions")
+        if not isinstance(self.row_bits, tuple):
+            raise InvalidArgument("row_bits must be a tuple of ints")
         if len(self.row_bits) != self.rows:
             raise InvalidArgument("row count does not match row_bits")
-        for r in self.row_bits:
-            if r < 0 or r >> self.cols:
-                raise InvalidArgument("row bits outside the declared width")
+        try:
+            for r in self.row_bits:
+                if r < 0 or r >> self.cols:
+                    raise InvalidArgument("row bits outside the declared width")
+        except TypeError:
+            raise InvalidArgument("row bits must be ints") from None
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> GF2Matrix:
+        if not rows:
+            raise InvalidArgument("matrix needs positive dimensions")
+        cols = len(rows[0])
         packed = []
         for row in rows:
+            if len(row) != cols:
+                raise InvalidArgument("rows must all have the same length")
             bits = 0
             for j, e in enumerate(row):
                 if e not in (0, 1):
                     raise InvalidArgument("entries must be 0 or 1")
                 bits |= e << j
             packed.append(bits)
-        return cls(len(rows), len(rows[0]), tuple(packed))
+        return cls(len(rows), cols, tuple(packed))
 
     @classmethod
     def identity(cls, n: int) -> GF2Matrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     def column(self, j: int) -> BitVec:
+        if not isinstance(j, int):
+            raise InvalidArgument("column index must be an int")
         if not 0 <= j < self.cols:
             raise InvalidArgument(f"column {j} outside 0..{self.cols - 1}")
         return BitVec(self.rows, sum(((r >> j) & 1) << i for i, r in enumerate(self.row_bits)))
@@ -190,6 +204,8 @@ def _reduce(a: GF2Matrix) -> list[int] | None:
     Row i starts as a_i | e_i << n, so one XOR carries a row operation to
     both halves; a full-rank reduction leaves row i = e_i | inverse_i << n.
     """
+    if not isinstance(a, GF2Matrix):
+        raise InvalidArgument(f"expected a GF2Matrix, got {type(a).__name__}")
     if not a.is_square:
         raise NotSquare(f"{a.rows}x{a.cols} matrix is not square")
     n = a.rows

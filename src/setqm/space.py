@@ -130,6 +130,9 @@ class BasisFrame:
     _inverse: GF2Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.matrix, GF2Matrix):
+            raise InvalidArgument(
+                f"frame matrix must be a GF2Matrix, not {type(self.matrix).__name__}")
         if not self.matrix.is_square:
             raise DimMismatch("frame matrix must be square")
         if len(self.labels) != self.matrix.cols:
@@ -138,6 +141,20 @@ class BasisFrame:
         object.__setattr__(self, "universe", Universe(self.labels))
         # raises Singular for an invalid frame
         object.__setattr__(self, "_inverse", invert(self.matrix))
+
+    @classmethod
+    def _derived(cls, name: str, labels: tuple[str, ...], matrix: GF2Matrix,
+                 inverse: GF2Matrix) -> BasisFrame:
+        """The frame of `matrix`, given its inverse, built without elimination.
+
+        Only for distinct `labels`, one per column of a square `matrix`,
+        and `inverse` its inverse over GF(2), all derived from checked frames.
+        """
+        f = object.__new__(cls)
+        fields = f.__dict__
+        fields["name"], fields["labels"], fields["matrix"] = name, labels, matrix
+        fields["universe"], fields["_inverse"] = Universe(labels), inverse
+        return f
 
     @property
     def dim(self) -> int:

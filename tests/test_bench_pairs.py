@@ -55,6 +55,35 @@ def test_seed_ranges():
     assert parse_seeds("1,4-5,9") == [1, 4, 5, 9]
 
 
+def test_workloads_with_their_own_seeds():
+    parse_workloads = runpy.run_path(str(SCRIPT))["parse_workloads"]
+    plan = parse_workloads("frames:1-10,circuits:1-3,mixed_states,cli:2", [4, 5])
+    assert list(plan) == ["frames", "circuits", "mixed_states", "cli"]
+    assert plan == {"frames": list(range(1, 11)), "circuits": [1, 2, 3],
+                    "mixed_states": [4, 5], "cli": [2]}
+    for bad in ("frames:x", "frames:", "frames,frames:1"):
+        with pytest.raises(ValueError):
+            parse_workloads(bad, [1])
+
+
+@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout with a commit")
+def test_one_command_runs_each_workload_with_its_own_seeds(tmp_path):
+    out = tmp_path / "bench.json"
+    subprocess.run([sys.executable, str(SCRIPT), "--parent", "HEAD",
+                    "--workloads", "circuits:2,mixed_states", "--seeds", "1",
+                    "--seconds", "1", "--out", str(out)],
+                   check=True, capture_output=True, timeout=300)
+    report = json.loads(out.read_text())
+    assert list(report["workloads"]) == ["circuits", "mixed_states"]
+    for workload, seed in (("circuits", 2), ("mixed_states", 1)):
+        entry = report["workloads"][workload]
+        assert entry["seeds"] == [seed]
+        (pair,) = entry["pairs"]
+        assert pair["seed"] == seed and pair["order"] == ["parent", "change"]
+        assert entry["crashed"] == {"parent": 0, "change": 0}
+        assert entry["metrics"]["ops_per_s"]["pairs"] == 1
+
+
 def _load_script():
     spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
     module = importlib.util.module_from_spec(spec)

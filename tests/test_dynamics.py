@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from setqm.dynamics import (
     Dynamics,
@@ -14,9 +16,9 @@ from setqm.dynamics import (
     interference_coefficients,
 )
 from setqm.errors import DimMismatch, Singular, ZeroState
-from setqm.gf2 import GF2Matrix, is_nonsingular
+from setqm.gf2 import BitVec, GF2Matrix, invert, is_nonsingular, mat_apply, mat_mul
 from setqm.presets import double_slit_setup, universe_abc
-from setqm.space import SubsetKet, Universe, born, bracket, from_basis, to_basis
+from setqm.space import BasisFrame, SubsetKet, Universe, born, bracket, from_basis, to_basis
 
 F = Fraction
 
@@ -186,3 +188,63 @@ def test_dimension_checks():
         evolve(cfg.dynamics, small.subset(["a"]))
     with pytest.raises(DimMismatch):
         evolved_frame(cfg.dynamics, small.canonical_frame())
+
+
+# -- frames derived from kept inverses, against the elimination they skip --
+
+
+def random_nonsingular(n, rng):
+    """P*L*U with L, U random unitriangular and P a random row order: full rank by construction."""
+    lower = GF2Matrix(n, n, tuple(1 << i | rng.getrandbits(i) for i in range(n)))
+    upper = GF2Matrix(n, n, tuple(1 << i | rng.getrandbits(n - i - 1) << (i + 1) for i in range(n)))
+    rows = list(mat_mul(lower, upper).row_bits)
+    rng.shuffle(rows)
+    return GF2Matrix(n, n, tuple(rows))
+
+
+def random_frame(name, n, rng):
+    return BasisFrame(name, tuple(f"{name}{j}" for j in range(n)), random_nonsingular(n, rng))
+
+
+def reference_interference(s, via, target):
+    """Each via-basis component of `s` expanded in `target` on its own, the expansions XORed."""
+    acc = 0
+    for j in s.bits.indices():
+        acc ^= mat_apply(target._inverse, via.matrix.column(j)).bits
+    return {label: (acc >> k) & 1 for k, label in enumerate(target.labels)}
+
+
+FRAME_SIZES = st.one_of(st.integers(1, 256), st.sampled_from([63, 64, 65, 128, 256]))
+
+
+@settings(max_examples=25)
+@given(FRAME_SIZES, st.integers(0, 2**32 - 1))
+def test_dynamics_keeps_the_inverse(n, seed):
+    m = random_nonsingular(n, random.Random(seed))
+    d = Dynamics(m)
+    assert d._inverse == invert(m)
+    assert d == Dynamics(m) and hash(d) == hash(Dynamics(m))
+
+
+@settings(max_examples=25)
+@given(FRAME_SIZES, st.integers(0, 2**32 - 1))
+def test_evolved_frame_equals_the_eliminated_frame(n, seed):
+    rng = random.Random(seed)
+    d, frame = Dynamics(random_nonsingular(n, rng)), random_frame("F", n, rng)
+    got = evolved_frame(d, frame)
+    want = BasisFrame("F'", tuple(x + "'" for x in frame.labels), mat_mul(d.matrix, frame.matrix))
+    assert got.name == want.name and got.labels == want.labels
+    assert got.matrix == want.matrix
+    assert got._inverse == want._inverse
+    assert got.universe == want.universe
+    assert got == want and hash(got) == hash(want)
+
+
+@settings(max_examples=25)
+@given(FRAME_SIZES, st.integers(0, 2**32 - 1))
+def test_interference_coefficients_match_the_per_component_sum(n, seed):
+    rng = random.Random(seed)
+    via, target = random_frame("V", n, rng), random_frame("T", n, rng)
+    s = SubsetKet(via.universe, BitVec(n, rng.getrandbits(n)))
+    assert interference_coefficients(s, via, target) == reference_interference(s, via, target)
+

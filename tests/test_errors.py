@@ -1,9 +1,10 @@
 import pytest
 
+from setqm.dynamics import Dynamics
 from setqm.errors import InvalidArgument, SetQMError
-from setqm.gf2 import BitVec, GF2Matrix
+from setqm.gf2 import BitVec, GF2Matrix, invert, is_nonsingular
 from setqm.qc import BooleanFunction, Register
-from setqm.space import Universe
+from setqm.space import BasisFrame, Universe
 
 
 @pytest.mark.parametrize(
@@ -17,6 +18,8 @@ from setqm.space import Universe
         (lambda: GF2Matrix(2, 2, (1,)), "row count"),
         (lambda: GF2Matrix(1, 1, (0b10,)), "outside the declared width"),
         (lambda: GF2Matrix.from_rows([[0, 2]]), "must be 0 or 1"),
+        (lambda: GF2Matrix.from_rows([[1, 0], [1]]), "same length"),
+        (lambda: GF2Matrix.from_rows([]), "positive dimensions"),
         (lambda: Register(0, BitVec(1, 1)), "at least one line"),
         (lambda: Register.from_bitstrings(2, ["0a"]), "bad basis bitstring"),
         (lambda: BooleanFunction(2, (0, 1, 0)), "2\\^arity bits"),
@@ -39,10 +42,29 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
         lambda: BitVec.from_indices(4, ["1"]),
         lambda: BooleanFunction.from_bits("1x"),
         lambda: BooleanFunction(1, (0, 1.0)),
+        lambda: GF2Matrix(2, 2, (1.0, 2)),
+        lambda: GF2Matrix("2", 2, (1, 2)),
+        lambda: GF2Matrix(2, 2, [1, 2]),
+        lambda: GF2Matrix.identity(2).column(0.5),
+        lambda: Dynamics("x"),
+        lambda: BasisFrame("F", ("a",), "x"),
+        lambda: invert("x"),
+        lambda: is_nonsingular("x"),
     ],
     ids=["basis-float-index", "from-indices-float", "bitvec-float-bits",
-         "from-indices-str", "from-bits-letter", "table-float-entry"],
+         "from-indices-str", "from-bits-letter", "table-float-entry",
+         "matrix-float-row", "matrix-str-rows", "matrix-list-rows", "matrix-float-column",
+         "dynamics-str", "frame-str-matrix", "invert-str", "nonsingular-str"],
 )
 def test_wrongly_typed_arguments_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument):
         call()
+
+
+def test_checked_matrices_keep_the_valid_path():
+    m = GF2Matrix.from_rows([[1, 0], [1, 1]])
+    assert m == GF2Matrix(2, 2, (0b01, 0b11)) and hash(m) == hash(GF2Matrix(2, 2, (1, 3)))
+    assert m.column(0).bits == 0b11 and invert(m) == m
+    assert Dynamics(m)._inverse == m
+    assert BasisFrame("F", ("a", "b"), m)._inverse == m
+

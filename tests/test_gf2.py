@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setqm.errors import DimMismatch, InvalidArgument, LengthMismatch, NotSquare, Singular
@@ -136,6 +136,8 @@ def test_column_outside_the_matrix_raises():
     for j in (-1, 3, 64):
         with pytest.raises(InvalidArgument, match="outside 0..2"):
             m.column(j)
+    with pytest.raises(InvalidArgument, match="must be an int"):
+        m.column(0.5)
 
 
 def test_solve_ket_table_columns():
@@ -343,3 +345,72 @@ def test_kron_mixed_product_law_on_any_shapes(dims, data):
     a, c = data.draw(matrices(p, q)), data.draw(matrices(q, r))
     b, d = data.draw(matrices(s, t)), data.draw(matrices(t, u))
     assert mat_mul(kron(a, b), kron(c, d)) == kron(mat_mul(a, c), mat_mul(b, d))
+
+
+# -- elimination at sizes the frames use, up to n = 300, against the same reference --
+#
+# Sizes cover n = 64..256 and n that are not a multiple of 6 or 8, and a
+# pivotless column is put at the first and last column of 6- and 8-wide
+# column groups: the block widths a Four-Russians elimination would use
+# (ROADMAP item 5), whose block edges a plain loop does not have.
+
+GROUPS = (6, 8)
+
+
+def random_nonsingular(n, rng):
+    """P*L*U with L, U random unitriangular and P a random row order: full rank by construction."""
+    lower = GF2Matrix(n, n, tuple(1 << i | rng.getrandbits(i) for i in range(n)))
+    upper = GF2Matrix(n, n, tuple(1 << i | rng.getrandbits(n - i - 1) << (i + 1) for i in range(n)))
+    rows = list(mat_mul(lower, upper).row_bits)
+    rng.shuffle(rows)
+    return GF2Matrix(n, n, tuple(rows))
+
+
+def without_pivot_at(a, col, rng):
+    """`a` with column `col` replaced by a random sum of the columns before it.
+
+    Columns 0..col-1 of a nonsingular `a` stay independent, so elimination
+    finds their pivots and first meets a pivotless column at `col`.
+    """
+    earlier = rng.getrandbits(col)
+    bit = 1 << col
+    rows = tuple(r & ~bit | ((r & earlier).bit_count() & 1) << col for r in a.row_bits)
+    return GF2Matrix(a.rows, a.cols, rows)
+
+
+LARGE_SIZES = st.one_of(st.integers(1, 300), st.sampled_from([63, 64, 65, 127, 128, 256, 257]))
+
+
+@settings(max_examples=30)
+@given(LARGE_SIZES, st.integers(0, 2**32 - 1))
+def test_invert_matches_the_reference_up_to_n_300(n, seed):
+    a = random_nonsingular(n, random.Random(seed))
+    assert is_nonsingular(a)
+    assert invert(a) == reference_inverse(a)
+
+
+@settings(max_examples=30)
+@given(LARGE_SIZES, st.integers(0, 2**32 - 1))
+def test_random_matrices_match_the_reference_up_to_n_300(n, seed):
+    rng = random.Random(seed)
+    a = GF2Matrix(n, n, tuple(rng.getrandbits(n) for _ in range(n)))
+    expected = reference_inverse(a)
+    assert is_nonsingular(a) == (expected is not None)
+    if expected is not None:
+        assert invert(a) == expected
+
+
+@settings(max_examples=40)
+@given(st.integers(64, 300), st.sampled_from(GROUPS),
+       st.sampled_from(["first", "inside", "last", "any"]), st.integers(0, 2**32 - 1))
+def test_a_pivotless_column_at_a_group_edge_or_inside_is_singular(n, width, where, seed):
+    rng = random.Random(seed)
+    start = rng.randrange(0, n, width)
+    width = min(width, n - start)
+    col = {"first": start, "inside": start + rng.randrange(width), "last": start + width - 1,
+           "any": rng.randrange(n)}[where]
+    a = without_pivot_at(random_nonsingular(n, rng), col, rng)
+    assert reference_inverse(a) is None
+    assert not is_nonsingular(a)
+    with pytest.raises(Singular):
+        invert(a)

@@ -5,6 +5,14 @@ Run from anywhere inside the repository:
     python3 tools/bench_pairs.py --parent cb3217b --workloads circuits --seeds 1-10 \\
         --seconds 28 --out BENCH_11.json
 
+A workload may name its own seeds as `name:seeds`, so one file can hold
+ten pairs of one workload and a few of the others:
+
+    python3 tools/bench_pairs.py --parent 074c907 \\
+        --workloads frames:1-10,circuits:1-3,mixed_states:1-3,cli:1-3 --out BENCH_13.json
+
+A workload named without seeds runs the `--seeds` range.
+
 The parent is exported with `git archive` into a temporary directory, so
 each side runs `perfbench/run.py --trace 0` from its own tree. The change
 side is this checkout's working tree. For every seed and workload the two
@@ -65,6 +73,20 @@ def parse_seeds(text: str) -> list[int]:
         lo, _, hi = part.partition("-")
         seeds.extend(range(int(lo), int(hi or lo) + 1))
     return seeds
+
+
+def parse_workloads(text: str, default: list[int]) -> dict[str, list[int]]:
+    """'frames:1-10,circuits' as {workload: seeds}; a name without ':' gets `default`.
+
+    After ':' the seeds are one range or one seed, since ',' separates workloads.
+    """
+    plan = {}
+    for item in text.split(","):
+        name, colon, seeds = item.partition(":")
+        if name in plan:
+            raise ValueError(f"workload {name!r} named twice")
+        plan[name] = parse_seeds(seeds) if colon else default
+    return plan
 
 
 def host() -> dict:
@@ -141,19 +163,25 @@ def failed_share(pairs: list[dict], side: str) -> float | None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision to compare against")
-    parser.add_argument("--workloads", default="circuits", help="comma-separated workload names")
-    parser.add_argument("--seeds", default="1-10", help="for example 1-10 or 1,3,5")
+    parser.add_argument("--workloads", default="circuits",
+                        help="comma-separated workload names, each optionally name:seeds "
+                             "(for example frames:1-10,circuits:1-3)")
+    parser.add_argument("--seeds", default="1-10",
+                        help="seeds of workloads named without their own, for example 1-10 or 1,3,5")
     parser.add_argument("--seconds", type=float, help="seconds per run (default: BENCHMARK.json)")
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     known = [w["name"] for w in bench["workloads"]]
-    workloads = args.workloads.split(",")
-    unknown = sorted(set(workloads) - set(known))
+    try:
+        seeds = parse_seeds(args.seeds)
+        plan = parse_workloads(args.workloads, seeds)
+    except ValueError as exc:
+        parser.error(f"bad --seeds or --workloads: {exc}")
+    unknown = sorted(set(plan) - set(known))
     if unknown:
         parser.error(f"unknown workloads {unknown}; BENCHMARK.json names {known}")
-    seeds = parse_seeds(args.seeds)
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
     spec = bench["end_to_end"]
 
@@ -169,9 +197,9 @@ def main(argv=None) -> int:
             "seeds": seeds,
             "workloads": {},
         }
-        for workload in workloads:
+        for workload, workload_seeds in plan.items():
             pairs = []
-            for i, seed in enumerate(seeds):
+            for i, seed in enumerate(workload_seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 pair = {"seed": seed, "order": list(order)}
                 for side in order:
@@ -182,6 +210,7 @@ def main(argv=None) -> int:
                     if "metrics" in pair[side] else f"{side} exit {pair[side]['exit']}"
                     for side in ("parent", "change")), file=sys.stderr)
             report["workloads"][workload] = {
+                "seeds": workload_seeds,
                 "pairs": pairs,
                 "metrics": summarize(pairs, spec),
                 "failed_share": {side: failed_share(pairs, side) for side in ("parent", "change")},

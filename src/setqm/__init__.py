@@ -5,6 +5,8 @@ probabilities are exact rationals, measurement is a partition join, and
 circuits run on nonsingular 0/1 gates.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import SetQMError
 from .gf2 import BitVec, GF2Matrix, add, invert, is_nonsingular, kron, mat_apply, mat_mul, solve
 from .space import (
@@ -103,4 +105,8 @@ from .qc import (
 )
 from .dsl import CircuitAst, RunResult, parse, render, run
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# public classes, functions and constants; the submodules bound by the imports are left out
+__all__ = sorted(
+    name for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -24,19 +24,10 @@ from .errors import (
     ZeroState,
 )
 from .gf2 import BitVec, nth_set_bit
-from .partitions import Partition, _least_bit
+from .partitions import Partition, _least_bit, _rational
 from .space import SubsetKet, Universe, rat_json
 
 Rational = Fraction | int | str
-
-
-def _rational(v: Rational) -> Fraction:
-    if type(v) is Fraction:
-        return v
-    try:
-        return Fraction(v)
-    except (TypeError, ValueError, ArithmeticError):
-        raise InvalidArgument(f"attribute value {v!r} is not a rational") from None
 
 
 @dataclass(frozen=True)
@@ -49,7 +40,8 @@ class Attribute:
     def __post_init__(self):
         if len(self.values) != self.universe.size:
             raise NotTotal("attribute must assign a value to every element")
-        object.__setattr__(self, "values", tuple(map(_rational, self.values)))
+        values = tuple(_rational(v, "attribute value") for v in self.values)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_values(cls, universe: Universe, values: Mapping[str, Rational]) -> Attribute:

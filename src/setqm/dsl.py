@@ -29,7 +29,7 @@ from .errors import ParseError, RegisterTooWide, ZeroInitial, ZeroState
 from . import qc
 from .space import rat_json
 
-_ONE_LINE_GATES = ("I", "X", "H0", "H1", "XH0", "XH1")
+_ONE_LINE_GATES = tuple(name for name, g in qc._LIBRARY.items() if g.width == 1)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import DimMismatch, DuplicateTerms, ImpossibleOutcome, UnknownLabel, ZeroState
-from .gf2 import BitVec, GF2Matrix, mat_apply, mat_mul
-from .space import BasisFrame, SubsetKet, Universe, born, rat_json
+from .gf2 import BitVec, GF2Matrix, _expect, mat_apply, mat_mul
+from .space import BasisFrame, SubsetKet, Universe, _fmt_labels, born, rat_json
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,7 @@ class ProductState:
     bits: BitVec
 
     def __post_init__(self):
+        _expect(BitVec, self.bits)
         if self.bits.length != self.space.size:
             raise DimMismatch("bit vector length does not match the product size")
         if self.bits.is_zero:
@@ -77,7 +78,7 @@ class ProductState:
         return tuple((left[j // k], right[j % k]) for j in self.bits.indices())
 
     def __str__(self) -> str:
-        return "{" + ",".join(f"({x},{y})" for x, y in self.sorted_pairs()) + "}"
+        return _fmt_labels(f"({x},{y})" for x, y in self.sorted_pairs())
 
 
 def _rows(s: ProductState) -> dict[str, int]:

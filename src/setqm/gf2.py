@@ -105,8 +105,16 @@ def nth_set_bit(x: int, n: int) -> int:
     return lo
 
 
+def _expect(cls: type, *values: object) -> None:
+    """Raise InvalidArgument unless every value is a `cls`."""
+    for v in values:
+        if not isinstance(v, cls):
+            raise InvalidArgument(f"expected a {cls.__name__}, got {type(v).__name__}")
+
+
 def add(v: BitVec, w: BitVec) -> BitVec:
     """Componentwise sum mod 2 (symmetric difference of the index sets)."""
+    _expect(BitVec, v, w)
     if v.length != w.length:
         raise LengthMismatch(f"lengths {v.length} and {w.length} differ")
     return BitVec(v.length, v.bits ^ w.bits)
@@ -174,6 +182,8 @@ class GF2Matrix:
 
 def mat_apply(a: GF2Matrix, v: BitVec) -> BitVec:
     """Matrix-vector product mod 2."""
+    _expect(GF2Matrix, a)
+    _expect(BitVec, v)
     if a.cols != v.length:
         raise DimMismatch(f"matrix has {a.cols} columns, vector has length {v.length}")
     out = 0
@@ -184,6 +194,7 @@ def mat_apply(a: GF2Matrix, v: BitVec) -> BitVec:
 
 def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     """Matrix product mod 2."""
+    _expect(GF2Matrix, a, b)
     if a.cols != b.rows:
         raise DimMismatch(f"inner dimensions {a.cols} and {b.rows} differ")
     out = []
@@ -204,8 +215,7 @@ def _reduce(a: GF2Matrix) -> list[int] | None:
     Row i starts as a_i | e_i << n, so one XOR carries a row operation to
     both halves; a full-rank reduction leaves row i = e_i | inverse_i << n.
     """
-    if not isinstance(a, GF2Matrix):
-        raise InvalidArgument(f"expected a GF2Matrix, got {type(a).__name__}")
+    _expect(GF2Matrix, a)
     if not a.is_square:
         raise NotSquare(f"{a.rows}x{a.cols} matrix is not square")
     n = a.rows
@@ -242,6 +252,8 @@ def invert(a: GF2Matrix) -> GF2Matrix:
 
 def solve(a: GF2Matrix, b: BitVec) -> BitVec:
     """The unique x with a*x = b, for square nonsingular a."""
+    _expect(GF2Matrix, a)
+    _expect(BitVec, b)
     if a.rows != b.length:
         raise DimMismatch(f"matrix has {a.rows} rows, vector has length {b.length}")
     return mat_apply(invert(a), b)
@@ -249,6 +261,7 @@ def solve(a: GF2Matrix, b: BitVec) -> BitVec:
 
 def kron(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     """Kronecker product mod 2, row-major blocks with `a` outer."""
+    _expect(GF2Matrix, a, b)
     out = []
     for a_row in a.row_bits:
         for b_row in b.row_bits:

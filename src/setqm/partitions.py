@@ -10,9 +10,19 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidBlocks, OutOfRange, ShapeMismatch, UniverseMismatch
+from .errors import InvalidArgument, InvalidBlocks, OutOfRange, ShapeMismatch, UniverseMismatch
 from .gf2 import BitVec
-from .space import SubsetKet, Universe
+from .space import SubsetKet, Universe, _fmt_labels
+
+
+def _rational(v: object, what: str) -> Fraction:
+    """`v` as a Fraction; InvalidArgument names `what` when `v` is not a rational."""
+    if type(v) is Fraction:
+        return v
+    try:
+        return Fraction(v)
+    except (TypeError, ValueError, ArithmeticError):
+        raise InvalidArgument(f"{what} {v!r} is not a rational") from None
 
 
 def _least_bit(mask: int) -> int:
@@ -94,10 +104,10 @@ class Partition:
         return cls(universe, ((1 << universe.size) - 1,))
 
     def to_json(self) -> list[list[str]]:
-        return [list(b.labels) for b in self.blocks]
+        return [list(self.universe._labels(m)) for m in self.masks]
 
     def __str__(self) -> str:
-        return "|".join(str(b) for b in self.blocks)
+        return "|".join(_fmt_labels(self.universe._labels(m)) for m in self.masks)
 
 
 @dataclass(frozen=True)
@@ -141,14 +151,8 @@ class _Dits(Set):
     def _block_of(self) -> dict[str, int]:
         """Each label's block index, built from the masks on first use."""
         if self._owner is None:
-            labels = self.partition.universe.labels
-            owner = {}
-            for k, m in enumerate(self.partition.masks):
-                while m:
-                    low = m & -m
-                    owner[labels[low.bit_length() - 1]] = k
-                    m ^= low
-            self._owner = owner
+            u = self.partition.universe
+            self._owner = {x: k for k, m in enumerate(self.partition.masks) for x in u._labels(m)}
         return self._owner
 
     def __len__(self) -> int:
@@ -272,7 +276,7 @@ def shannon_entropy(p: Partition) -> float:
 
 def block_entropy_relation(p_b: Fraction) -> tuple[Fraction, float]:
     """Block entropies (1 - p, log2(1/p)); they satisfy h = 1 - 2^(-H)."""
-    p_b = Fraction(p_b)
+    p_b = _rational(p_b, "block probability")
     if not 0 < p_b <= 1:
         raise OutOfRange("block probability must lie in (0, 1]")
     return Fraction(1) - p_b, math.log2(1 / p_b)

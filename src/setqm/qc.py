@@ -42,7 +42,7 @@ from .errors import (
     WrongArity,
     ZeroState,
 )
-from .gf2 import BitVec, GF2Matrix, is_nonsingular, kron, nth_set_bit
+from .gf2 import BitVec, GF2Matrix, _expect, is_nonsingular, kron, nth_set_bit
 
 MAX_LINES = 20  # a register of n lines is a 2^n-bit int; 20 lines is 128 KiB
 
@@ -55,6 +55,7 @@ class Gate:
     matrix: GF2Matrix
 
     def __post_init__(self):
+        _expect(GF2Matrix, self.matrix)
         if not self.matrix.is_square:
             raise SizeMismatch("gate matrix must be square")
         if self.matrix.rows & (self.matrix.rows - 1):
@@ -128,25 +129,21 @@ def _cnot_b(b: int, m: int, s: int) -> int:
     return _delta_swap(b, m << s, 2 * s)  # local values 01 <-> 11
 
 
-_GATE_ROWS = {
-    "I": [[1, 0], [0, 1]],
-    "X": [[0, 1], [1, 0]],
-    "H0": [[1, 0], [1, 1]],
-    "H1": [[1, 1], [0, 1]],
-    "XH0": [[1, 1], [1, 0]],
-    "XH1": [[0, 1], [1, 1]],
-    "CNOT_A": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-    "CNOT_B": [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]],
-}
+# The gate library: name, matrix rows, kernel (None: the identity returns its input).
+_GATES = (
+    ("I", [[1, 0], [0, 1]], None),
+    ("X", [[0, 1], [1, 0]], _swap),
+    ("H0", [[1, 0], [1, 1]], _h0),
+    ("H1", [[1, 1], [0, 1]], _h1),
+    ("XH0", [[1, 1], [1, 0]], _xh0),
+    ("XH1", [[0, 1], [1, 1]], _xh1),
+    ("CNOT_A", [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], _cnot_a),
+    ("CNOT_B", [[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], _cnot_b),
+)
 
+_LIBRARY = {name: Gate(name, GF2Matrix.from_rows(rows)) for name, rows, _ in _GATES}
 
-_LIBRARY = {name: Gate(name, GF2Matrix.from_rows(rows)) for name, rows in _GATE_ROWS.items()}
-
-_KERNELS = {
-    _LIBRARY[name].matrix.row_bits: kernel
-    for name, kernel in (("X", _swap), ("H0", _h0), ("H1", _h1), ("XH0", _xh0), ("XH1", _xh1),
-                         ("CNOT_A", _cnot_a), ("CNOT_B", _cnot_b))
-}
+_KERNELS = {_LIBRARY[name].matrix.row_bits: kernel for name, _, kernel in _GATES if kernel}
 
 
 def standard_gate(name: str) -> Gate:
@@ -172,6 +169,7 @@ def _block_mask(lines: int, pos: int, width: int) -> int:
 
 
 def _check_width(lines: int) -> None:
+    _expect(int, lines)
     if lines < 1:
         raise InvalidArgument("register needs at least one line")
     if lines > MAX_LINES:
@@ -187,6 +185,7 @@ class Register:
 
     def __post_init__(self):
         _check_width(self.lines)
+        _expect(BitVec, self.state)
         if self.state.length != 1 << self.lines:
             raise SizeMismatch("state length must be 2^lines")
         if self.state.is_zero:
@@ -194,8 +193,7 @@ class Register:
 
     @classmethod
     def basis(cls, lines: int, index: int) -> Register:
-        _check_width(lines)
-        return cls(lines, BitVec.from_indices(1 << lines, [index]))
+        return cls.from_indices(lines, [index])
 
     @classmethod
     def from_indices(cls, lines: int, indices: Iterable[int]) -> Register:

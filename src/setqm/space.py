@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -19,22 +20,31 @@ from .errors import (
     UnknownLabel,
     ZeroState,
 )
-from .gf2 import BitVec, GF2Matrix, invert, mat_apply
+from .gf2 import BitVec, GF2Matrix, _digits, _expect, invert, mat_apply
 
 
 @dataclass(frozen=True)
 class Universe:
-    """An ordered tuple of distinct labels; position defines the coordinate."""
+    """An ordered tuple of distinct labels; position defines the coordinate.
+
+    Any iterable of hashable labels is stored as a tuple, so a universe
+    built from a list equals, and hashes like, the one built from the tuple.
+    """
 
     labels: tuple[str, ...]
     _position: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.labels:
+        try:
+            labels = tuple(self.labels)
+            position = {x: j for j, x in enumerate(labels)}
+        except TypeError:
+            raise InvalidArgument("universe labels must be hashable and iterable") from None
+        if not labels:
             raise InvalidArgument("universe needs at least one element")
-        position = {x: j for j, x in enumerate(self.labels)}
-        if len(position) != len(self.labels):
+        if len(position) != len(labels):
             raise InvalidArgument("universe labels must be distinct")
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_position", position)
 
     @property
@@ -44,7 +54,7 @@ class Universe:
     def index(self, label: str) -> int:
         try:
             return self._position[label]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable label
             raise UnknownLabel(f"{label!r} not in universe {self.labels}") from None
 
     def _mask(self, labels: Iterable[str]) -> int:
@@ -53,6 +63,10 @@ class Universe:
         for x in labels:
             bits |= 1 << self.index(x)
         return bits
+
+    def _labels(self, mask: int) -> tuple[str, ...]:
+        """The elements of `mask` in universe order; the inverse of `_mask`."""
+        return tuple(compress(self.labels, _digits(mask)))
 
     def subset(self, labels: Iterable[str] = ()) -> SubsetKet:
         """The ket of the named elements; a label named twice is still one element."""
@@ -83,12 +97,13 @@ class SubsetKet:
     bits: BitVec
 
     def __post_init__(self):
+        _expect(BitVec, self.bits)
         if self.bits.length != self.universe.size:
             raise DimMismatch("bit vector length does not match universe size")
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return tuple(self.universe.labels[j] for j in self.bits.indices())
+        return self.universe._labels(self.bits.bits)
 
     @property
     def cardinality(self) -> int:
@@ -116,7 +131,7 @@ class SubsetKet:
             )
 
     def __str__(self) -> str:
-        return "{" + ",".join(self.labels) + "}"
+        return _fmt_labels(self.labels)
 
 
 @dataclass(frozen=True)
@@ -213,24 +228,27 @@ def resolve(s: SubsetKet) -> list[SubsetKet]:
 
 @dataclass(frozen=True)
 class KetTable:
-    """Every ket of the space, one row per ket, expressed in each frame."""
+    """Every ket of the space, one row per ket: its coordinate mask in each of `frames`."""
 
     frames: tuple[BasisFrame, ...]
-    rows: tuple[dict[str, tuple[str, ...]], ...]
+    rows: tuple[tuple[int, ...], ...]
+
+    def _labelled(self, row: tuple[int, ...]) -> dict[str, tuple[str, ...]]:
+        return {f.name: f.universe._labels(m) for f, m in zip(self.frames, row)}
 
     def row_for(self, frame_name: str, labels: Sequence[str]) -> dict[str, tuple[str, ...]]:
         key = tuple(labels)
-        for row in self.rows:
+        for row in map(self._labelled, self.rows):
             if row.get(frame_name) == key:
                 return row
         raise UnknownLabel(f"no row with {frame_name} entry {key}")
 
     def to_json(self) -> list[dict[str, list[str]]]:
-        return [{name: list(labels) for name, labels in row.items()} for row in self.rows]
+        return [{n: list(ls) for n, ls in row.items()} for row in map(self._labelled, self.rows)]
 
     def to_text(self) -> str:
         names = [f.name for f in self.frames]
-        cells = [[_fmt_labels(row[n]) for n in names] for row in self.rows]
+        cells = [[_fmt_labels(row[n]) for n in names] for row in map(self._labelled, self.rows)]
         widths = [max(len(n), *(len(c[i]) for c in cells)) for i, n in enumerate(names)]
         lines = ["  ".join(n.ljust(w) for n, w in zip(names, widths))]
         lines.append("  ".join("-" * w for w in widths))
@@ -242,11 +260,11 @@ class KetTable:
         return self.to_text()
 
 
-def _fmt_labels(labels: tuple[str, ...]) -> str:
+def _fmt_labels(labels: Iterable[str]) -> str:
     return "{" + ",".join(labels) + "}"
 
 
-MAX_KET_TABLE_DIM = 16  # 2^16 rows of one dict each
+MAX_KET_TABLE_DIM = 16  # 2^16 rows of one mask per frame each
 
 
 def ket_table(dim: int, frames: Sequence[BasisFrame]) -> KetTable:
@@ -266,16 +284,12 @@ def ket_table(dim: int, frames: Sequence[BasisFrame]) -> KetTable:
         if f.dim != dim:
             raise DimMismatch(f"frame {f.name} has dimension {f.dim}, expected {dim}")
 
-    def sort_key(bits: int) -> tuple:
-        coords = tuple((bits >> j) & 1 for j in range(dim))
-        return (-bits.bit_count(), tuple(-c for c in coords))
+    def sort_key(bits: int) -> tuple[int, int]:
+        # coordinates compared lowest index first: the bits read in reverse
+        return (-bits.bit_count(), -int(f"{bits:0{dim}b}"[::-1], 2))
 
-    rows = []
-    for bits in sorted(range(1 << dim), key=sort_key):
-        vec = BitVec(dim, bits)
-        row = {}
-        for f in frames:
-            coords = mat_apply(f._inverse, vec)
-            row[f.name] = tuple(f.labels[j] for j in coords.indices())
-        rows.append(row)
-    return KetTable(frames, tuple(rows))
+    rows = tuple(
+        tuple(mat_apply(f._inverse, BitVec(dim, bits)).bits for f in frames)
+        for bits in sorted(range(1 << dim), key=sort_key)
+    )
+    return KetTable(frames, rows)

@@ -55,13 +55,28 @@ def test_seed_ranges():
     assert parse_seeds("1,4-5,9") == [1, 4, 5, 9]
 
 
+@pytest.mark.parametrize("argv", [["--workloads", "circuits:5-1"], ["--seeds", "3-1"],
+                                  ["--workloads", "frames:1-2,circuits:2-1"]])
+def test_empty_seed_range_is_a_usage_error_before_any_export(tmp_path, monkeypatch, argv):
+    bench_pairs = _load_script()
+
+    def export(rev, dest):
+        raise AssertionError("the parent must not be exported")
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "HEAD", *argv, "--out", str(out)])
+    assert exc.value.code == 2 and not out.exists()
+
+
 def test_workloads_with_their_own_seeds():
     parse_workloads = runpy.run_path(str(SCRIPT))["parse_workloads"]
     plan = parse_workloads("frames:1-10,circuits:1-3,mixed_states,cli:2", [4, 5])
     assert list(plan) == ["frames", "circuits", "mixed_states", "cli"]
     assert plan == {"frames": list(range(1, 11)), "circuits": [1, 2, 3],
                     "mixed_states": [4, 5], "cli": [2]}
-    for bad in ("frames:x", "frames:", "frames,frames:1"):
+    for bad in ("frames:x", "frames:", "frames,frames:1", "frames:5-1"):
         with pytest.raises(ValueError):
             parse_workloads(bad, [1])
 

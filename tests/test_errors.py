@@ -1,10 +1,18 @@
+from types import ModuleType
+
 import pytest
 
+import setqm
 from setqm.dynamics import Dynamics
+from setqm.entangle import ProductState, ProductUniverse
 from setqm.errors import InvalidArgument, SetQMError
-from setqm.gf2 import BitVec, GF2Matrix, invert, is_nonsingular
-from setqm.qc import BooleanFunction, Register
-from setqm.space import BasisFrame, Universe
+from setqm.gf2 import BitVec, GF2Matrix, add, invert, is_nonsingular, kron, mat_apply, mat_mul, solve
+from setqm.partitions import block_entropy_relation
+from setqm.qc import BooleanFunction, Gate, Register
+from setqm.space import BasisFrame, SubsetKet, Universe
+
+M, V = GF2Matrix.identity(2), BitVec(2, 1)
+U = Universe(("a", "b"))
 
 
 @pytest.mark.parametrize(
@@ -50,11 +58,37 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
         lambda: BasisFrame("F", ("a",), "x"),
         lambda: invert("x"),
         lambda: is_nonsingular("x"),
+        lambda: mat_apply("x", V),
+        lambda: mat_apply(M, "x"),
+        lambda: mat_mul(M, "x"),
+        lambda: mat_mul("x", M),
+        lambda: solve("x", V),
+        lambda: solve(M, "x"),
+        lambda: kron(M, "x"),
+        lambda: kron("x", M),
+        lambda: add(V, "x"),
+        lambda: add("x", V),
+        lambda: Gate("g", "m"),
+        lambda: SubsetKet(U, "x"),
+        lambda: ProductState(ProductUniverse(U, U), "x"),
+        lambda: Register(2, "x"),
+        lambda: Register("2", BitVec(4, 1)),
+        lambda: Register.basis(None, 0),
+        lambda: Universe(3),
+        lambda: Universe((["a"], "b")),
+        lambda: block_entropy_relation("x"),
+        lambda: block_entropy_relation(None),
     ],
     ids=["basis-float-index", "from-indices-float", "bitvec-float-bits",
          "from-indices-str", "from-bits-letter", "table-float-entry",
          "matrix-float-row", "matrix-str-rows", "matrix-list-rows", "matrix-float-column",
-         "dynamics-str", "frame-str-matrix", "invert-str", "nonsingular-str"],
+         "dynamics-str", "frame-str-matrix", "invert-str", "nonsingular-str",
+         "mat-apply-str-matrix", "mat-apply-str-vector", "mat-mul-str-right",
+         "mat-mul-str-left", "solve-str-matrix", "solve-str-vector", "kron-str-right",
+         "kron-str-left", "add-str-right", "add-str-left", "gate-str-matrix", "ket-str-bits",
+         "product-state-str-bits", "register-str-state", "register-str-lines",
+         "basis-none-lines", "universe-int", "universe-unhashable-label",
+         "entropy-relation-str", "entropy-relation-none"],
 )
 def test_wrongly_typed_arguments_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument):
@@ -68,3 +102,11 @@ def test_checked_matrices_keep_the_valid_path():
     assert Dynamics(m)._inverse == m
     assert BasisFrame("F", ("a", "b"), m)._inverse == m
 
+
+
+def test_star_import_binds_no_module():
+    assert not [n for n in setqm.__all__ if isinstance(getattr(setqm, n), ModuleType)]
+    namespace = {}
+    exec("from setqm import *", namespace)
+    assert {"Universe", "Partition", "SetQMError", "MAX_LINES", "run"} <= set(namespace)
+    assert not [v for v in namespace.values() if isinstance(v, ModuleType)]

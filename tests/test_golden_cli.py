@@ -1,8 +1,10 @@
-"""Pinned stdout of `setqm density`, `measure-density` and `bell`.
+"""Pinned stdout of `setqm density`, `measure-density`, `bell`, `ket-table` and `entropy`.
 
-The digests were recorded with the entrywise Fraction density matrix and
-the frozenset product state, so a match shows that the block form and the
-bitset state print the same bytes. GOLDEN maps each argument list, joined
+The density and bell digests were recorded with the entrywise Fraction
+density matrix and the frozenset product state, and the ket-table and
+entropy digests with ket-table rows of label tuples and partition output
+built from block kets, so a match shows that the block form, the bitset
+state and the mask rows print the same bytes. GOLDEN maps each argument list, joined
 by spaces, to the first 16 hex digits of the SHA-256 of stdout; every call
 exits 0.
 """
@@ -50,6 +52,11 @@ def _cases():
         yield ("bell", "--format", fmt)
         for s in _bell_states():
             yield ("bell", "--state", s, "--format", fmt)
+    for fmt, dim in product(("table", "json"), (3, 2)):
+        yield ("ket-table", "--dim", str(dim), "--format", fmt)
+    for dim in (3, 2):
+        for p in PARTITIONS[dim]:
+            yield ("entropy", "--partition", p, "--dim", str(dim), "--format", "json")
 
 
 CASES = list(_cases())
@@ -215,6 +222,19 @@ GOLDEN = {
     'bell --state {(a,b),(b,a),(b,b)} --format json': "e9bca1f4171416e5",
     'bell --state {(a,a),(a,b),(b,a),(b,b)} --format json': "96dd4a6a5e25896b",
     'bell --state {(b,b),(a,a),(a,a)} --format json': "cb64cb3bd73b2795",
+    'ket-table --dim 3 --format table': "12a6134cd11407fa",
+    'ket-table --dim 2 --format table': "00782c331a7afc06",
+    'ket-table --dim 3 --format json': "9bd29bb9845fbb18",
+    'ket-table --dim 2 --format json': "203dcbc238e13773",
+    'entropy --partition {a,b,c} --dim 3 --format json': "d5278c5e71fa4b5d",
+    'entropy --partition {a,b}|{c} --dim 3 --format json': "29bf10127bee5d85",
+    'entropy --partition {a,c}|{b} --dim 3 --format json': "5cf11fcb935473a2",
+    'entropy --partition {a}|{b,c} --dim 3 --format json': "1b6092add09af113",
+    'entropy --partition {a}|{b}|{c} --dim 3 --format json': "da729acc6cc9d64f",
+    'entropy --partition {c}|{b,a} --dim 3 --format json': "29bf10127bee5d85",
+    'entropy --partition {a,b} --dim 2 --format json': "37ed5648e61ff79b",
+    'entropy --partition {a}|{b} --dim 2 --format json': "b8668c6966b6c017",
+    'entropy --partition {b}|{a} --dim 2 --format json': "b8668c6966b6c017",
 }
 
 

@@ -15,6 +15,7 @@ from setqm.errors import (
     ZeroState,
 )
 from setqm.gf2 import GF2Matrix
+from setqm.partitions import Partition
 from setqm.presets import frames_ab, frames_abc, universe_abc
 from setqm.space import (
     MAX_KET_TABLE_DIM,
@@ -187,16 +188,34 @@ def test_ket_table_contents():
 def test_ket_table_ordering():
     u0, u1, u2 = frames_abc()
     table = ket_table(3, [u0, u1, u2])
-    cards = [len(row["U"]) for row in table.rows]
-    assert cards == sorted(cards, reverse=True)
-    assert table.rows[0]["U"] == ("a", "b", "c")
-    assert table.rows[-1]["U"] == ()
+    order = [row["U"] for row in table.to_json()]
+    assert order == [["a", "b", "c"], ["a", "b"], ["a", "c"], ["b", "c"], ["a"], ["b"], ["c"], []]
+    assert table.row_for("U", ("a", "b", "c")) == {
+        "U": ("a", "b", "c"), "U'": ("c'",), "U''": ("a''", "b''", "c''")}
+    assert table.row_for("U", ())["U'"] == ()
 
 
 def test_ket_table_dim_one():
     u = Universe(("u",))
     table = ket_table(1, [u.canonical_frame()])
-    assert [row["U"] for row in table.rows] == [("u",), ()]
+    assert [row["U"] for row in table.to_json()] == [["u"], []]
+    assert table.row_for("U", ["u"]) == {"U": ("u",)}
+
+
+def test_ket_table_rows_are_masks_in_frame_order():
+    u0, u1, u2 = frames_abc()
+    table = ket_table(3, [u0, u1, u2])
+    assert table.rows[0] == (0b111, 0b100, 0b111)
+    for row, labelled in zip(table.rows, table.to_json()):
+        for f, mask in zip(table.frames, row):
+            assert isinstance(mask, int) and f.universe._mask(labelled[f.name]) == mask
+
+
+def test_row_for_matches_the_exact_label_tuple():
+    table = ket_table(2, frames_ab())
+    assert table.row_for("U", ("a", "b"))["U"] == ("a", "b")
+    with pytest.raises(UnknownLabel):
+        table.row_for("U", ("b", "a"))
 
 
 def test_ket_table_dim_mismatch():
@@ -235,6 +254,35 @@ def test_row_for_unknown_row():
 def test_frame_rejects_repeated_labels():
     with pytest.raises(ValueError):
         BasisFrame("bad", ("p", "p"), GF2Matrix.identity(2))
+
+
+def test_universe_from_a_list_equals_the_tuple_one():
+    from_list, from_tuple = Universe(["a", "b"]), Universe(("a", "b"))
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert from_list.labels == ("a", "b")
+    assert bracket(from_list.subset(["a", "b"]), from_tuple.subset(["b"])) == 1
+    assert hash(Partition.discrete(from_list)) == hash(Partition.discrete(from_tuple))
+    assert Universe("ab") == from_tuple
+
+
+def test_unhashable_label_lookup_is_unknown_label():
+    u = Universe(("a", "b"))
+    for label in (["a"], {"a": 1}):
+        with pytest.raises(UnknownLabel):
+            u.index(label)
+        with pytest.raises(UnknownLabel):
+            u.subset([label])
+
+
+@given(st.integers(1, 70), st.data())
+def test_labels_and_mask_are_inverses(n, data):
+    u = Universe(tuple(f"e{j}" for j in range(n)))
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    labels = u._labels(mask)
+    assert u._mask(labels) == mask
+    assert labels == tuple(x for j, x in enumerate(u.labels) if mask >> j & 1)
+    chosen = data.draw(st.lists(st.sampled_from(u.labels)))
+    assert set(u._labels(u._mask(chosen))) == set(chosen)
 
 
 # ---- the position map against the tuple.index walks it replaced

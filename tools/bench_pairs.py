@@ -67,11 +67,14 @@ def export(rev: str, dest: Path) -> Path:
 
 
 def parse_seeds(text: str) -> list[int]:
-    """'1-10' or '1,4,7' (or a mix) as a list of seeds."""
+    """'1-10' or '1,4,7' (or a mix) as a list of seeds; an empty range is a ValueError."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        part_seeds = range(int(lo), int(hi or lo) + 1)
+        if not part_seeds:
+            raise ValueError(f"seed range {part!r} is empty")
+        seeds.extend(part_seeds)
     return seeds
 
 

@@ -186,10 +186,9 @@ def mat_apply(a: GF2Matrix, v: BitVec) -> BitVec:
     _expect(BitVec, v)
     if a.cols != v.length:
         raise DimMismatch(f"matrix has {a.cols} columns, vector has length {v.length}")
-    out = 0
-    for i, row in enumerate(a.row_bits):
-        out |= ((row & v.bits).bit_count() & 1) << i
-    return BitVec(a.rows, out)
+    vb = v.bits  # bit i is the parity of row i & v; the digits '0'/'1' are read highest row first
+    digits = bytes([48 + ((row & vb).bit_count() & 1) for row in reversed(a.row_bits)])
+    return BitVec._derived(a.rows, int(digits, 2))
 
 
 def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
@@ -209,6 +208,14 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     return GF2Matrix(a.rows, b.cols, tuple(out))
 
 
+# Four-Russians Gauss-Jordan (Arlazarov et al. 1970; M4RI, G. Bard, *Algebraic
+# Cryptanalysis*, 2009) clears _BLOCK_COLUMNS columns from every row with one
+# table lookup and one XOR. Below _BLOCKED_FROM columns the plain column loop,
+# which has no per-block table to build, is faster.
+_BLOCK_COLUMNS = 6
+_BLOCKED_FROM = 64
+
+
 def _reduce(a: GF2Matrix) -> list[int] | None:
     """Gauss-Jordan on identity-augmented rows; None when `a` is singular.
 
@@ -220,6 +227,11 @@ def _reduce(a: GF2Matrix) -> list[int] | None:
         raise NotSquare(f"{a.rows}x{a.cols} matrix is not square")
     n = a.rows
     rows = [r | 1 << (n + i) for i, r in enumerate(a.row_bits)]
+    return (_block_pass if n >= _BLOCKED_FROM else _column_pass)(rows, n)
+
+
+def _column_pass(rows: list[int], n: int) -> list[int] | None:
+    """One column at a time: find a pivot row, then XOR it into every other row with that bit."""
     for col in range(n):
         bit = 1 << col
         for p in range(col, n):
@@ -233,6 +245,34 @@ def _reduce(a: GF2Matrix) -> list[int] | None:
             if r & bit:
                 rows[i] = r ^ prow
         rows[col] = prow
+    return rows
+
+
+def _block_pass(rows: list[int], n: int) -> list[int] | None:
+    """_BLOCK_COLUMNS columns at a time: find their pivots, then clear them from every row.
+
+    table[s] is the sum of the block's pivots named by the bits of s. The
+    pivots are kept identity on the block's columns found so far, so a row's
+    own bits there index the sum that clears them.
+    """
+    for c0 in range(0, n, _BLOCK_COLUMNS):
+        k = min(_BLOCK_COLUMNS, n - c0)
+        table = [0]
+        for c in range(c0, c0 + k):
+            bit, earlier = 1 << c, len(table) - 1
+            for p in range(c, n):
+                r = rows[p]
+                r ^= table[r >> c0 & earlier]  # the candidate as the earlier pivots leave it
+                if r & bit:
+                    break
+            else:
+                return None  # a square matrix with a pivotless column is singular
+            rows[p] = rows[c]  # row c itself gets its pivot once the block is cleared
+            table = [t ^ r if t & bit else t for t in table]
+            table += [t ^ r for t in table]
+        mask = len(table) - 1
+        rows = [r ^ table[r >> c0 & mask] for r in rows]
+        rows[c0:c0 + k] = [table[1 << j] for j in range(k)]
     return rows
 
 

@@ -150,10 +150,13 @@ class BasisFrame:
                 f"frame matrix must be a GF2Matrix, not {type(self.matrix).__name__}")
         if not self.matrix.is_square:
             raise DimMismatch("frame matrix must be square")
+        # the frame's own labels viewed as a universe, whose tuple the frame keeps;
+        # raises InvalidArgument on repeats or labels that are not an iterable
+        universe = Universe(self.labels)
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "labels", universe.labels)
         if len(self.labels) != self.matrix.cols:
             raise DimMismatch("frame needs one label per basis ket")
-        # the frame's own labels viewed as a universe; raises InvalidArgument on repeats
-        object.__setattr__(self, "universe", Universe(self.labels))
         # raises Singular for an invalid frame
         object.__setattr__(self, "_inverse", invert(self.matrix))
 

@@ -139,3 +139,25 @@ def test_one_crashed_change_run_loses_its_pair_and_the_bound():
     assert row["pairs"] == 2 and row["wins"] == 1
     assert row["change_median"] == 200.0 and row["within_bound"] is False
     assert summarize(pairs[:1], spec)["ops_per_s"]["within_bound"] is True
+
+
+def test_each_workload_records_the_median_ops_attempted_per_side(tmp_path, monkeypatch):
+    bench_pairs = _load_script()
+    attempted = {"parent": iter([100, 300, 200]), "change": iter([400, 0, 600])}
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run_side(command, tree, workload, seed, seconds):
+        side = "change" if tree == bench_pairs.ROOT else "parent"
+        n = next(attempted[side])
+        if not n:  # one crashed change run: it counts for no median
+            return {"exit": 1, "stderr": ""}
+        return {"attempted": n, "failed": 0, "metrics": dict.fromkeys(names, float(n))}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", "HEAD", "--workloads", "frames", "--seeds", "1-3",
+                      "--out", str(out)])
+    frames = json.loads(out.read_text())["workloads"]["frames"]
+    assert frames["attempted"] == {"parent": 200, "change": 500}

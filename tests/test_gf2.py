@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from setqm import gf2
 from setqm.errors import DimMismatch, InvalidArgument, LengthMismatch, NotSquare, Singular
 from setqm.gf2 import (
     BitVec,
@@ -240,6 +241,23 @@ def test_nth_set_bit_matches_indices(v, data):
 # -- the kernel against the slow reference it replaced --
 
 
+def loop_mat_apply(a, v):
+    """Reference matrix-vector product: one shift and OR per row into a growing int."""
+    out = 0
+    for i, row in enumerate(a.row_bits):
+        out |= ((row & v.bits).bit_count() & 1) << i
+    return BitVec(a.rows, out)
+
+
+@given(st.integers(1, 300), st.integers(1, 300), st.data())
+def test_mat_apply_matches_the_loop_on_any_shape(rows, cols, data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    a = GF2Matrix(rows, cols, tuple(rng.getrandbits(cols) for _ in range(rows)))
+    v = BitVec(cols, data.draw(st.sampled_from([0, (1 << cols) - 1, rng.getrandbits(cols)])))
+    got, want = mat_apply(a, v), loop_mat_apply(a, v)
+    assert got == want and hash(got) == hash(want)
+
+
 def _eliminate(a):
     """Reference Gauss-Jordan on a square matrix; returns (reduced rows, transform rows, rank).
 
@@ -349,12 +367,14 @@ def test_kron_mixed_product_law_on_any_shapes(dims, data):
 
 # -- elimination at sizes the frames use, up to n = 300, against the same reference --
 #
-# Sizes cover n = 64..256 and n that are not a multiple of 6 or 8, and a
-# pivotless column is put at the first and last column of 6- and 8-wide
-# column groups: the block widths a Four-Russians elimination would use
-# (ROADMAP item 5), whose block edges a plain loop does not have.
+# From n = gf2._BLOCKED_FROM, `_reduce` eliminates in blocks of
+# gf2._BLOCK_COLUMNS columns (Four-Russians). Sizes cover both sides of that
+# cut and n that are not a multiple of the block width, a pivotless column
+# is put at the first and last column of a block and inside it, and sparse
+# matrices shaped like the frames workload's (few set bits per row, so a
+# pivot search passes many rows) are checked beside dense ones.
 
-GROUPS = (6, 8)
+GROUPS = (gf2._BLOCK_COLUMNS,)
 
 
 def random_nonsingular(n, rng):
@@ -363,6 +383,18 @@ def random_nonsingular(n, rng):
     upper = GF2Matrix(n, n, tuple(1 << i | rng.getrandbits(n - i - 1) << (i + 1) for i in range(n)))
     rows = list(mat_mul(lower, upper).row_bits)
     rng.shuffle(rows)
+    return GF2Matrix(n, n, tuple(rows))
+
+
+def sparse_nonsingular(n, rng):
+    """The identity after 4n random row additions (four in five) and row swaps: full rank."""
+    rows = [1 << i for i in range(n)]
+    for _ in range(4 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        if rng.random() < 0.2:
+            rows[i], rows[j] = rows[j], rows[i]
+        else:
+            rows[i] ^= rows[j]
     return GF2Matrix(n, n, tuple(rows))
 
 
@@ -391,6 +423,27 @@ def test_invert_matches_the_reference_up_to_n_300(n, seed):
 
 @settings(max_examples=30)
 @given(LARGE_SIZES, st.integers(0, 2**32 - 1))
+def test_sparse_matrices_reduce_to_the_reference_rows_up_to_n_300(n, seed):
+    a = sparse_nonsingular(n, random.Random(seed))
+    expected = reference_inverse(a)
+    assert gf2._reduce(a) == [1 << i | row << n for i, row in enumerate(expected.row_bits)]
+    assert invert(a) == expected
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 3 * gf2._BLOCKED_FROM), st.booleans(), st.integers(0, 2**32 - 1))
+def test_block_and_column_passes_agree_on_either_side_of_the_cut(n, sparse, seed):
+    rng = random.Random(seed)
+    if sparse:
+        a = sparse_nonsingular(n, rng)
+    else:  # a random dense matrix is singular about seven times in ten
+        a = GF2Matrix(n, n, tuple(rng.getrandbits(n) for _ in range(n)))
+    rows = [r | 1 << (n + i) for i, r in enumerate(a.row_bits)]
+    assert gf2._block_pass(list(rows), n) == gf2._column_pass(list(rows), n)
+
+
+@settings(max_examples=30)
+@given(LARGE_SIZES, st.integers(0, 2**32 - 1))
 def test_random_matrices_match_the_reference_up_to_n_300(n, seed):
     rng = random.Random(seed)
     a = GF2Matrix(n, n, tuple(rng.getrandbits(n) for _ in range(n)))
@@ -401,15 +454,16 @@ def test_random_matrices_match_the_reference_up_to_n_300(n, seed):
 
 
 @settings(max_examples=40)
-@given(st.integers(64, 300), st.sampled_from(GROUPS),
-       st.sampled_from(["first", "inside", "last", "any"]), st.integers(0, 2**32 - 1))
-def test_a_pivotless_column_at_a_group_edge_or_inside_is_singular(n, width, where, seed):
+@given(st.integers(gf2._BLOCKED_FROM, 300), st.sampled_from(GROUPS),
+       st.sampled_from(["first", "inside", "last", "any"]),
+       st.sampled_from([random_nonsingular, sparse_nonsingular]), st.integers(0, 2**32 - 1))
+def test_a_pivotless_column_at_a_group_edge_or_inside_is_singular(n, width, where, base, seed):
     rng = random.Random(seed)
     start = rng.randrange(0, n, width)
     width = min(width, n - start)
     col = {"first": start, "inside": start + rng.randrange(width), "last": start + width - 1,
            "any": rng.randrange(n)}[where]
-    a = without_pivot_at(random_nonsingular(n, rng), col, rng)
+    a = without_pivot_at(base(n, rng), col, rng)
     assert reference_inverse(a) is None
     assert not is_nonsingular(a)
     with pytest.raises(Singular):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from setqm import qc
+from setqm import dsl, qc
 from setqm.errors import (
     ImpossibleOutcome,
     InvalidArgument,
@@ -277,3 +277,19 @@ def test_parity_sat_arity_5_on_16_lines():
     assert result.state.state.bits == 1 << result.measured_index
     with pytest.raises(RegisterTooWide):
         parity_sat(BooleanFunction(6, (0,) * 64))
+
+
+def test_a_sweep_of_6_to_12_line_circuits_runs_again_without_a_mask_cache_miss():
+    # every one-line position and every adjacent Cnot of each width: 119 masks
+    texts = []
+    for lines in range(6, 13):
+        body = [f"gate H0 {i}" for i in range(lines)]
+        body += [f"gate CNOT {i} {i + 1}" for i in range(lines - 1)]
+        texts.append("\n".join([f"lines {lines}", "init ket " + "0" * lines, *body, "measure all"]))
+    circuits = [dsl.parse(t) for t in texts]
+    for ast in circuits:
+        dsl.run(ast, seed=1)
+    misses = qc._block_mask.cache_info().misses
+    for ast in circuits:
+        dsl.run(ast, seed=1)
+    assert qc._block_mask.cache_info().misses == misses

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from setqm.errors import (
     DimMismatch,
+    InvalidArgument,
     SetQMError,
     Singular,
     TooLarge,
@@ -263,6 +264,16 @@ def test_universe_from_a_list_equals_the_tuple_one():
     assert bracket(from_list.subset(["a", "b"]), from_tuple.subset(["b"])) == 1
     assert hash(Partition.discrete(from_list)) == hash(Partition.discrete(from_tuple))
     assert Universe("ab") == from_tuple
+
+
+def test_frame_from_a_list_equals_and_hashes_like_the_tuple_one():
+    m = GF2Matrix.from_rows([[1, 1], [0, 1]])
+    from_list, from_tuple = BasisFrame("F", ["a", "b"], m), BasisFrame("F", ("a", "b"), m)
+    assert from_list == from_tuple and hash(from_list) == hash(from_tuple)
+    assert from_list.labels == ("a", "b")
+    assert BasisFrame("F", iter(["a", "b"]), m) == from_tuple
+    with pytest.raises(InvalidArgument):
+        BasisFrame("F", 3, m)
 
 
 def test_unhashable_label_lookup_is_unknown_label():

@@ -22,8 +22,11 @@ to the next, so drift of the host falls on both sides alike.
 The file holds the host, both revisions, every pair's metrics, and per
 metric the medians, the parent's interquartile range, the number of pairs
 the change wins, and whether the change's median stays within the
-metric's bound. Metric names, directions and bounds come from
-BENCHMARK.json; the command that runs a workload does too.
+metric's bound. Per workload it also gives each side's median number of
+ops attempted, against which a move of `peak_rss_mb` can be read, since
+`perfbench/run.py` keeps a latency sample per op. Metric names,
+directions and bounds come from BENCHMARK.json; the command that runs a
+workload does too.
 
 A run that exits non-zero is recorded with its exit code and counted per
 side under "crashed"; it loses its pair, a crashed change side makes every
@@ -157,6 +160,12 @@ def summarize(pairs: list[dict], spec: list[dict]) -> dict:
     return out
 
 
+def median_attempted(pairs: list[dict], side: str) -> float | None:
+    """The median number of ops attempted by a side's completed runs."""
+    runs = [p[side]["attempted"] for p in pairs if "metrics" in p[side]]
+    return statistics.median(runs) if runs else None
+
+
 def failed_share(pairs: list[dict], side: str) -> float | None:
     runs = [p[side] for p in pairs if "metrics" in p[side]]
     attempted = sum(r["attempted"] for r in runs)
@@ -216,6 +225,7 @@ def main(argv=None) -> int:
                 "seeds": workload_seeds,
                 "pairs": pairs,
                 "metrics": summarize(pairs, spec),
+                "attempted": {side: median_attempted(pairs, side) for side in ("parent", "change")},
                 "failed_share": {side: failed_share(pairs, side) for side in ("parent", "change")},
                 "crashed": {side: crashed(pairs, side) for side in ("parent", "change")},
             }

@@ -8,7 +8,18 @@ circuits run on nonsingular 0/1 gates.
 from types import ModuleType as _ModuleType
 
 from .errors import SetQMError
-from .gf2 import BitVec, GF2Matrix, add, invert, is_nonsingular, kron, mat_apply, mat_mul, solve
+from .gf2 import (
+    BitVec,
+    GF2Matrix,
+    add,
+    invert,
+    is_nonsingular,
+    kron,
+    mat_apply,
+    mat_mul,
+    solve,
+    transpose,
+)
 from .space import (
     BasisFrame,
     KetTable,

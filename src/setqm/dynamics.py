@@ -13,16 +13,22 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimMismatch, InvalidArgument, Singular, ZeroState
-from .gf2 import GF2Matrix, invert, mat_apply, mat_mul, nth_set_bit
+from .gf2 import (
+    BitVec, GF2Matrix, _expect, _row_sum, invert, mat_apply, mat_mul, nth_set_bit, transpose,
+)
 from .space import BasisFrame, SubsetKet, born, to_basis
 
 
 @dataclass(frozen=True)
 class Dynamics:
-    """One time step of evolution: a square nonsingular GF(2) matrix."""
+    """One time step of evolution: a square nonsingular GF(2) matrix.
+
+    `_preimages` is the transpose of the inverse its nonsingularity check
+    computes: its row j is the ket that evolves to the singleton {u_j}.
+    """
 
     matrix: GF2Matrix
-    _inverse: GF2Matrix = field(init=False, repr=False, compare=False)
+    _preimages: GF2Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.matrix, GF2Matrix):
@@ -31,9 +37,10 @@ class Dynamics:
         if not self.matrix.is_square:
             raise DimMismatch("dynamics matrix must be square")
         try:
-            object.__setattr__(self, "_inverse", invert(self.matrix))
+            inverse = invert(self.matrix)
         except Singular:
             raise Singular("dynamics must be nonsingular") from None
+        object.__setattr__(self, "_preimages", transpose(inverse))
 
     @property
     def dim(self) -> int:
@@ -59,6 +66,8 @@ class SlitConfig:
 
 def evolve(d: Dynamics, s: SubsetKet) -> SubsetKet:
     """Apply the dynamics matrix; linear, so superpositions evolve by XOR of parts."""
+    _expect(Dynamics, d)
+    _expect(SubsetKet, s)
     if d.dim != s.bits.length:
         raise DimMismatch("dynamics dimension differs from the state")
     return SubsetKet(s.universe, mat_apply(d.matrix, s.bits))
@@ -67,16 +76,20 @@ def evolve(d: Dynamics, s: SubsetKet) -> SubsetKet:
 def evolved_frame(d: Dynamics, frame: BasisFrame) -> BasisFrame:
     """The frame whose basis kets are the images of the input frame's basis kets.
 
-    Its matrix is D*F, so its inverse is F^-1 * D^-1: one product of the
-    inverses both inputs keep, with no elimination.
+    Its matrix is D*F. The singleton {u_j} is the image of its preimage,
+    so its expansion in the evolved frame is the preimage's expansion in
+    `frame`: row j of D^-T F^-T, one product of what both inputs keep,
+    with no elimination.
     """
+    _expect(Dynamics, d)
+    _expect(BasisFrame, frame)
     if d.dim != frame.dim:
         raise DimMismatch("dynamics dimension differs from the frame")
     return BasisFrame._derived(
         frame.name + "'",
         tuple(x + "'" for x in frame.labels),
         mat_mul(d.matrix, frame.matrix),
-        mat_mul(frame._inverse, d._inverse),
+        mat_mul(d._preimages, frame._expansions),
     )
 
 
@@ -87,14 +100,16 @@ def interference_coefficients(
 
     Expanding each via-basis component in the target frame and summing
     the expansions mod 2 is linear, so it is one change of coordinates:
-    `s` to canonical coordinates, then to the target frame. Cancellation
-    is the XOR inside `mat_apply`. Agrees with converting the ket
-    directly via to_basis.
+    `s` to canonical coordinates, then the XOR of the target expansions
+    of the singletons it holds, where the cancellation happens. Agrees
+    with converting the ket directly via to_basis.
     """
+    _expect(SubsetKet, s)
+    _expect(BasisFrame, via, target)
     if via.dim != target.dim or s.bits.length != via.dim:
         raise DimMismatch("frame dimensions do not agree")
-    coords = mat_apply(target._inverse, mat_apply(via.matrix, s.bits)).coords()
-    return dict(zip(target.labels, coords))
+    coords = _row_sum(target._expansions.row_bits, mat_apply(via.matrix, s.bits).bits)
+    return dict(zip(target.labels, BitVec._derived(target.dim, coords).coords()))
 
 
 def double_slit(cfg: SlitConfig, measure_at_slits: bool) -> dict[str, Fraction]:

@@ -16,7 +16,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import DimMismatch, DuplicateTerms, ImpossibleOutcome, UnknownLabel, ZeroState
-from .gf2 import BitVec, GF2Matrix, _expect, mat_apply, mat_mul
+from .gf2 import BitVec, GF2Matrix, _expect, mat_apply
 from .space import BasisFrame, SubsetKet, Universe, _fmt_labels, born, rat_json
 
 
@@ -153,15 +153,30 @@ def is_independent(d: JointDistribution) -> bool:
 def product_to_frame(
     s: ProductState, left_frame: BasisFrame, right_frame: BasisFrame
 ) -> ProductState:
-    """The same tensor ket in new factor bases, without a Kronecker matrix."""
+    """The same tensor ket in new factor bases, without a Kronecker matrix.
+
+    (A (x) B)^-1 vec(S) = vec(A^-1 S B^-T), built from the singleton
+    expansions both frames keep. The pair (x_i, y) carries the right
+    expansion of {y} into row i, and then row j of S B^-T carries into every
+    row that the left expansion of {x_j} names. Both moves are products of
+    ints whose set bits are k apart, with k = |Y|, so no two terms overlap.
+    """
+    _expect(ProductState, s)
+    _expect(BasisFrame, left_frame, right_frame)
     space = s.space
     if left_frame.dim != space.left.size or right_frame.dim != space.right.size:
         raise DimMismatch("frame dimensions do not match the factors")
-    # (A (x) B)^-1 vec(S) = vec(A^-1 S B^-T): B^-1 acts on each row of S, A^-1 mixes the rows
-    k = space.right.size
-    rows = tuple(mat_apply(right_frame._inverse, BitVec(k, row)).bits for row in _rows(s).values())
-    mixed = mat_mul(left_frame._inverse, GF2Matrix(len(rows), k, rows))
-    bits = sum(row << (i * k) for i, row in enumerate(mixed.row_bits))
+    k, state = space.right.size, s.bits.bits
+    gap = "0" * (k - 1)  # between binary digits, spreads bit i of a mask to bit i*k
+    column = int(gap.join("1" * space.left.size), 2)  # bit i*k: the first pair of every row
+    right = 0  # S B^-T
+    for y, expansion in enumerate(right_frame._expansions.row_bits):
+        right ^= (state >> y & column) * expansion
+    bits, row_mask = 0, (1 << k) - 1
+    for j, expansion in enumerate(left_frame._expansions.row_bits):
+        row = right >> (j * k) & row_mask
+        if row:
+            bits ^= row * int(gap.join(bin(expansion)[2:]), 2)
     new_space = ProductUniverse(left_frame.universe, right_frame.universe)
     return ProductState(new_space, BitVec(space.size, bits))
 

@@ -8,8 +8,11 @@ so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import compress, count
+from operator import xor
 from typing import Iterable, Sequence
 
 from .errors import DimMismatch, InvalidArgument, LengthMismatch, NotSquare, Singular
@@ -162,6 +165,18 @@ class GF2Matrix:
         return cls(len(rows), cols, tuple(packed))
 
     @classmethod
+    def _derived(cls, rows: int, cols: int, row_bits: tuple[int, ...]) -> GF2Matrix:
+        """The matrix of `row_bits`, built without the constructor's checks.
+
+        Only for positive `rows` and `cols` and a tuple of `rows` nonnegative
+        ints below 2^cols that setqm derives from checked values.
+        """
+        m = object.__new__(cls)
+        fields = m.__dict__
+        fields["rows"], fields["cols"], fields["row_bits"] = rows, cols, row_bits
+        return m
+
+    @classmethod
     def identity(cls, n: int) -> GF2Matrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
@@ -189,6 +204,11 @@ def mat_apply(a: GF2Matrix, v: BitVec) -> BitVec:
     vb = v.bits  # bit i is the parity of row i & v; the digits '0'/'1' are read highest row first
     digits = bytes([48 + ((row & vb).bit_count() & 1) for row in reversed(a.row_bits)])
     return BitVec._derived(a.rows, int(digits, 2))
+
+
+def _row_sum(rows: Sequence[int], bits: int) -> int:
+    """The XOR of the rows that the set bits of `bits` name: the row vector `bits` times `rows`."""
+    return reduce(xor, compress(rows, _digits(bits)), 0)
 
 
 def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
@@ -287,7 +307,58 @@ def invert(a: GF2Matrix) -> GF2Matrix:
     if rows is None:
         raise Singular("matrix has no inverse over GF(2)")
     n = a.rows
-    return GF2Matrix(n, n, tuple(r >> n for r in rows))
+    return GF2Matrix._derived(n, n, tuple(r >> n for r in rows))
+
+
+# struct codes of the row strides that fit one machine word
+_WORD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
+@lru_cache(maxsize=32)
+def _transpose_plan(rows: int, cols: int):
+    """(row stride in bytes, (packer, unpacker) or None, swaps) for a rows x cols transpose.
+
+    The swaps act on the n x n square, n the least power of two that holds
+    the matrix, with row i packed at bit i*w for w = max(n, 8). Each swap
+    is (shift, mask): the mask marks the upper right s x s block of every
+    2s x 2s block, whose bits move down-left by s*(w - 1) to the lower left.
+    """
+    n = 1 << (max(rows, cols) - 1).bit_length()
+    w = max(n, 8)
+    swaps, s = [], n >> 1
+    while s:
+        right = sum(1 << j for j in range(n) if j & s)
+        swaps.append((s * (w - 1), sum(right << (i * w) for i in range(n) if not i & s)))
+        s >>= 1
+    word = _WORD_FORMATS.get(w)
+    words = (struct.Struct(f"<{rows}{word}"), struct.Struct(f"<{cols}{word}")) if word else None
+    return w // 8, words, tuple(swaps)
+
+
+def transpose(a: GF2Matrix) -> GF2Matrix:
+    """The transpose: row j of the result is column j of `a`.
+
+    The rows are packed into one int at a power-of-two stride, and the
+    off-diagonal blocks of every 2s x 2s block are swapped for s = n/2,
+    ..., 1: log2 n mask-and-shift passes over the whole matrix (H. S.
+    Warren, *Hacker's Delight*, 2nd ed., section 7-3).
+    """
+    _expect(GF2Matrix, a)
+    stride, words, swaps = _transpose_plan(a.rows, a.cols)
+    if words:  # a row per machine word: struct packs every row in one call
+        x = int.from_bytes(words[0].pack(*a.row_bits), "little")
+    else:
+        x = int.from_bytes(b"".join([r.to_bytes(stride, "little") for r in a.row_bits]), "little")
+    for shift, mask in swaps:
+        t = (x >> shift ^ x) & mask
+        x ^= t ^ t << shift
+    packed = x.to_bytes(a.cols * stride, "little")
+    if words:
+        row_bits = words[1].unpack(packed)
+    else:
+        row_bits = tuple([int.from_bytes(packed[i:i + stride], "little")
+                          for i in range(0, len(packed), stride)])
+    return GF2Matrix._derived(a.cols, a.rows, row_bits)
 
 
 def solve(a: GF2Matrix, b: BitVec) -> BitVec:

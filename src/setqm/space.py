@@ -20,7 +20,7 @@ from .errors import (
     UnknownLabel,
     ZeroState,
 )
-from .gf2 import BitVec, GF2Matrix, _digits, _expect, invert, mat_apply
+from .gf2 import BitVec, GF2Matrix, _digits, _expect, _row_sum, invert, mat_apply, transpose
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,18 @@ class SubsetKet:
 
 @dataclass(frozen=True)
 class BasisFrame:
-    """A nonsingular change of basis: column j is basis ket j in canonical coordinates."""
+    """A nonsingular change of basis: column j is basis ket j in canonical coordinates.
+
+    `_expansions` is the transpose of the inverse, kept from construction:
+    its row j is the singleton {u_j} in this frame's coordinates. A ket is
+    a sum of singletons, so its coordinates are the XOR of the rows it names.
+    """
 
     name: str
     labels: tuple[str, ...]
     matrix: GF2Matrix
     universe: Universe = field(init=False, repr=False, compare=False)
-    _inverse: GF2Matrix = field(init=False, repr=False, compare=False)
+    _expansions: GF2Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.matrix, GF2Matrix):
@@ -158,20 +163,21 @@ class BasisFrame:
         if len(self.labels) != self.matrix.cols:
             raise DimMismatch("frame needs one label per basis ket")
         # raises Singular for an invalid frame
-        object.__setattr__(self, "_inverse", invert(self.matrix))
+        object.__setattr__(self, "_expansions", transpose(invert(self.matrix)))
 
     @classmethod
     def _derived(cls, name: str, labels: tuple[str, ...], matrix: GF2Matrix,
-                 inverse: GF2Matrix) -> BasisFrame:
-        """The frame of `matrix`, given its inverse, built without elimination.
+                 expansions: GF2Matrix) -> BasisFrame:
+        """The frame of `matrix`, given its singleton expansions, built without elimination.
 
         Only for distinct `labels`, one per column of a square `matrix`,
-        and `inverse` its inverse over GF(2), all derived from checked frames.
+        and `expansions` the transpose of its inverse over GF(2), all
+        derived from checked frames.
         """
         f = object.__new__(cls)
         fields = f.__dict__
         fields["name"], fields["labels"], fields["matrix"] = name, labels, matrix
-        fields["universe"], fields["_inverse"] = Universe(labels), inverse
+        fields["universe"], fields["_expansions"] = Universe(labels), expansions
         return f
 
     @property
@@ -201,14 +207,20 @@ def norm_sq(s: SubsetKet) -> int:
 
 
 def to_basis(s: SubsetKet, frame: BasisFrame) -> SubsetKet:
-    """Coordinates of the same abstract ket in `frame` (solved against its columns)."""
+    """Coordinates of the same abstract ket in `frame`: the XOR of its singletons' expansions."""
+    _expect(SubsetKet, s)
+    _expect(BasisFrame, frame)
     if frame.dim != s.universe.size:
         raise DimMismatch("frame dimension does not match the ket")
-    return SubsetKet(frame.universe, mat_apply(frame._inverse, s.bits))
+    coords = _row_sum(frame._expansions.row_bits, s.bits.bits)
+    return SubsetKet(frame.universe, BitVec._derived(frame.dim, coords))
 
 
 def from_basis(s: SubsetKet, frame: BasisFrame, canonical: Universe) -> SubsetKet:
     """Inverse of `to_basis`: frame coordinates back to canonical coordinates."""
+    _expect(SubsetKet, s)
+    _expect(BasisFrame, frame)
+    _expect(Universe, canonical)
     if frame.dim != canonical.size:
         raise DimMismatch("frame dimension does not match the universe")
     return SubsetKet(canonical, mat_apply(frame.matrix, s.bits))
@@ -278,7 +290,9 @@ def ket_table(dim: int, frames: Sequence[BasisFrame]) -> KetTable:
     Raises DimMismatch without frames and TooLarge for dim above
     MAX_KET_TABLE_DIM, before any row is built.
     """
+    _expect(int, dim)
     frames = tuple(frames)
+    _expect(BasisFrame, *frames)
     if not frames:
         raise DimMismatch("need at least one frame")
     if dim > MAX_KET_TABLE_DIM:
@@ -291,8 +305,14 @@ def ket_table(dim: int, frames: Sequence[BasisFrame]) -> KetTable:
         # coordinates compared lowest index first: the bits read in reverse
         return (-bits.bit_count(), -int(f"{bits:0{dim}b}"[::-1], 2))
 
-    rows = tuple(
-        tuple(mat_apply(f._inverse, BitVec(dim, bits)).bits for f in frames)
-        for bits in sorted(range(1 << dim), key=sort_key)
-    )
+    def expansions(f: BasisFrame) -> list[int]:
+        # every ket's coordinates by its mask: the kets with bit j set are those
+        # without it, each XORed with the expansion of the singleton j
+        coords = [0]
+        for row in f._expansions.row_bits:
+            coords += [c ^ row for c in coords]
+        return coords
+
+    tables = [expansions(f) for f in frames]
+    rows = tuple(tuple(t[bits] for t in tables) for bits in sorted(range(1 << dim), key=sort_key))
     return KetTable(frames, rows)

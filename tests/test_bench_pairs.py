@@ -47,6 +47,12 @@ def test_one_second_pair_writes_every_key(tmp_path):
         assert row["bound"] == m["bound"] and row["better"] == m["better"]
         assert row["pairs"] == 1 and row["wins"] in (0, 1) and row["parent_iqr"] == 0
         assert set(row) >= {"parent_median", "change_median", "relative_change", "within_bound"}
+    per_layer = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    traced = circuits["traced"]
+    assert traced["seed"] == 1
+    for side in ("parent", "change"):
+        assert sorted(traced[side]["metrics"]) == sorted(per_layer)
+        assert traced[side]["failed"] == 0 and traced[side]["metrics"]["qc.calls_per_op"] > 0
 
 
 def test_seed_ranges():
@@ -112,10 +118,10 @@ def test_crashed_change_side_fails_the_report(tmp_path, monkeypatch):
     real_run_side = bench_pairs.run_side
     crash = [sys.executable, "-c", "import sys; sys.exit(1)"]
 
-    def run_side(command, tree, workload, seed, seconds):
+    def run_side(command, tree, workload, seed, seconds, trace=0):
         # the change side is this checkout; its runs exit 1 at once
         return real_run_side(crash if tree == bench_pairs.ROOT else command,
-                             tree, workload, seed, seconds)
+                             tree, workload, seed, seconds, trace)
 
     monkeypatch.setattr(bench_pairs, "run_side", run_side)
     out = tmp_path / "bench.json"
@@ -125,6 +131,7 @@ def test_crashed_change_side_fails_the_report(tmp_path, monkeypatch):
     circuits = json.loads(out.read_text())["workloads"]["circuits"]
     assert circuits["crashed"] == {"parent": 0, "change": 2}
     assert all(pair["change"]["exit"] == 1 for pair in circuits["pairs"])
+    assert circuits["traced"]["change"]["exit"] == 1 and "metrics" in circuits["traced"]["parent"]
     for row in circuits["metrics"].values():
         assert row["pairs"] == 2 and row["wins"] == 0 and row["within_bound"] is False
 
@@ -146,8 +153,10 @@ def test_each_workload_records_the_median_ops_attempted_per_side(tmp_path, monke
     attempted = {"parent": iter([100, 300, 200]), "change": iter([400, 0, 600])}
     names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
 
-    def run_side(command, tree, workload, seed, seconds):
+    def run_side(command, tree, workload, seed, seconds, trace=0):
         side = "change" if tree == bench_pairs.ROOT else "parent"
+        if trace:
+            return {"attempted": 1, "failed": 0, "metrics": {}}
         n = next(attempted[side])
         if not n:  # one crashed change run: it counts for no median
             return {"exit": 1, "stderr": ""}
@@ -161,3 +170,63 @@ def test_each_workload_records_the_median_ops_attempted_per_side(tmp_path, monke
                       "--out", str(out)])
     frames = json.loads(out.read_text())["workloads"]["frames"]
     assert frames["attempted"] == {"parent": 200, "change": 500}
+
+
+def _stub_report(tmp_path, monkeypatch, run_side, argv):
+    """main() with `run_side` stubbed and nothing exported; returns (exit code, the file)."""
+    bench_pairs = _load_script()
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "run_side", lambda *a, **k: run_side(bench_pairs, *a, **k))
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main(["--parent", "HEAD", *argv, "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_each_workload_ends_with_one_traced_run_per_side_on_its_first_seed(tmp_path, monkeypatch):
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def run_side(bench_pairs, command, tree, workload, seed, seconds, trace=0):
+        side = "change" if tree == bench_pairs.ROOT else "parent"
+        calls.append((workload, seed, side, trace))
+        if trace:  # a per-layer split tagged with its seed and its place among the calls
+            split = {"gf2.calls_per_op": float(seed), "space.born.self_us_per_op": len(calls)}
+            return {"attempted": 4, "failed": 0, "metrics": split}
+        return {"attempted": 10, "failed": 0, "metrics": dict.fromkeys(names, 1.0)}
+
+    code, report = _stub_report(tmp_path, monkeypatch, run_side,
+                                ["--workloads", "frames:3-5,cli:7", "--seconds", "1"])
+    assert code == 0
+    assert [c for c in calls if c[3]] == [("frames", 3, "parent", 1), ("frames", 3, "change", 1),
+                                          ("cli", 7, "parent", 1), ("cli", 7, "change", 1)]
+    # each workload's traced runs come after all of its pairs
+    assert [c[:2] for c in calls] == [("frames", 3), ("frames", 3), ("frames", 4), ("frames", 4),
+                                      ("frames", 5), ("frames", 5), ("frames", 3), ("frames", 3),
+                                      ("cli", 7), ("cli", 7), ("cli", 7), ("cli", 7)]
+    # the file keeps each side's own split: the stub tags it with its place among the calls
+    for workload, seed, place in (("frames", 3, 7), ("cli", 7, 11)):
+        traced = report["workloads"][workload]["traced"]
+        assert traced["seed"] == seed
+        assert traced["parent"]["metrics"] == {"gf2.calls_per_op": seed,
+                                               "space.born.self_us_per_op": place}
+        assert traced["change"]["metrics"] == {"gf2.calls_per_op": seed,
+                                               "space.born.self_us_per_op": place + 1}
+        assert report["workloads"][workload]["crashed"] == {"parent": 0, "change": 0}
+
+
+def test_a_crashed_traced_run_fails_the_report_but_no_pair(tmp_path, monkeypatch):
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+
+    def run_side(bench_pairs, command, tree, workload, seed, seconds, trace=0):
+        if trace and tree == bench_pairs.ROOT:
+            return {"exit": 3, "stderr": "aborted"}
+        return {"attempted": 10, "failed": 0, "metrics": dict.fromkeys(names, 1.0)}
+
+    code, report = _stub_report(tmp_path, monkeypatch, run_side,
+                                ["--workloads", "frames:1-2", "--seconds", "1"])
+    frames = report["workloads"]["frames"]
+    assert code == 1
+    assert frames["traced"]["change"] == {"exit": 3, "stderr": "aborted"}
+    assert frames["crashed"] == {"parent": 0, "change": 0}
+    assert all(row["within_bound"] for row in frames["metrics"].values())

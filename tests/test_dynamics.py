@@ -16,7 +16,7 @@ from setqm.dynamics import (
     interference_coefficients,
 )
 from setqm.errors import DimMismatch, Singular, ZeroState
-from setqm.gf2 import BitVec, GF2Matrix, invert, is_nonsingular, mat_apply, mat_mul
+from setqm.gf2 import BitVec, GF2Matrix, invert, is_nonsingular, mat_apply, mat_mul, transpose
 from setqm.presets import double_slit_setup, universe_abc
 from setqm.space import BasisFrame, SubsetKet, Universe, born, bracket, from_basis, to_basis
 
@@ -210,7 +210,7 @@ def reference_interference(s, via, target):
     """Each via-basis component of `s` expanded in `target` on its own, the expansions XORed."""
     acc = 0
     for j in s.bits.indices():
-        acc ^= mat_apply(target._inverse, via.matrix.column(j)).bits
+        acc ^= mat_apply(invert(target.matrix), via.matrix.column(j)).bits
     return {label: (acc >> k) & 1 for k, label in enumerate(target.labels)}
 
 
@@ -222,7 +222,10 @@ FRAME_SIZES = st.one_of(st.integers(1, 256), st.sampled_from([63, 64, 65, 128, 2
 def test_dynamics_keeps_the_inverse(n, seed):
     m = random_nonsingular(n, random.Random(seed))
     d = Dynamics(m)
-    assert d._inverse == invert(m)
+    assert d._preimages == transpose(invert(m))
+    # row j is the preimage of the singleton {u_j}
+    assert [mat_apply(m, BitVec(n, row)).bits for row in d._preimages.row_bits] == [
+        1 << j for j in range(n)]
     assert d == Dynamics(m) and hash(d) == hash(Dynamics(m))
 
 
@@ -235,7 +238,7 @@ def test_evolved_frame_equals_the_eliminated_frame(n, seed):
     want = BasisFrame("F'", tuple(x + "'" for x in frame.labels), mat_mul(d.matrix, frame.matrix))
     assert got.name == want.name and got.labels == want.labels
     assert got.matrix == want.matrix
-    assert got._inverse == want._inverse
+    assert got._expansions == want._expansions
     assert got.universe == want.universe
     assert got == want and hash(got) == hash(want)
 

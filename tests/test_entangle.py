@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setqm.entangle import (
@@ -19,6 +20,7 @@ from setqm.entangle import (
     right_measure_prob,
     sequential_pair_prob,
     supports,
+    ProductState,
     ProductUniverse,
 )
 from setqm.errors import (
@@ -29,7 +31,7 @@ from setqm.errors import (
     UnknownLabel,
     ZeroState,
 )
-from setqm.gf2 import BitVec, GF2Matrix, kron, mat_apply
+from setqm.gf2 import BitVec, GF2Matrix, invert, kron, mat_apply
 from setqm.presets import bell_state, other_bell_state, pair_space, universe_ab
 from setqm.space import BasisFrame, SubsetKet, Universe, born
 
@@ -233,7 +235,7 @@ def ref_state(space, pairs):
 def ref_to_frame(space, pairs, left_frame, right_frame):
     """Kronecker change of basis on the bit vector of the pairs, back to label pairs."""
     vec = BitVec.from_indices(space.size, (space.index(p) for p in pairs))
-    coords = mat_apply(kron(left_frame._inverse, right_frame._inverse), vec)
+    coords = mat_apply(kron(invert(left_frame.matrix), invert(right_frame.matrix)), vec)
     labels = ProductUniverse(left_frame.universe, right_frame.universe).pair_labels
     return frozenset(labels[j] for j in coords.indices())
 
@@ -443,3 +445,18 @@ def test_bell_rejects_terms_with_one_key():
     with pytest.raises(DuplicateTerms):
         bell_violation(bell_state(), (u, w, u2))
     assert issubclass(DuplicateTerms, SetQMError) and issubclass(DuplicateTerms, ValueError)
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 20), st.integers(1, 20), st.data())
+def test_product_to_frame_matches_the_kronecker_change_of_basis(kx, ky, data):
+    space = ProductUniverse(Universe(tuple(f"x{i}" for i in range(kx))),
+                            Universe(tuple(f"y{j}" for j in range(ky))))
+    lf, rf = data.draw(frames_of(space.left, "'")), data.draw(frames_of(space.right, "''"))
+    kron_inverse = kron(invert(lf.matrix), invert(rf.matrix))
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    for bits in (1, (1 << kx * ky) - 1, 1 << rng.randrange(kx * ky), rng.getrandbits(kx * ky) | 1):
+        s = ProductState(space, BitVec(kx * ky, bits))
+        got = product_to_frame(s, lf, rf)
+        assert got.bits == mat_apply(kron_inverse, s.bits)
+        assert got.space == ProductUniverse(lf.universe, rf.universe)

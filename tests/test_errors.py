@@ -3,16 +3,19 @@ from types import ModuleType
 import pytest
 
 import setqm
-from setqm.dynamics import Dynamics
-from setqm.entangle import ProductState, ProductUniverse
+from setqm.dynamics import Dynamics, evolve, evolved_frame, interference_coefficients
+from setqm.entangle import ProductState, ProductUniverse, product_to_frame
 from setqm.errors import InvalidArgument, SetQMError
-from setqm.gf2 import BitVec, GF2Matrix, add, invert, is_nonsingular, kron, mat_apply, mat_mul, solve
+from setqm.gf2 import (
+    BitVec, GF2Matrix, add, invert, is_nonsingular, kron, mat_apply, mat_mul, solve, transpose,
+)
 from setqm.partitions import block_entropy_relation
 from setqm.qc import BooleanFunction, Gate, Register
-from setqm.space import BasisFrame, SubsetKet, Universe
+from setqm.space import BasisFrame, SubsetKet, Universe, born, from_basis, ket_table, to_basis
 
 M, V = GF2Matrix.identity(2), BitVec(2, 1)
 U = Universe(("a", "b"))
+KET, FRAME, DYN = U.subset(["a"]), U.canonical_frame(), Dynamics(M)
 
 
 @pytest.mark.parametrize(
@@ -78,6 +81,15 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
         lambda: Universe((["a"], "b")),
         lambda: block_entropy_relation("x"),
         lambda: block_entropy_relation(None),
+        lambda: born(KET, "U"),
+        lambda: to_basis(KET, None),
+        lambda: from_basis(KET, FRAME, "U"),
+        lambda: evolve(DYN, "x"),
+        lambda: evolved_frame(DYN, "x"),
+        lambda: interference_coefficients(KET, FRAME, None),
+        lambda: ket_table(3, [None]),
+        lambda: product_to_frame(None, FRAME, FRAME),
+        lambda: transpose("x"),
     ],
     ids=["basis-float-index", "from-indices-float", "bitvec-float-bits",
          "from-indices-str", "from-bits-letter", "table-float-entry",
@@ -88,7 +100,10 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
          "kron-str-left", "add-str-right", "add-str-left", "gate-str-matrix", "ket-str-bits",
          "product-state-str-bits", "register-str-state", "register-str-lines",
          "basis-none-lines", "universe-int", "universe-unhashable-label",
-         "entropy-relation-str", "entropy-relation-none"],
+         "entropy-relation-str", "entropy-relation-none", "born-str-frame",
+         "to-basis-none-frame", "from-basis-str-universe", "evolve-str-ket",
+         "evolved-frame-str-frame", "interference-none-target", "ket-table-none-frame",
+         "product-to-frame-none-state", "transpose-str"],
 )
 def test_wrongly_typed_arguments_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument):
@@ -99,8 +114,9 @@ def test_checked_matrices_keep_the_valid_path():
     m = GF2Matrix.from_rows([[1, 0], [1, 1]])
     assert m == GF2Matrix(2, 2, (0b01, 0b11)) and hash(m) == hash(GF2Matrix(2, 2, (1, 3)))
     assert m.column(0).bits == 0b11 and invert(m) == m
-    assert Dynamics(m)._inverse == m
-    assert BasisFrame("F", ("a", "b"), m)._inverse == m
+    # m is its own inverse; both keep its transpose, the singletons' preimages and expansions
+    assert Dynamics(m)._preimages == transpose(m) == GF2Matrix.from_rows([[1, 1], [0, 1]])
+    assert BasisFrame("F", ("a", "b"), m)._expansions == transpose(m)
 
 
 

@@ -17,6 +17,7 @@ from setqm.gf2 import (
     mat_mul,
     nth_set_bit,
     solve,
+    transpose,
 )
 
 DOUBLE_SLIT = GF2Matrix.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
@@ -468,3 +469,61 @@ def test_a_pivotless_column_at_a_group_edge_or_inside_is_singular(n, width, wher
     assert not is_nonsingular(a)
     with pytest.raises(Singular):
         invert(a)
+
+
+# -- transpose and row sums against per-bit references --
+
+
+def per_bit_transpose(a):
+    """Reference transpose: one shift and mask per entry."""
+    return GF2Matrix(a.cols, a.rows, tuple(
+        sum((row >> j & 1) << i for i, row in enumerate(a.row_bits)) for j in range(a.cols)))
+
+
+# every side from 1 to 300, with the edges of the machine-word and power-of-two strides
+EDGES = [1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 256, 257, 300]
+SIDES = st.one_of(st.integers(1, 300), st.sampled_from(EDGES))
+
+
+@st.composite
+def any_matrices(draw):
+    """Any shape up to 300 x 300, square one time in three; all-zero, all-one or random rows."""
+    rows = draw(SIDES)
+    cols = rows if draw(st.integers(0, 2)) == 0 else draw(SIDES)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    fill = draw(st.sampled_from(["zero", "full", "random"]))
+    full = (1 << cols) - 1
+    row = {"zero": lambda: 0, "full": lambda: full, "random": lambda: rng.getrandbits(cols)}[fill]
+    return GF2Matrix(rows, cols, tuple(row() for _ in range(rows)))
+
+
+@settings(max_examples=60)
+@given(any_matrices())
+def test_transpose_matches_the_per_bit_reference_and_is_an_involution(a):
+    t = transpose(a)
+    want = per_bit_transpose(a)
+    assert t == want and hash(t) == hash(want)
+    assert (t.rows, t.cols) == (a.cols, a.rows)
+    assert transpose(t) == a
+
+
+@settings(max_examples=30)
+@given(LARGE_SIZES, st.integers(0, 2**32 - 1))
+def test_transpose_commutes_with_invert(n, seed):
+    a = random_nonsingular(n, random.Random(seed))
+    assert transpose(invert(a)) == invert(transpose(a))
+
+
+@settings(max_examples=60)
+@given(any_matrices(), st.data())
+def test_row_sum_is_mat_apply_of_the_transpose(a, data):
+    v = BitVec(a.rows, data.draw(st.integers(0, (1 << a.rows) - 1)))
+    assert gf2._row_sum(a.row_bits, v.bits) == mat_apply(transpose(a), v).bits
+    assert gf2._row_sum(a.row_bits, 0) == 0
+
+
+def test_transpose_examples():
+    a = GF2Matrix.from_rows([[1, 1, 0], [0, 1, 1]])
+    assert transpose(a).to_lists() == [[1, 0], [1, 1], [0, 1]]
+    assert transpose(GF2Matrix.identity(5)) == GF2Matrix.identity(5)
+    assert transpose(DOUBLE_SLIT) == DOUBLE_SLIT  # symmetric

@@ -1,8 +1,9 @@
+import random
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setqm.errors import (
@@ -15,12 +16,13 @@ from setqm.errors import (
     UnknownLabel,
     ZeroState,
 )
-from setqm.gf2 import GF2Matrix
+from setqm.gf2 import BitVec, GF2Matrix, invert, mat_apply
 from setqm.partitions import Partition
 from setqm.presets import frames_ab, frames_abc, universe_abc
 from setqm.space import (
     MAX_KET_TABLE_DIM,
     BasisFrame,
+    SubsetKet,
     Universe,
     born,
     bracket,
@@ -337,3 +339,53 @@ def test_positions_match_tuple_index(frame, data):
             x: Fraction(1, len(converted)) if x in converted else Fraction(0)
             for x in frame.labels
         }
+
+
+# ---- row sums of the kept singleton expansions against the eliminated inverse they replaced
+
+
+def random_frame(name, n, rng):
+    """A basis of n elements: the identity under 3n random row additions, rows shuffled."""
+    rows = [1 << i for i in range(n)]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        rows[i] ^= rows[j]
+    rng.shuffle(rows)
+    return BasisFrame(name, tuple(f"{name}{j}" for j in range(n)), GF2Matrix(n, n, tuple(rows)))
+
+
+def reference_coords(frame, bits):
+    """The frame coordinates as computed before: F^-1, by elimination, applied to the ket."""
+    return mat_apply(invert(frame.matrix), BitVec(frame.dim, bits)).bits
+
+
+@settings(max_examples=30)
+@given(st.one_of(st.integers(1, 300), st.sampled_from([63, 64, 65, 128, 256])),
+       st.integers(0, 2**32 - 1))
+def test_to_basis_and_born_match_the_eliminated_inverse(n, seed):
+    rng = random.Random(seed)
+    frame = random_frame("F", n, rng)
+    u = Universe(tuple(f"e{j}" for j in range(n)))
+    for bits in (0, (1 << n) - 1, 1 << rng.randrange(n), rng.getrandbits(n)):
+        s = SubsetKet(u, BitVec(n, bits))
+        want = reference_coords(frame, bits)
+        got = to_basis(s, frame)
+        assert got.bits == BitVec(n, want) and got.universe == frame.universe
+        if not bits:
+            with pytest.raises(ZeroState):
+                born(s, frame)
+            continue
+        p = Fraction(1, want.bit_count())
+        assert born(s, frame) == {x: p if want >> j & 1 else 0 for j, x in enumerate(frame.labels)}
+
+
+@settings(max_examples=20)
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_ket_table_rows_match_the_eliminated_inverses(dim, seed):
+    rng = random.Random(seed)
+    canonical = Universe(tuple(f"e{j}" for j in range(dim))).canonical_frame()
+    frames = [canonical, random_frame("A", dim, rng), random_frame("B", dim, rng)]
+    table = ket_table(dim, frames)
+    assert sorted(row[0] for row in table.rows) == list(range(1 << dim))
+    for row in table.rows:
+        assert row == tuple(reference_coords(f, row[0]) for f in frames)

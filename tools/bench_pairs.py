@@ -17,7 +17,10 @@ The parent is exported with `git archive` into a temporary directory, so
 each side runs `perfbench/run.py --trace 0` from its own tree. The change
 side is this checkout's working tree. For every seed and workload the two
 sides run back to back, the side that goes first alternating from one pair
-to the next, so drift of the host falls on both sides alike.
+to the next, so drift of the host falls on both sides alike. After a
+workload's pairs, each side runs it once more with `--trace 1` on the
+workload's first seed, parent first, and the file keeps both per-layer
+splits under "traced", to show in which layer a change moved the time.
 
 The file holds the host, both revisions, every pair's metrics, and per
 metric the medians, the parent's interquartile range, the number of pairs
@@ -31,7 +34,8 @@ workload does too.
 A run that exits non-zero is recorded with its exit code and counted per
 side under "crashed"; it loses its pair, a crashed change side makes every
 metric's "within_bound" false, and the script exits 1 once the file is
-written.
+written. A crashed traced run is recorded the same way and also makes the
+script exit 1, but it touches no pair.
 """
 
 from __future__ import annotations
@@ -106,10 +110,14 @@ def host() -> dict:
             "python": platform.python_version(), "platform": platform.platform()}
 
 
-def run_side(command: list[str], tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; its JSON line, or the exit code and the end of stderr."""
+def run_side(command: list[str], tree: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """One benchmark run; its JSON line, or the exit code and the end of stderr.
+
+    With `trace` 1 the metrics are the per-layer split, not the end-to-end ones.
+    """
     out = subprocess.run([*command, "--workload", workload, "--seed", str(seed),
-                          "--seconds", str(seconds), "--trace", "0"],
+                          "--seconds", str(seconds), "--trace", str(trace)],
                          cwd=tree, capture_output=True, text=True)
     if out.returncode:
         return {"exit": out.returncode, "stderr": out.stderr[-2000:]}
@@ -221,6 +229,10 @@ def main(argv=None) -> int:
                     f"{side} {pair[side]['metrics']['ops_per_s']:.6g} ops/s"
                     if "metrics" in pair[side] else f"{side} exit {pair[side]['exit']}"
                     for side in ("parent", "change")), file=sys.stderr)
+            traced = {"seed": workload_seeds[0]}
+            for side in ("parent", "change"):
+                traced[side] = run_side(bench["command"], trees[side], workload,
+                                        workload_seeds[0], seconds, trace=1)
             report["workloads"][workload] = {
                 "seeds": workload_seeds,
                 "pairs": pairs,
@@ -228,9 +240,11 @@ def main(argv=None) -> int:
                 "attempted": {side: median_attempted(pairs, side) for side in ("parent", "change")},
                 "failed_share": {side: failed_share(pairs, side) for side in ("parent", "change")},
                 "crashed": {side: crashed(pairs, side) for side in ("parent", "change")},
+                "traced": traced,
             }
     args.out.write_text(json.dumps(report, indent=1) + "\n")
-    return 1 if any(sum(w["crashed"].values()) for w in report["workloads"].values()) else 0
+    runs = [run for w in report["workloads"].values() for run in (*w["pairs"], w["traced"])]
+    return 1 if crashed(runs, "parent") or crashed(runs, "change") else 0
 
 
 if __name__ == "__main__":

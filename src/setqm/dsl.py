@@ -27,6 +27,7 @@ from typing import Union
 
 from .errors import ParseError, RegisterTooWide, ZeroInitial, ZeroState
 from . import qc
+from .gf2 import _expect
 from .space import rat_json
 
 _ONE_LINE_GATES = tuple(name for name, g in qc._LIBRARY.items() if g.width == 1)
@@ -133,6 +134,7 @@ def _line_word(stmt: _Statement, k: int, lines: int) -> int:
 
 def parse(text: str) -> CircuitAst:
     """Parse circuit text; raises ParseError with a 1-based line and column on bad input."""
+    _expect(str, text)
     stmts = _statements(text)
     if not stmts:
         raise ParseError(1, 1, "empty circuit")
@@ -230,6 +232,7 @@ def _parse_measure(stmt: _Statement, n: int) -> MeasureStep:
 
 def render(ast: CircuitAst) -> str:
     """Canonical text for an AST, each step as its str; parse(render(ast)) == ast."""
+    _expect(CircuitAst, ast)
     out = [f"lines {ast.lines}"]
     if len(ast.initial) == 1:
         out.append(f"init {ast.initial[0]}")
@@ -294,6 +297,7 @@ def run(ast: CircuitAst, seed: int | None = None) -> RunResult:
     The generator is only consulted when a measurement is genuinely random;
     measurements with a certain outcome never draw from it.
     """
+    _expect(CircuitAst, ast)
     try:
         reg = qc.Register.from_bitstrings(ast.lines, ast.initial)
     except ZeroState:

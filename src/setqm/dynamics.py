@@ -12,35 +12,23 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DimMismatch, InvalidArgument, Singular, ZeroState
-from .gf2 import (
-    BitVec, GF2Matrix, _expect, _row_sum, invert, mat_apply, mat_mul, nth_set_bit, transpose,
-)
-from .space import BasisFrame, SubsetKet, born, to_basis
+from .errors import DimMismatch, ZeroState
+from .gf2 import BitVec, GF2Matrix, _expect, _row_sum, mat_apply, mat_mul, nth_set_bit
+from .space import BasisFrame, SubsetKet, _preimages, born, to_basis
 
 
 @dataclass(frozen=True)
 class Dynamics:
     """One time step of evolution: a square nonsingular GF(2) matrix.
 
-    `_preimages` is the transpose of the inverse its nonsingularity check
-    computes: its row j is the ket that evolves to the singleton {u_j}.
+    Row j of `_preimages` is the ket that evolves to the singleton {u_j}.
     """
 
     matrix: GF2Matrix
     _preimages: GF2Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.matrix, GF2Matrix):
-            raise InvalidArgument(
-                f"dynamics matrix must be a GF2Matrix, not {type(self.matrix).__name__}")
-        if not self.matrix.is_square:
-            raise DimMismatch("dynamics matrix must be square")
-        try:
-            inverse = invert(self.matrix)
-        except Singular:
-            raise Singular("dynamics must be nonsingular") from None
-        object.__setattr__(self, "_preimages", transpose(inverse))
+        object.__setattr__(self, "_preimages", _preimages(self.matrix, "dynamics"))
 
     @property
     def dim(self) -> int:

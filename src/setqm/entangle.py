@@ -16,7 +16,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import DimMismatch, DuplicateTerms, ImpossibleOutcome, UnknownLabel, ZeroState
-from .gf2 import BitVec, GF2Matrix, _expect, mat_apply
+from .gf2 import BitVec, GF2Matrix, _expect, _spread, mat_apply
 from .space import BasisFrame, SubsetKet, Universe, _fmt_labels, born, rat_json
 
 
@@ -95,8 +95,7 @@ def _left_probs(s: ProductState) -> dict[str, Fraction]:
 
 def _column_counts(s: ProductState) -> dict[str, int]:
     """Each right label -> how many of the state's pairs have it."""
-    k = s.space.right.size
-    column = sum(1 << (i * k) for i in range(s.space.left.size))
+    column = _spread((1 << s.space.left.size) - 1, s.space.right.size)
     return {y: (s.bits.bits & column << j).bit_count() for j, y in enumerate(s.space.right.labels)}
 
 
@@ -116,11 +115,13 @@ class JointDistribution:
 
 
 def joint(s: ProductState) -> JointDistribution:
+    _expect(ProductState, s)
     return JointDistribution(s)
 
 
 def supports(s: ProductState) -> tuple[SubsetKet, SubsetKet]:
     """Projections of the state onto each factor."""
+    _expect(ProductState, s)
     left, right = s.space.left, s.space.right
     rows = _rows(s).values()
     return (SubsetKet(left, BitVec(left.size, sum(1 << i for i, row in enumerate(rows) if row))),
@@ -135,6 +136,7 @@ def is_separated(s: ProductState) -> bool:
 
 def marginals(d: JointDistribution) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
     """Exact marginal distributions of the two factors."""
+    _expect(JointDistribution, d)
     s = d.support
     right = {y: Fraction(c, s.cardinality) for y, c in _column_counts(s).items()}
     return _left_probs(s), right
@@ -167,8 +169,7 @@ def product_to_frame(
     if left_frame.dim != space.left.size or right_frame.dim != space.right.size:
         raise DimMismatch("frame dimensions do not match the factors")
     k, state = space.right.size, s.bits.bits
-    gap = "0" * (k - 1)  # between binary digits, spreads bit i of a mask to bit i*k
-    column = int(gap.join("1" * space.left.size), 2)  # bit i*k: the first pair of every row
+    column = _spread((1 << space.left.size) - 1, k)  # bit i*k: the first pair of every row
     right = 0  # S B^-T
     for y, expansion in enumerate(right_frame._expansions.row_bits):
         right ^= (state >> y & column) * expansion
@@ -176,7 +177,7 @@ def product_to_frame(
     for j, expansion in enumerate(left_frame._expansions.row_bits):
         row = right >> (j * k) & row_mask
         if row:
-            bits ^= row * int(gap.join(bin(expansion)[2:]), 2)
+            bits ^= row * _spread(expansion, k)
     new_space = ProductUniverse(left_frame.universe, right_frame.universe)
     return ProductState(new_space, BitVec(space.size, bits))
 

@@ -211,21 +211,17 @@ def _row_sum(rows: Sequence[int], bits: int) -> int:
     return reduce(xor, compress(rows, _digits(bits)), 0)
 
 
+def _spread(bits: int, stride: int) -> int:
+    """`bits` with bit j moved to bit j*stride; times a row below 2^stride, a copy per block."""
+    return int(("0" * (stride - 1)).join(bin(bits)[2:]), 2)
+
+
 def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
-    """Matrix product mod 2."""
+    """Matrix product mod 2: row i is the sum of the rows of `b` that row i of `a` names."""
     _expect(GF2Matrix, a, b)
     if a.cols != b.rows:
         raise DimMismatch(f"inner dimensions {a.cols} and {b.rows} differ")
-    out = []
-    for row in a.row_bits:
-        acc = 0
-        rem = row
-        while rem:
-            j = (rem & -rem).bit_length() - 1
-            acc ^= b.row_bits[j]
-            rem &= rem - 1
-        out.append(acc)
-    return GF2Matrix(a.rows, b.cols, tuple(out))
+    return GF2Matrix._derived(a.rows, b.cols, tuple([_row_sum(b.row_bits, r) for r in a.row_bits]))
 
 
 # Four-Russians Gauss-Jordan (Arlazarov et al. 1970; M4RI, G. Bard, *Algebraic
@@ -327,8 +323,8 @@ def _transpose_plan(rows: int, cols: int):
     w = max(n, 8)
     swaps, s = [], n >> 1
     while s:
-        right = sum(1 << j for j in range(n) if j & s)
-        swaps.append((s * (w - 1), sum(right << (i * w) for i in range(n) if not i & s)))
+        right = sum(1 << j for j in range(n) if j & s)  # its complement: the rows i without s
+        swaps.append((s * (w - 1), right * _spread(right ^ (1 << n) - 1, w)))
         s >>= 1
     word = _WORD_FORMATS.get(w)
     words = (struct.Struct(f"<{rows}{word}"), struct.Struct(f"<{cols}{word}")) if word else None
@@ -371,16 +367,13 @@ def solve(a: GF2Matrix, b: BitVec) -> BitVec:
 
 
 def kron(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
-    """Kronecker product mod 2, row-major blocks with `a` outer."""
+    """Kronecker product mod 2, row-major blocks with `a` outer.
+
+    Row (i, k) is row k of `b` times row i of `a` spread to stride b.cols.
+    """
     _expect(GF2Matrix, a, b)
     out = []
     for a_row in a.row_bits:
-        for b_row in b.row_bits:
-            bits = 0
-            rem = a_row
-            while rem:
-                j = (rem & -rem).bit_length() - 1
-                bits |= b_row << (j * b.cols)
-                rem &= rem - 1
-            out.append(bits)
-    return GF2Matrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
+        spread = _spread(a_row, b.cols)
+        out += [b_row * spread for b_row in b.row_bits]
+    return GF2Matrix._derived(a.rows * b.rows, a.cols * b.cols, tuple(out))

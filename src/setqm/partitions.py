@@ -11,7 +11,7 @@ from itertools import product
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidArgument, InvalidBlocks, OutOfRange, ShapeMismatch, UniverseMismatch
-from .gf2 import BitVec
+from .gf2 import BitVec, _expect
 from .space import SubsetKet, Universe, _fmt_labels
 
 
@@ -259,6 +259,7 @@ def dit_set(p: Partition) -> DitSet:
     views of one universe are `refines` and equal masks, and iteration
     yields the pairs block pair by block pair; no pair is stored.
     """
+    _expect(Partition, p)
     return DitSet(_Dits(p))
 
 

@@ -150,7 +150,7 @@ def standard_gate(name: str) -> Gate:
     """One of the named library gates (the six 2x2 ones plus the two Cnots)."""
     try:
         return _LIBRARY[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise UnknownGate(f"no gate named {name!r}") from None
 
 
@@ -452,6 +452,7 @@ def parity_sat(f: BooleanFunction) -> ParitySatResult:
     which land on exactly one basis ket; each line's bit is the parity of
     the function on one prefix slice, and their sum is the total parity.
     """
+    _expect(BooleanFunction, f)
     lines = 1 << (f.arity - 1)
     reg = Register.basis(lines, 0)
     h0 = standard_gate("H0")
@@ -469,6 +470,7 @@ def parity_sat(f: BooleanFunction) -> ParitySatResult:
 
 def deutsch(f: BooleanFunction) -> str:
     """Classify a unary Boolean function as balanced or constant."""
+    _expect(BooleanFunction, f)
     if f.arity != 1:
         raise WrongArity("the balanced/constant question is about unary functions")
     return "balanced" if parity_sat(f).parity else "constant"

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 from .errors import (
     DimMismatch,
     InvalidArgument,
+    Singular,
     TooLarge,
     UniverseMismatch,
     UnknownLabel,
@@ -134,6 +135,21 @@ class SubsetKet:
         return _fmt_labels(self.labels)
 
 
+def _preimages(matrix: GF2Matrix, what: str) -> GF2Matrix:
+    """The transpose of the inverse of `matrix`: row j is the vector it maps to {u_j}.
+
+    A `what` matrix that is not a GF2Matrix, not square or not invertible
+    raises InvalidArgument, DimMismatch or Singular.
+    """
+    _expect(GF2Matrix, matrix)
+    if not matrix.is_square:
+        raise DimMismatch(f"{what} matrix must be square")
+    try:
+        return transpose(invert(matrix))
+    except Singular:
+        raise Singular(f"{what} must be nonsingular") from None
+
+
 @dataclass(frozen=True)
 class BasisFrame:
     """A nonsingular change of basis: column j is basis ket j in canonical coordinates.
@@ -150,20 +166,14 @@ class BasisFrame:
     _expansions: GF2Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.matrix, GF2Matrix):
-            raise InvalidArgument(
-                f"frame matrix must be a GF2Matrix, not {type(self.matrix).__name__}")
-        if not self.matrix.is_square:
-            raise DimMismatch("frame matrix must be square")
         # the frame's own labels viewed as a universe, whose tuple the frame keeps;
         # raises InvalidArgument on repeats or labels that are not an iterable
         universe = Universe(self.labels)
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "labels", universe.labels)
-        if len(self.labels) != self.matrix.cols:
+        if isinstance(self.matrix, GF2Matrix) and len(self.labels) != self.matrix.cols:
             raise DimMismatch("frame needs one label per basis ket")
-        # raises Singular for an invalid frame
-        object.__setattr__(self, "_expansions", transpose(invert(self.matrix)))
+        object.__setattr__(self, "_expansions", _preimages(self.matrix, "frame"))
 
     @classmethod
     def _derived(cls, name: str, labels: tuple[str, ...], matrix: GF2Matrix,

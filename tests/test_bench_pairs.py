@@ -11,6 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "bench_pairs.py"
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def _in_git_checkout() -> bool:
@@ -87,14 +88,23 @@ def test_workloads_with_their_own_seeds():
             parse_workloads(bad, [1])
 
 
-@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout with a commit")
-def test_one_command_runs_each_workload_with_its_own_seeds(tmp_path):
-    out = tmp_path / "bench.json"
-    subprocess.run([sys.executable, str(SCRIPT), "--parent", "HEAD",
-                    "--workloads", "circuits:2,mixed_states", "--seeds", "1",
-                    "--seconds", "1", "--out", str(out)],
-                   check=True, capture_output=True, timeout=300)
-    report = json.loads(out.read_text())
+def test_one_command_runs_each_workload_with_its_own_seeds(tmp_path, monkeypatch):
+    calls = []
+
+    def run_side(bench_pairs, command, tree, workload, seed, seconds, trace=0):
+        side = "change" if tree == bench_pairs.ROOT else "parent"
+        calls.append((side, workload, seed, trace))
+        assert command == BENCH["command"] and seconds == 1
+        return _completed_run(trace)
+
+    code, report = _stub_report(tmp_path, monkeypatch, run_side,
+                                ["--workloads", "circuits:2,mixed_states", "--seeds", "1",
+                                 "--seconds", "1"])
+    assert code == 0
+    assert calls == [("parent", "circuits", 2, 0), ("change", "circuits", 2, 0),
+                     ("parent", "circuits", 2, 1), ("change", "circuits", 2, 1),
+                     ("parent", "mixed_states", 1, 0), ("change", "mixed_states", 1, 0),
+                     ("parent", "mixed_states", 1, 1), ("change", "mixed_states", 1, 1)]
     assert list(report["workloads"]) == ["circuits", "mixed_states"]
     for workload, seed in (("circuits", 2), ("mixed_states", 1)):
         entry = report["workloads"][workload]
@@ -112,23 +122,23 @@ def _load_script():
     return module
 
 
-@pytest.mark.skipif(not _in_git_checkout(), reason="needs a git checkout with a commit")
 def test_crashed_change_side_fails_the_report(tmp_path, monkeypatch):
-    bench_pairs = _load_script()
-    real_run_side = bench_pairs.run_side
-    crash = [sys.executable, "-c", "import sys; sys.exit(1)"]
+    calls = []
 
-    def run_side(command, tree, workload, seed, seconds, trace=0):
+    def run_side(bench_pairs, command, tree, workload, seed, seconds, trace=0):
         # the change side is this checkout; its runs exit 1 at once
-        return real_run_side(crash if tree == bench_pairs.ROOT else command,
-                             tree, workload, seed, seconds, trace)
+        side = "change" if tree == bench_pairs.ROOT else "parent"
+        calls.append((side, workload, seed, trace))
+        return {"exit": 1, "stderr": ""} if side == "change" else _completed_run(trace)
 
-    monkeypatch.setattr(bench_pairs, "run_side", run_side)
-    out = tmp_path / "bench.json"
-    code = bench_pairs.main(["--parent", "HEAD", "--workloads", "circuits", "--seeds", "1-2",
-                             "--seconds", "0.5", "--out", str(out)])
+    code, report = _stub_report(tmp_path, monkeypatch, run_side,
+                                ["--workloads", "circuits", "--seeds", "1-2",
+                                 "--seconds", "0.5"])
     assert code == 1
-    circuits = json.loads(out.read_text())["workloads"]["circuits"]
+    assert calls == [("parent", "circuits", 1, 0), ("change", "circuits", 1, 0),
+                     ("change", "circuits", 2, 0), ("parent", "circuits", 2, 0),
+                     ("parent", "circuits", 1, 1), ("change", "circuits", 1, 1)]
+    circuits = report["workloads"]["circuits"]
     assert circuits["crashed"] == {"parent": 0, "change": 2}
     assert all(pair["change"]["exit"] == 1 for pair in circuits["pairs"])
     assert circuits["traced"]["change"]["exit"] == 1 and "metrics" in circuits["traced"]["parent"]
@@ -170,6 +180,12 @@ def test_each_workload_records_the_median_ops_attempted_per_side(tmp_path, monke
                       "--out", str(out)])
     frames = json.loads(out.read_text())["workloads"]["frames"]
     assert frames["attempted"] == {"parent": 200, "change": 500}
+
+
+def _completed_run(trace):
+    """A completed run as `run_side` returns it: the end-to-end metrics, or with `trace` the split."""
+    names = [m["name"] for m in BENCH["per_layer" if trace else "end_to_end"]]
+    return {"attempted": 10, "failed": 0, "metrics": dict.fromkeys(names, 1.0)}
 
 
 def _stub_report(tmp_path, monkeypatch, run_side, argv):

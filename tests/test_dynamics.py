@@ -238,7 +238,7 @@ def test_evolved_frame_equals_the_eliminated_frame(n, seed):
     want = BasisFrame("F'", tuple(x + "'" for x in frame.labels), mat_mul(d.matrix, frame.matrix))
     assert got.name == want.name and got.labels == want.labels
     assert got.matrix == want.matrix
-    assert got._expansions == want._expansions
+    assert got._expansions == want._expansions == transpose(invert(got.matrix))
     assert got.universe == want.universe
     assert got == want and hash(got) == hash(want)
 
@@ -250,4 +250,3 @@ def test_interference_coefficients_match_the_per_component_sum(n, seed):
     via, target = random_frame("V", n, rng), random_frame("T", n, rng)
     s = SubsetKet(via.universe, BitVec(n, rng.getrandbits(n)))
     assert interference_coefficients(s, via, target) == reference_interference(s, via, target)
-

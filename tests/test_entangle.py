@@ -460,3 +460,26 @@ def test_product_to_frame_matches_the_kronecker_change_of_basis(kx, ky, data):
         got = product_to_frame(s, lf, rf)
         assert got.bits == mat_apply(kron_inverse, s.bits)
         assert got.space == ProductUniverse(lf.universe, rf.universe)
+
+
+def per_entry_kron_inverse(lf, rf):
+    """(A (x) B)^-1 entry by entry: row (i, k), column (j, l) is A^-1[i][j] AND B^-1[k][l]."""
+    a, b = invert(lf.matrix).to_lists(), invert(rf.matrix).to_lists()
+    rows = [[x & y for x in a_row for y in b_row] for a_row in a for b_row in b]
+    return GF2Matrix.from_rows(rows)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 8), st.integers(1, 8), st.data())
+def test_product_to_frame_and_column_counts_match_per_entry_references(kx, ky, data):
+    space = ProductUniverse(Universe(tuple(f"x{i}" for i in range(kx))),
+                            Universe(tuple(f"y{j}" for j in range(ky))))
+    lf, rf = data.draw(frames_of(space.left, "'")), data.draw(frames_of(space.right, "''"))
+    want_matrix = per_entry_kron_inverse(lf, rf)
+    assert kron(invert(lf.matrix), invert(rf.matrix)) == want_matrix
+    bits = data.draw(st.integers(1, (1 << kx * ky) - 1))
+    s = ProductState(space, BitVec(kx * ky, bits))
+    assert product_to_frame(s, lf, rf).bits == mat_apply(want_matrix, s.bits)
+    # the right marginal counts the pairs of each right label: the stride-|Y| columns
+    counts = {y: sum(1 for _, z in s.sorted_pairs() if z == y) for y in space.right.labels}
+    assert marginals(joint(s))[1] == {y: F(c, s.cardinality) for y, c in counts.items()}

@@ -3,14 +3,19 @@ from types import ModuleType
 import pytest
 
 import setqm
+from setqm import dsl
 from setqm.dynamics import Dynamics, evolve, evolved_frame, interference_coefficients
-from setqm.entangle import ProductState, ProductUniverse, product_to_frame
-from setqm.errors import InvalidArgument, SetQMError
+from setqm.entangle import (
+    ProductState, ProductUniverse, is_separated, joint, marginals, product_to_frame, supports,
+)
+from setqm.errors import DimMismatch, InvalidArgument, SetQMError, Singular, UnknownGate
 from setqm.gf2 import (
     BitVec, GF2Matrix, add, invert, is_nonsingular, kron, mat_apply, mat_mul, solve, transpose,
 )
-from setqm.partitions import block_entropy_relation
-from setqm.qc import BooleanFunction, Gate, Register
+from setqm.partitions import block_entropy_relation, dit_set
+from setqm.qc import (
+    BooleanFunction, Gate, Register, deutsch, parity_sat, standard_gate, unambiguous_sat,
+)
 from setqm.space import BasisFrame, SubsetKet, Universe, born, from_basis, ket_table, to_basis
 
 M, V = GF2Matrix.identity(2), BitVec(2, 1)
@@ -90,6 +95,17 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
         lambda: ket_table(3, [None]),
         lambda: product_to_frame(None, FRAME, FRAME),
         lambda: transpose("x"),
+        lambda: dit_set(None),
+        lambda: joint(None),
+        lambda: parity_sat("01"),
+        lambda: deutsch("0"),
+        lambda: unambiguous_sat(None),
+        lambda: dsl.run("lines 2"),
+        lambda: dsl.render("x"),
+        lambda: dsl.parse(None),
+        lambda: supports(None),
+        lambda: is_separated(None),
+        lambda: marginals(None),
     ],
     ids=["basis-float-index", "from-indices-float", "bitvec-float-bits",
          "from-indices-str", "from-bits-letter", "table-float-entry",
@@ -103,11 +119,53 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
          "entropy-relation-str", "entropy-relation-none", "born-str-frame",
          "to-basis-none-frame", "from-basis-str-universe", "evolve-str-ket",
          "evolved-frame-str-frame", "interference-none-target", "ket-table-none-frame",
-         "product-to-frame-none-state", "transpose-str"],
+         "product-to-frame-none-state", "transpose-str", "dit-set-none", "joint-none",
+         "parity-sat-str", "deutsch-str", "unambiguous-sat-none", "run-str-ast",
+         "render-str-ast", "parse-none-text", "supports-none", "is-separated-none",
+         "marginals-none"],
 )
 def test_wrongly_typed_arguments_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument):
         call()
+
+
+def test_an_unhashable_gate_name_is_an_unknown_gate():
+    with pytest.raises(UnknownGate):
+        standard_gate(["H0"])
+
+
+SINGULAR = GF2Matrix.from_rows([[1, 1], [1, 1]])
+WIDE = GF2Matrix.from_rows([[1, 0, 0], [0, 1, 0]])
+
+
+@pytest.mark.parametrize(
+    "labels,matrix,error,message",
+    [
+        (("a", "b"), "x", InvalidArgument, "GF2Matrix"),
+        (("a",), None, InvalidArgument, "GF2Matrix"),  # a non-matrix before the label count
+        (("a", "b", "c"), WIDE, DimMismatch, "square"),
+        (("a", "b"), WIDE, DimMismatch, None),  # not square and the wrong label count
+        (("a", "b", "c"), M, DimMismatch, "one label per basis ket"),
+        (("a", "b", "c"), SINGULAR, DimMismatch, "one label per basis ket"),  # count first
+        (("a", "b"), SINGULAR, Singular, "frame must be nonsingular"),
+    ],
+    ids=["non-matrix", "non-matrix-wrong-count", "non-square", "non-square-wrong-count",
+         "wrong-count", "wrong-count-singular", "singular"],
+)
+def test_frame_errors_keep_their_precedence(labels, matrix, error, message):
+    with pytest.raises(error, match=message):
+        BasisFrame("F", labels, matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix,error,message",
+    [("x", InvalidArgument, "GF2Matrix"), (WIDE, DimMismatch, "dynamics matrix must be square"),
+     (SINGULAR, Singular, "dynamics must be nonsingular")],
+    ids=["non-matrix", "non-square", "singular"],
+)
+def test_dynamics_errors_keep_their_precedence(matrix, error, message):
+    with pytest.raises(error, match=message):
+        Dynamics(matrix)
 
 
 def test_checked_matrices_keep_the_valid_path():

@@ -485,16 +485,24 @@ EDGES = [1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127, 128, 129, 256, 257, 300]
 SIDES = st.one_of(st.integers(1, 300), st.sampled_from(EDGES))
 
 
+def filled(rows, cols, fill, rng):
+    """A rows x cols matrix of all-zero, all-one, sparse (about three set bits) or random rows."""
+    full = (1 << cols) - 1
+    row = {"zero": lambda: 0, "full": lambda: full, "random": lambda: rng.getrandbits(cols),
+           "sparse": lambda: sum(1 << j for j in {rng.randrange(cols) for _ in range(3)})}[fill]
+    return GF2Matrix(rows, cols, tuple(row() for _ in range(rows)))
+
+
+FILLS = st.sampled_from(["zero", "full", "random", "sparse"])
+
+
 @st.composite
 def any_matrices(draw):
-    """Any shape up to 300 x 300, square one time in three; all-zero, all-one or random rows."""
+    """Any shape up to 300 x 300, square one time in three, filled as `filled` fills it."""
     rows = draw(SIDES)
     cols = rows if draw(st.integers(0, 2)) == 0 else draw(SIDES)
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    fill = draw(st.sampled_from(["zero", "full", "random"]))
-    full = (1 << cols) - 1
-    row = {"zero": lambda: 0, "full": lambda: full, "random": lambda: rng.getrandbits(cols)}[fill]
-    return GF2Matrix(rows, cols, tuple(row() for _ in range(rows)))
+    return filled(rows, cols, draw(FILLS), rng)
 
 
 @settings(max_examples=60)
@@ -527,3 +535,64 @@ def test_transpose_examples():
     assert transpose(a).to_lists() == [[1, 0], [1, 1], [0, 1]]
     assert transpose(GF2Matrix.identity(5)) == GF2Matrix.identity(5)
     assert transpose(DOUBLE_SLIT) == DOUBLE_SLIT  # symmetric
+
+
+# -- products against the per-bit loops they replaced --
+
+
+def reference_mat_mul(a, b):
+    """Reference product: per row of `a`, one lowest-set-bit step per term, XORing rows of `b`."""
+    out = []
+    for row in a.row_bits:
+        acc = 0
+        rem = row
+        while rem:
+            j = (rem & -rem).bit_length() - 1
+            acc ^= b.row_bits[j]
+            rem &= rem - 1
+        out.append(acc)
+    return GF2Matrix(a.rows, b.cols, tuple(out))
+
+
+def reference_kron(a, b):
+    """Reference Kronecker product: row k of `b` shifted into each block row i of `a` names."""
+    out = []
+    for a_row in a.row_bits:
+        for b_row in b.row_bits:
+            bits = 0
+            rem = a_row
+            while rem:
+                j = (rem & -rem).bit_length() - 1
+                bits |= b_row << (j * b.cols)
+                rem &= rem - 1
+            out.append(bits)
+    return GF2Matrix(a.rows * b.rows, a.cols * b.cols, tuple(out))
+
+
+@settings(max_examples=60)
+@given(SIDES, SIDES, SIDES, FILLS, FILLS, st.integers(0, 2**32 - 1))
+def test_mat_mul_matches_the_per_bit_loop_on_any_shape(r, m, c, fill_a, fill_b, seed):
+    rng = random.Random(seed)
+    a, b = filled(r, m, fill_a, rng), filled(m, c, fill_b, rng)
+    got, want = mat_mul(a, b), reference_mat_mul(a, b)
+    assert got == want and hash(got) == hash(want)
+
+
+# factor sides up to 16, with 1-row and 1-column factors drawn often
+KRON_SIDES = st.one_of(st.just(1), st.integers(1, 16), st.just(16))
+
+
+@settings(max_examples=60)
+@given(st.lists(KRON_SIDES, min_size=4, max_size=4), FILLS, FILLS, st.integers(0, 2**32 - 1))
+def test_kron_matches_the_per_bit_loop(dims, fill_a, fill_b, seed):
+    rng = random.Random(seed)
+    p, q, r, s = dims
+    a, b = filled(p, q, fill_a, rng), filled(r, s, fill_b, rng)
+    got, want = kron(a, b), reference_kron(a, b)
+    assert got == want and hash(got) == hash(want)
+
+
+@given(st.integers(0, 2**300 - 1), st.integers(1, 300))
+def test_spread_moves_bit_j_to_bit_j_times_the_stride(bits, stride):
+    want = sum(1 << j * stride for j in range(bits.bit_length()) if bits >> j & 1)
+    assert gf2._spread(bits, stride) == want

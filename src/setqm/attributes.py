@@ -23,7 +23,7 @@ from .errors import (
     UniverseMismatch,
     ZeroState,
 )
-from .gf2 import BitVec, nth_set_bit
+from .gf2 import BitVec, _expect, nth_set_bit
 from .partitions import Partition, _least_bit, _rational
 from .space import SubsetKet, Universe, rat_json
 
@@ -111,6 +111,8 @@ def _split(f: Attribute, s: SubsetKet) -> list[tuple[Fraction, int]]:
 
 def measure_probs(f: Attribute, s: SubsetKet) -> dict[Fraction, Fraction]:
     """Probability of each eigenvalue with nonzero projection; sums to 1."""
+    _expect(Attribute, f)
+    _expect(SubsetKet, s)
     if s.is_zero:
         raise ZeroState("cannot measure the zero ket")
     n = s.cardinality

@@ -19,6 +19,7 @@ from typing import Iterable
 
 from .attributes import Attribute
 from .errors import InvalidBlocks, ShapeMismatch, UniverseMismatch, ZeroState
+from .gf2 import _expect
 from .partitions import Partition, _block_masks, _nested
 from .space import SubsetKet, Universe, rat_json
 
@@ -104,6 +105,7 @@ class DensityMatrix:
 
 def rho_of_partition(p: Partition) -> DensityMatrix:
     """Every block of p with weight 1/|U|."""
+    _expect(Partition, p)
     return DensityMatrix._derived(p.universe, p.masks, p.universe.size, (1,) * len(p.masks))
 
 
@@ -122,6 +124,7 @@ def _square_sum(rho: DensityMatrix) -> int:
 
 def purity(rho: DensityMatrix) -> Fraction:
     """tr[rho^2] = sum of |B|^2 w_B^2."""
+    _expect(DensityMatrix, rho)
     return Fraction(_square_sum(rho), rho._den ** 2)
 
 

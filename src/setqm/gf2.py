@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import compress, count
+from itertools import chain, compress, count, repeat
 from operator import xor
 from typing import Iterable, Sequence
 
@@ -233,21 +233,21 @@ _BLOCKED_FROM = 64
 
 
 def _reduce(a: GF2Matrix) -> list[int] | None:
-    """Gauss-Jordan on identity-augmented rows; None when `a` is singular.
-
-    Row i starts as a_i | e_i << n, so one XOR carries a row operation to
-    both halves; a full-rank reduction leaves row i = e_i | inverse_i << n.
-    """
+    """The rows of the inverse of square `a` by Gauss-Jordan; None when `a` is singular."""
     _expect(GF2Matrix, a)
     if not a.is_square:
         raise NotSquare(f"{a.rows}x{a.cols} matrix is not square")
     n = a.rows
-    rows = [r | 1 << (n + i) for i, r in enumerate(a.row_bits)]
-    return (_block_pass if n >= _BLOCKED_FROM else _column_pass)(rows, n)
+    return (_block_pass if n >= _BLOCKED_FROM else _column_pass)(a.row_bits, n)
 
 
-def _column_pass(rows: list[int], n: int) -> list[int] | None:
-    """One column at a time: find a pivot row, then XOR it into every other row with that bit."""
+def _column_pass(row_bits: Sequence[int], n: int) -> list[int] | None:
+    """One column at a time, lowest first: find a pivot, then XOR it into every other row with that bit.
+
+    Row i starts as a_i | e_i << n, so one XOR carries a row operation to
+    both halves; a full-rank reduction leaves row i = e_i | inverse_i << n.
+    """
+    rows = [r | 1 << (n + i) for i, r in enumerate(row_bits)]
     for col in range(n):
         bit = 1 << col
         for p in range(col, n):
@@ -261,24 +261,29 @@ def _column_pass(rows: list[int], n: int) -> list[int] | None:
             if r & bit:
                 rows[i] = r ^ prow
         rows[col] = prow
-    return rows
+    return [r >> n for r in rows]
 
 
-def _block_pass(rows: list[int], n: int) -> list[int] | None:
-    """_BLOCK_COLUMNS columns at a time: find their pivots, then clear them from every row.
+def _block_pass(row_bits: Sequence[int], n: int) -> list[int] | None:
+    """_BLOCK_COLUMNS columns at a time, highest block first: find their pivots, then clear them.
 
-    table[s] is the sum of the block's pivots named by the bits of s. The
-    pivots are kept identity on the block's columns found so far, so a row's
-    own bits there index the sum that clears them.
+    Row i starts as a_i << n | e_i. table[s] is the sum of the block's
+    pivots named by the bits of s; the pivots are kept identity on the
+    block's columns found so far, so a row's own bits there index the sum
+    that clears them. Once its block is cleared a pivot row drops its pivot
+    bit, which no later block reads, so no row has a bit above the block
+    being cleared: its index is a shift of the row's few top bits, and a
+    full-rank reduction leaves row i = inverse_i.
     """
-    for c0 in range(0, n, _BLOCK_COLUMNS):
-        k = min(_BLOCK_COLUMNS, n - c0)
+    rows = [r << n | 1 << i for i, r in enumerate(row_bits)]
+    for c0 in reversed(range(0, n, _BLOCK_COLUMNS)):
+        top, shift = min(c0 + _BLOCK_COLUMNS, n), n + c0
         table = [0]
-        for c in range(c0, c0 + k):
-            bit, earlier = 1 << c, len(table) - 1
-            for p in range(c, n):
+        for c in range(c0, top):
+            bit, earlier = 1 << (n + c), len(table) - 1
+            for p in chain(range(c, top), range(c0)):  # the rows not yet pivots
                 r = rows[p]
-                r ^= table[r >> c0 & earlier]  # the candidate as the earlier pivots leave it
+                r ^= table[r >> shift & earlier]  # the candidate as the earlier pivots leave it
                 if r & bit:
                     break
             else:
@@ -286,9 +291,8 @@ def _block_pass(rows: list[int], n: int) -> list[int] | None:
             rows[p] = rows[c]  # row c itself gets its pivot once the block is cleared
             table = [t ^ r if t & bit else t for t in table]
             table += [t ^ r for t in table]
-        mask = len(table) - 1
-        rows = [r ^ table[r >> c0 & mask] for r in rows]
-        rows[c0:c0 + k] = [table[1 << j] for j in range(k)]
+        rows = [r ^ table[r >> shift] for r in rows]
+        rows[c0:top] = [table[1 << j] ^ 1 << (shift + j) for j in range(top - c0)]
     return rows
 
 
@@ -302,8 +306,7 @@ def invert(a: GF2Matrix) -> GF2Matrix:
     rows = _reduce(a)
     if rows is None:
         raise Singular("matrix has no inverse over GF(2)")
-    n = a.rows
-    return GF2Matrix._derived(n, n, tuple(r >> n for r in rows))
+    return GF2Matrix._derived(a.rows, a.rows, tuple(rows))
 
 
 # struct codes of the row strides that fit one machine word
@@ -312,12 +315,14 @@ _WORD_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
 @lru_cache(maxsize=32)
 def _transpose_plan(rows: int, cols: int):
-    """(row stride in bytes, (packer, unpacker) or None, swaps) for a rows x cols transpose.
+    """(row stride in bytes, packer or None, unpacker, swaps) for a rows x cols transpose.
 
     The swaps act on the n x n square, n the least power of two that holds
     the matrix, with row i packed at bit i*w for w = max(n, 8). Each swap
     is (shift, mask): the mask marks the upper right s x s block of every
     2s x 2s block, whose bits move down-left by s*(w - 1) to the lower left.
+    Rows of one machine word pack and unpack as words in one struct call;
+    wider rows unpack in one call as byte strings.
     """
     n = 1 << (max(rows, cols) - 1).bit_length()
     w = max(n, 8)
@@ -327,8 +332,11 @@ def _transpose_plan(rows: int, cols: int):
         swaps.append((s * (w - 1), right * _spread(right ^ (1 << n) - 1, w)))
         s >>= 1
     word = _WORD_FORMATS.get(w)
-    words = (struct.Struct(f"<{rows}{word}"), struct.Struct(f"<{cols}{word}")) if word else None
-    return w // 8, words, tuple(swaps)
+    if word:
+        packer, unpacker = struct.Struct(f"<{rows}{word}"), struct.Struct(f"<{cols}{word}")
+    else:
+        packer, unpacker = None, struct.Struct(f"{w // 8}s" * cols)
+    return w // 8, packer, unpacker, tuple(swaps)
 
 
 def transpose(a: GF2Matrix) -> GF2Matrix:
@@ -340,20 +348,17 @@ def transpose(a: GF2Matrix) -> GF2Matrix:
     Warren, *Hacker's Delight*, 2nd ed., section 7-3).
     """
     _expect(GF2Matrix, a)
-    stride, words, swaps = _transpose_plan(a.rows, a.cols)
-    if words:  # a row per machine word: struct packs every row in one call
-        x = int.from_bytes(words[0].pack(*a.row_bits), "little")
+    stride, packer, unpacker, swaps = _transpose_plan(a.rows, a.cols)
+    if packer:
+        x = int.from_bytes(packer.pack(*a.row_bits), "little")
     else:
         x = int.from_bytes(b"".join([r.to_bytes(stride, "little") for r in a.row_bits]), "little")
     for shift, mask in swaps:
         t = (x >> shift ^ x) & mask
         x ^= t ^ t << shift
-    packed = x.to_bytes(a.cols * stride, "little")
-    if words:
-        row_bits = words[1].unpack(packed)
-    else:
-        row_bits = tuple([int.from_bytes(packed[i:i + stride], "little")
-                          for i in range(0, len(packed), stride)])
+    row_bits = unpacker.unpack(x.to_bytes(a.cols * stride, "little"))
+    if not packer:
+        row_bits = tuple(map(int.from_bytes, row_bits, repeat("little")))
     return GF2Matrix._derived(a.cols, a.rows, row_bits)
 
 
@@ -370,10 +375,14 @@ def kron(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     """Kronecker product mod 2, row-major blocks with `a` outer.
 
     Row (i, k) is row k of `b` times row i of `a` spread to stride b.cols.
+    Row i's trailing zeros are shifted out before the spread and the
+    product shifted back, so a sparse row costs no characters below its
+    lowest set bit.
     """
     _expect(GF2Matrix, a, b)
     out = []
     for a_row in a.row_bits:
-        spread = _spread(a_row, b.cols)
+        low = (a_row ^ a_row - 1).bit_length() - 1  # the trailing zeros; 0 for a zero row
+        spread = _spread(a_row >> low, b.cols) << low * b.cols
         out += [b_row * spread for b_row in b.row_bits]
     return GF2Matrix._derived(a.rows * b.rows, a.cols * b.cols, tuple(out))

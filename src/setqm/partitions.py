@@ -203,6 +203,7 @@ def _dit_count(p: Partition) -> int:
 
 
 def _check_same_universe(p: Partition, q: Partition) -> None:
+    _expect(Partition, p, q)
     if p.universe != q.universe:
         raise UniverseMismatch("partitions on different universes are incompatible")
 
@@ -265,12 +266,14 @@ def dit_set(p: Partition) -> DitSet:
 
 def logical_entropy(p: Partition) -> Fraction:
     """Normalized dit count |dit(p)| / |U|^2 = 1 - sum of squared block probabilities."""
+    _expect(Partition, p)
     n = p.universe.size
     return Fraction(_dit_count(p), n * n)
 
 
 def shannon_entropy(p: Partition) -> float:
     """Base-2 entropy of the block probabilities; the one float in the package."""
+    _expect(Partition, p)
     n = p.universe.size
     return sum(m.bit_count() / n * math.log2(n / m.bit_count()) for m in p.masks)
 

@@ -206,6 +206,7 @@ def rat_json(v: Fraction) -> str:
 
 def bracket(t: SubsetKet, s: SubsetKet) -> int:
     """Overlap |T ∩ S| of two subsets of the same universe."""
+    _expect(SubsetKet, t, s)
     if t.universe != s.universe:
         raise UniverseMismatch("bracket of subsets of different universes is undefined")
     return (t.bits.bits & s.bits.bits).bit_count()
@@ -213,6 +214,7 @@ def bracket(t: SubsetKet, s: SubsetKet) -> int:
 
 def norm_sq(s: SubsetKet) -> int:
     """Squared norm, i.e. the cardinality |S|."""
+    _expect(SubsetKet, s)
     return s.cardinality
 
 
@@ -248,6 +250,7 @@ def born(s: SubsetKet, frame: BasisFrame) -> dict[str, Fraction]:
 
 def resolve(s: SubsetKet) -> list[SubsetKet]:
     """Singleton kets whose sum reconstructs S (ket-bra resolution)."""
+    _expect(SubsetKet, s)
     return [SubsetKet(s.universe, BitVec(s.universe.size, 1 << j)) for j in s.bits.indices()]
 
 

@@ -12,15 +12,22 @@ from setqm.errors import DimMismatch, InvalidArgument, SetQMError, Singular, Unk
 from setqm.gf2 import (
     BitVec, GF2Matrix, add, invert, is_nonsingular, kron, mat_apply, mat_mul, solve, transpose,
 )
-from setqm.partitions import block_entropy_relation, dit_set
+from setqm.attributes import measure_probs
+from setqm.density import purity, rho_of_partition
+from setqm.partitions import (
+    Partition, block_entropy_relation, dit_set, join, logical_entropy, refines, shannon_entropy,
+)
 from setqm.qc import (
     BooleanFunction, Gate, Register, deutsch, parity_sat, standard_gate, unambiguous_sat,
 )
-from setqm.space import BasisFrame, SubsetKet, Universe, born, from_basis, ket_table, to_basis
+from setqm.space import (
+    BasisFrame, SubsetKet, Universe, bracket, born, from_basis, ket_table, norm_sq, resolve, to_basis,
+)
 
 M, V = GF2Matrix.identity(2), BitVec(2, 1)
 U = Universe(("a", "b"))
 KET, FRAME, DYN = U.subset(["a"]), U.canonical_frame(), Dynamics(M)
+PART = Partition(U, (0b01, 0b10))
 
 
 @pytest.mark.parametrize(
@@ -106,6 +113,16 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
         lambda: supports(None),
         lambda: is_separated(None),
         lambda: marginals(None),
+        lambda: join(PART, "x"),
+        lambda: refines(PART, None),
+        lambda: bracket(None, None),
+        lambda: norm_sq(None),
+        lambda: resolve(None),
+        lambda: logical_entropy(None),
+        lambda: shannon_entropy(None),
+        lambda: purity(None),
+        lambda: rho_of_partition(None),
+        lambda: measure_probs(None, None),
     ],
     ids=["basis-float-index", "from-indices-float", "bitvec-float-bits",
          "from-indices-str", "from-bits-letter", "table-float-entry",
@@ -122,7 +139,9 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
          "product-to-frame-none-state", "transpose-str", "dit-set-none", "joint-none",
          "parity-sat-str", "deutsch-str", "unambiguous-sat-none", "run-str-ast",
          "render-str-ast", "parse-none-text", "supports-none", "is-separated-none",
-         "marginals-none"],
+         "marginals-none", "join-str-right", "refines-none-fine", "bracket-none",
+         "norm-sq-none", "resolve-none", "logical-entropy-none", "shannon-entropy-none",
+         "purity-none", "rho-of-partition-none", "measure-probs-none"],
 )
 def test_wrongly_typed_arguments_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument):

@@ -399,13 +399,14 @@ def sparse_nonsingular(n, rng):
     return GF2Matrix(n, n, tuple(rows))
 
 
-def without_pivot_at(a, col, rng):
-    """`a` with column `col` replaced by a random sum of the columns before it.
+def without_pivot_at(a, col, rng, among=None):
+    """`a` with column `col` replaced by a random sum of the columns `among` marks (default: those below).
 
-    Columns 0..col-1 of a nonsingular `a` stay independent, so elimination
-    finds their pivots and first meets a pivotless column at `col`.
+    The other columns of a nonsingular `a` stay independent, so an
+    elimination that takes the marked columns first finds their pivots and
+    then meets a pivotless column at `col`.
     """
-    earlier = rng.getrandbits(col)
+    earlier = rng.getrandbits(col) if among is None else among & rng.getrandbits(a.cols)
     bit = 1 << col
     rows = tuple(r & ~bit | ((r & earlier).bit_count() & 1) << col for r in a.row_bits)
     return GF2Matrix(a.rows, a.cols, rows)
@@ -427,7 +428,7 @@ def test_invert_matches_the_reference_up_to_n_300(n, seed):
 def test_sparse_matrices_reduce_to_the_reference_rows_up_to_n_300(n, seed):
     a = sparse_nonsingular(n, random.Random(seed))
     expected = reference_inverse(a)
-    assert gf2._reduce(a) == [1 << i | row << n for i, row in enumerate(expected.row_bits)]
+    assert gf2._reduce(a) == list(expected.row_bits)
     assert invert(a) == expected
 
 
@@ -439,8 +440,10 @@ def test_block_and_column_passes_agree_on_either_side_of_the_cut(n, sparse, seed
         a = sparse_nonsingular(n, rng)
     else:  # a random dense matrix is singular about seven times in ten
         a = GF2Matrix(n, n, tuple(rng.getrandbits(n) for _ in range(n)))
-    rows = [r | 1 << (n + i) for i, r in enumerate(a.row_bits)]
-    assert gf2._block_pass(list(rows), n) == gf2._column_pass(list(rows), n)
+    expected = reference_inverse(a)
+    want = None if expected is None else list(expected.row_bits)
+    assert gf2._block_pass(a.row_bits, n) == want
+    assert gf2._column_pass(a.row_bits, n) == want
 
 
 @settings(max_examples=30)
@@ -466,6 +469,28 @@ def test_a_pivotless_column_at_a_group_edge_or_inside_is_singular(n, width, wher
            "any": rng.randrange(n)}[where]
     a = without_pivot_at(base(n, rng), col, rng)
     assert reference_inverse(a) is None
+    assert not is_nonsingular(a)
+    with pytest.raises(Singular):
+        invert(a)
+
+
+# The block pass clears its highest block first, columns ascending inside
+# it, so it meets a pivotless column there before any lower block is touched.
+TOP_BLOCK_SIZES = st.one_of(st.sampled_from([63, 64, 65]),
+                            st.integers(7, 300).filter(lambda n: n % gf2._BLOCK_COLUMNS))
+
+
+@settings(max_examples=40)
+@given(TOP_BLOCK_SIZES, st.sampled_from(["first", "inside", "last"]),
+       st.sampled_from([random_nonsingular, sparse_nonsingular]), st.integers(0, 2**32 - 1))
+def test_a_pivotless_column_in_the_top_block_is_singular(n, where, base, seed):
+    rng = random.Random(seed)
+    c0 = (n - 1) // gf2._BLOCK_COLUMNS * gf2._BLOCK_COLUMNS  # the top block is c0..n-1
+    col = {"first": c0, "inside": rng.randrange(c0, n), "last": n - 1}[where]
+    a = without_pivot_at(base(n, rng), col, rng, among=(1 << col) - (1 << c0))
+    assert reference_inverse(a) is None
+    assert gf2._block_pass(a.row_bits, n) is None
+    assert gf2._column_pass(a.row_bits, n) is None
     assert not is_nonsingular(a)
     with pytest.raises(Singular):
         invert(a)
@@ -530,6 +555,15 @@ def test_row_sum_is_mat_apply_of_the_transpose(a, data):
     assert gf2._row_sum(a.row_bits, 0) == 0
 
 
+@settings(max_examples=40)
+@given(SIDES, st.integers(65, 300), FILLS, st.booleans(), st.integers(0, 2**32 - 1))
+def test_transpose_of_rows_wider_than_a_machine_word_matches_to_lists(rows, cols, fill, flip, seed):
+    a = filled(rows, cols, fill, random.Random(seed))
+    if flip:  # the result's rows are the wide ones
+        a = per_bit_transpose(a)
+    assert transpose(a).to_lists() == [list(column) for column in zip(*a.to_lists())]
+
+
 def test_transpose_examples():
     a = GF2Matrix.from_rows([[1, 1, 0], [0, 1, 1]])
     assert transpose(a).to_lists() == [[1, 0], [1, 1], [0, 1]]
@@ -590,6 +624,16 @@ def test_kron_matches_the_per_bit_loop(dims, fill_a, fill_b, seed):
     a, b = filled(p, q, fill_a, rng), filled(r, s, fill_b, rng)
     got, want = kron(a, b), reference_kron(a, b)
     assert got == want and hash(got) == hash(want)
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 600), st.sampled_from(["identity", "sparse", "zero"]),
+       KRON_SIDES, KRON_SIDES, FILLS, st.integers(0, 2**32 - 1))
+def test_kron_with_a_wide_sparse_left_factor_matches_the_per_bit_loop(n, left, r, s, fill_b, seed):
+    rng = random.Random(seed)
+    a = GF2Matrix.identity(n) if left == "identity" else filled(n, n, left, rng)
+    b = filled(r, s, fill_b, rng)
+    assert kron(a, b) == reference_kron(a, b)
 
 
 @given(st.integers(0, 2**300 - 1), st.integers(1, 300))

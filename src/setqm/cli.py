@@ -29,7 +29,7 @@ from .density import (
 )
 from .dynamics import double_slit
 from .entangle import bell_violation
-from .errors import NotTotal, SetQMError
+from .errors import InvalidArgument, NotTotal, SetQMError
 from .partitions import Partition, logical_entropy, shannon_entropy
 from .qc import BooleanFunction, parity_sat, teleport
 from .space import BasisFrame, SubsetKet, Universe, born, bracket, ket_table, rat_json
@@ -318,93 +318,83 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _add_common(sub, dim: bool = True) -> None:
-    sub.add_argument("--format", choices=("table", "json"), default="table")
-    if dim:
-        sub.add_argument("--dim", type=int, choices=(2, 3), default=3)
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
 
 
-def build_parser() -> argparse.ArgumentParser:
+_FORMAT = _arg("--format", choices=("table", "json"), default="table")
+_DIM = _arg("--dim", type=int, choices=(2, 3), default=3)
+_SEED = _arg("--seed", type=int, default=0)
+
+# name -> (help, handler, arguments in the order the help lists them)
+_COMMANDS = {
+    "ket-table": ("every ket expressed in each preset basis", _cmd_ket_table, (_FORMAT, _DIM)),
+    "bracket": ("overlap |T ∩ S| of two subsets", _cmd_bracket,
+                (_arg("t"), _arg("s"), _FORMAT, _DIM)),
+    "born": ("outcome probabilities of a state in a frame", _cmd_born,
+             (_arg("state"), _arg("--frame", required=True, help="U, U', or U''"), _FORMAT, _DIM)),
+    "measure": ("measure an attribute on a state", _cmd_measure,
+                (_arg("--attr", required=True, help="label:value pairs, e.g. a:1,b:2,c:3"),
+                 _arg("--state", required=True), _SEED, _FORMAT, _DIM)),
+    "entropy": ("logical and Shannon entropy of a partition", _cmd_entropy,
+                (_arg("--partition", required=True, help='blocks joined by |, e.g. "{a,b}|{c}"'),
+                 _FORMAT, _DIM)),
+    "density": ("density matrix of a partition or state", _cmd_density,
+                (_arg("--partition"), _arg("--state"), _FORMAT, _DIM)),
+    "measure-density": ("join-action of an attribute on a density matrix", _cmd_measure_density,
+                        (_arg("--attr", required=True),
+                         _arg("--partition", help="initial mixed state; defaults to the blob"),
+                         _FORMAT, _DIM)),
+    "double-slit": ("wall distribution of the two-slit setup", _cmd_double_slit,
+                    (_arg("--measure-at-slits", action="store_true"), _FORMAT)),
+    "bell": ("state-outcome table and inequality violation", _cmd_bell,
+             (_arg("--state", help='product state, e.g. "{(a,a),(b,b)}"'), _FORMAT)),
+    "teleport": ("one-classical-bit teleportation protocol", _cmd_teleport,
+                 (_arg("--alpha", type=int, choices=(0, 1), required=True),
+                  _arg("--beta", type=int, choices=(0, 1), required=True), _SEED, _FORMAT)),
+    "parity-sat": ("one-evaluation parity of a Boolean function", _cmd_parity_sat,
+                   (_arg("--table", required=True, help="truth table bits, e.g. 1101"), _FORMAT)),
+    "run": ("execute a .qc2 circuit file", _cmd_run, (_arg("file"), _SEED, _FORMAT)),
+}
+# What the full parser's usage shows for the command; a one-command parser
+# shows the same, so its "unrecognized arguments" usage still lists them all.
+_ALL_COMMANDS = "{" + ",".join(_COMMANDS) + "}"
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `setqm` parser: with every subcommand, or with only the one `command` names.
+
+    Building all twelve subparsers costs about seven times what the top-level
+    parser and one subparser cost, and parsing is a small share of either,
+    so `main` builds only the one its first argument names.
+    """
     parser = argparse.ArgumentParser(
         prog="setqm",
         description="Exact toy quantum mechanics on subsets of a finite universe.",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("ket-table", help="every ket expressed in each preset basis")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_ket_table)
-
-    p = subs.add_parser("bracket", help="overlap |T ∩ S| of two subsets")
-    p.add_argument("t")
-    p.add_argument("s")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_bracket)
-
-    p = subs.add_parser("born", help="outcome probabilities of a state in a frame")
-    p.add_argument("state")
-    p.add_argument("--frame", required=True, help="U, U', or U''")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_born)
-
-    p = subs.add_parser("measure", help="measure an attribute on a state")
-    p.add_argument("--attr", required=True, help="label:value pairs, e.g. a:1,b:2,c:3")
-    p.add_argument("--state", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_measure)
-
-    p = subs.add_parser("entropy", help="logical and Shannon entropy of a partition")
-    p.add_argument("--partition", required=True, help='blocks joined by |, e.g. "{a,b}|{c}"')
-    _add_common(p)
-    p.set_defaults(fn=_cmd_entropy)
-
-    p = subs.add_parser("density", help="density matrix of a partition or state")
-    p.add_argument("--partition")
-    p.add_argument("--state")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_density)
-
-    p = subs.add_parser("measure-density", help="join-action of an attribute on a density matrix")
-    p.add_argument("--attr", required=True)
-    p.add_argument("--partition", help="initial mixed state; defaults to the blob")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_measure_density)
-
-    p = subs.add_parser("double-slit", help="wall distribution of the two-slit setup")
-    p.add_argument("--measure-at-slits", action="store_true")
-    _add_common(p, dim=False)
-    p.set_defaults(fn=_cmd_double_slit)
-
-    p = subs.add_parser("bell", help="state-outcome table and inequality violation")
-    p.add_argument("--state", help='product state, e.g. "{(a,a),(b,b)}"')
-    _add_common(p, dim=False)
-    p.set_defaults(fn=_cmd_bell)
-
-    p = subs.add_parser("teleport", help="one-classical-bit teleportation protocol")
-    p.add_argument("--alpha", type=int, choices=(0, 1), required=True)
-    p.add_argument("--beta", type=int, choices=(0, 1), required=True)
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p, dim=False)
-    p.set_defaults(fn=_cmd_teleport)
-
-    p = subs.add_parser("parity-sat", help="one-evaluation parity of a Boolean function")
-    p.add_argument("--table", required=True, help="truth table bits, e.g. 1101")
-    _add_common(p, dim=False)
-    p.set_defaults(fn=_cmd_parity_sat)
-
-    p = subs.add_parser("run", help="execute a .qc2 circuit file")
-    p.add_argument("file")
-    p.add_argument("--seed", type=int, default=0)
-    _add_common(p, dim=False)
-    p.set_defaults(fn=_cmd_run)
-
+    if command is None:
+        subs, names = parser.add_subparsers(dest="command", required=True), _COMMANDS
+    else:
+        subs = parser.add_subparsers(dest="command", required=True, metavar=_ALL_COMMANDS)
+        names = (command,)
+    for name in names:
+        help_text, fn, arguments = _COMMANDS[name]
+        sub = subs.add_parser(name, help=help_text)
+        for flags, options in arguments:
+            sub.add_argument(*flags, **options)
+        sub.set_defaults(fn=fn)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def main(argv: list[str] | tuple[str, ...] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    elif not (isinstance(argv, (list, tuple)) and all(isinstance(a, str) for a in argv)):
+        raise InvalidArgument("argv must be None or a list or tuple of str")
+    # no arguments, an option first or an unknown name: the full parser
+    # prints the help, "required: command" or "invalid choice"
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         return args.fn(args)
     except (SetQMError, OSError, UnicodeDecodeError) as exc:

@@ -105,7 +105,8 @@ class DensityMatrix:
 
 def rho_of_partition(p: Partition) -> DensityMatrix:
     """Every block of p with weight 1/|U|."""
-    _expect(Partition, p)
+    if not isinstance(p, Partition):
+        _expect(Partition, p)
     return DensityMatrix._derived(p.universe, p.masks, p.universe.size, (1,) * len(p.masks))
 
 
@@ -124,7 +125,8 @@ def _square_sum(rho: DensityMatrix) -> int:
 
 def purity(rho: DensityMatrix) -> Fraction:
     """tr[rho^2] = sum of |B|^2 w_B^2."""
-    _expect(DensityMatrix, rho)
+    if not isinstance(rho, DensityMatrix):
+        _expect(DensityMatrix, rho)
     return Fraction(_square_sum(rho), rho._den ** 2)
 
 

@@ -203,6 +203,11 @@ def _dit_count(p: Partition) -> int:
 
 
 def _check_same_universe(p: Partition, q: Partition) -> None:
+    """InvalidArgument unless both are partitions, UniverseMismatch unless of one universe.
+
+    `join` and `refines` test the valid case inline and call this only to
+    raise: the call would cost about as much as the check.
+    """
     _expect(Partition, p, q)
     if p.universe != q.universe:
         raise UniverseMismatch("partitions on different universes are incompatible")
@@ -210,7 +215,8 @@ def _check_same_universe(p: Partition, q: Partition) -> None:
 
 def join(p: Partition, q: Partition) -> Partition:
     """Partition whose blocks are the nonempty pairwise block intersections."""
-    _check_same_universe(p, q)
+    if not (isinstance(p, Partition) and isinstance(q, Partition) and p.universe == q.universe):
+        _check_same_universe(p, q)
     masks = sorted((b & c for b in p.masks for c in q.masks if b & c), key=_least_bit)
     return Partition._derived(p.universe, tuple(masks))
 
@@ -248,7 +254,9 @@ def refines(coarse: Partition, fine: Partition) -> bool:
     Each fine block is tested only against the coarse block that holds its
     least element: O(|coarse| + |fine|) mask operations.
     """
-    _check_same_universe(coarse, fine)
+    if not (isinstance(coarse, Partition) and isinstance(fine, Partition)
+            and coarse.universe == fine.universe):
+        _check_same_universe(coarse, fine)
     return _nested(coarse.masks, fine.masks) is not None
 
 
@@ -266,14 +274,16 @@ def dit_set(p: Partition) -> DitSet:
 
 def logical_entropy(p: Partition) -> Fraction:
     """Normalized dit count |dit(p)| / |U|^2 = 1 - sum of squared block probabilities."""
-    _expect(Partition, p)
+    if not isinstance(p, Partition):
+        _expect(Partition, p)
     n = p.universe.size
     return Fraction(_dit_count(p), n * n)
 
 
 def shannon_entropy(p: Partition) -> float:
     """Base-2 entropy of the block probabilities; the one float in the package."""
-    _expect(Partition, p)
+    if not isinstance(p, Partition):
+        _expect(Partition, p)
     n = p.universe.size
     return sum(m.bit_count() / n * math.log2(n / m.bit_count()) for m in p.masks)
 

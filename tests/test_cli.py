@@ -2,12 +2,15 @@ import contextlib
 import io
 import json
 import re
+import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from setqm import cli
 from setqm.cli import build_parser, main
 from setqm.density import DensityMatrix
 
@@ -439,3 +442,70 @@ def test_fuzzed_run_keeps_the_exit_contract(tmp_path, source, data):
     path = tmp_path / "fuzz.qc2"
     path.write_bytes(source)
     assert_exit_contract(["run", str(path), *data.draw(argument_lists("run"))])
+
+
+# -- one subparser per call: main answers as dispatch through the full parser does --
+
+# a command name first, then each kind of usage error; before it, the calls that name none
+EDGE_CALLS = [[], ["-h"], ["--help"], ["nope"], ["-h", "bracket"], ["--format", "json", "bracket"]]
+EDGE_CALLS += [
+    [command, *tail] for command in SUBCOMMANDS
+    for tail in (["-h"], [], ["--format", "xml"], ["--bogus"], ["--dim", "4"], ["w", "x", "y", "z"])
+]
+
+
+def reference_cli(argv):
+    """call_cli with main dispatching through the full parser, whatever argv names.
+
+    argparse's texts differ between Python versions, so the two sides are
+    compared at run time and no output is stored.
+    """
+    full = cli.build_parser
+    with mock.patch.object(cli, "build_parser", lambda command=None: full()):
+        return call_cli(argv)
+
+
+def test_main_builds_only_the_named_subparser(capsys):
+    built = []
+    full = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return full(command)
+
+    with mock.patch.object(cli, "build_parser", spy):
+        for argv in (["bracket", "{a}", "{b}"], ["run", "-h"], ["-h", "bracket"], ["nope"], []):
+            call_cli(argv)
+    assert built == ["bracket", "run", None, None, None]
+    one = build_parser("bracket")
+    assert one.format_usage() == build_parser().format_usage()  # it still lists every command
+    with pytest.raises(SystemExit):  # but parses no other
+        one.parse_args(["born", "{a}", "--frame", "U"])
+    assert "invalid choice: 'born'" in capsys.readouterr().err
+
+
+def test_edge_calls_cover_every_subcommand():
+    assert len(EDGE_CALLS) == 78 and {argv[0] for argv in EDGE_CALLS[6:]} == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", EDGE_CALLS, ids=[" ".join(a) or "no-arguments" for a in EDGE_CALLS])
+def test_edge_calls_match_the_full_parser(argv):
+    assert call_cli(argv) == reference_cli(argv)
+
+
+@given(data=st.data())
+def test_fuzzed_calls_match_the_full_parser(data):
+    command = data.draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    argv = [command, *data.draw(argument_lists(command))]
+    if command == "run":
+        argv.insert(1, str(CIRCUITS / "teleport.qc2"))
+    if data.draw(st.sampled_from([False, False, False, True])):  # a first token naming no command
+        argv.insert(0, data.draw(st.one_of(st.sampled_from(FLAGS), NOISE)))
+    assert call_cli(argv) == reference_cli(argv)
+
+
+@pytest.mark.parametrize("argv", [["bracket", "{a,b}", "{a,c}"], ["bracket", "{a}"],
+                                  ["bracket", "a", "b", "c"], ["-h"], [], ["nope"]])
+def test_main_reads_sys_argv_like_the_full_parser(monkeypatch, argv):
+    monkeypatch.setattr(sys, "argv", ["setqm", *argv])
+    assert call_cli(None) == reference_cli(None)

@@ -3,7 +3,7 @@ from types import ModuleType
 import pytest
 
 import setqm
-from setqm import dsl
+from setqm import cli, dsl
 from setqm.dynamics import Dynamics, evolve, evolved_frame, interference_coefficients
 from setqm.entangle import (
     ProductState, ProductUniverse, is_separated, joint, marginals, product_to_frame, supports,
@@ -123,6 +123,8 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
         lambda: purity(None),
         lambda: rho_of_partition(None),
         lambda: measure_probs(None, None),
+        lambda: cli.main(["bracket", None, "{a}"]),
+        lambda: cli.main([b"bracket"]),
     ],
     ids=["basis-float-index", "from-indices-float", "bitvec-float-bits",
          "from-indices-str", "from-bits-letter", "table-float-entry",
@@ -141,7 +143,8 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
          "render-str-ast", "parse-none-text", "supports-none", "is-separated-none",
          "marginals-none", "join-str-right", "refines-none-fine", "bracket-none",
          "norm-sq-none", "resolve-none", "logical-entropy-none", "shannon-entropy-none",
-         "purity-none", "rho-of-partition-none", "measure-probs-none"],
+         "purity-none", "rho-of-partition-none", "measure-probs-none", "cli-main-none-arg",
+         "cli-main-bytes-arg"],
 )
 def test_wrongly_typed_arguments_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument):

@@ -9,10 +9,10 @@ tuple.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Sequence
 
 from .errors import (
     ImpossibleOutcome,
@@ -20,12 +20,11 @@ from .errors import (
     InvalidArgument,
     NotComplete,
     NotTotal,
-    UniverseMismatch,
     ZeroState,
 )
-from .gf2 import BitVec, _expect, nth_set_bit
+from .gf2 import BitVec, _expect, _random_set_bit
 from .partitions import Partition, _least_bit, _rational
-from .space import SubsetKet, Universe, rat_json
+from .space import SubsetKet, Universe, _same_universe, rat_json
 
 Rational = Fraction | int | str
 
@@ -38,6 +37,8 @@ class Attribute:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
+        _expect(Universe, self.universe)
+        _expect(Sequence, self.values)
         if len(self.values) != self.universe.size:
             raise NotTotal("attribute must assign a value to every element")
         values = tuple(_rational(v, "attribute value") for v in self.values)
@@ -92,27 +93,29 @@ def inverse_image_partition(f: Attribute) -> Partition:
     return Partition._derived(f.universe, tuple(sorted(f.levels.values(), key=_least_bit)))
 
 
-def _check_universe(f: Attribute, s: SubsetKet) -> None:
-    if f.universe != s.universe:
-        raise UniverseMismatch("attribute and state live on different universes")
+def _expect_operands(f: Attribute, s: SubsetKet) -> None:
+    """InvalidArgument unless `f` is an Attribute and `s` a SubsetKet; inline for the valid case."""
+    if not (isinstance(f, Attribute) and isinstance(s, SubsetKet)):
+        _expect(Attribute, f)
+        _expect(SubsetKet, s)
 
 
 def project(f: Attribute, r: Rational, s: SubsetKet) -> SubsetKet:
     """Projection f^-1(r) ∩ S; may be the zero ket."""
-    _check_universe(f, s)
+    _expect_operands(f, s)
+    _same_universe(f, s)
     return f.level_set(r).intersect(s)
 
 
 def _split(f: Attribute, s: SubsetKet) -> list[tuple[Fraction, int]]:
     """(r, mask of f^-1(r) ∩ S) for each eigenvalue whose part of S is nonempty."""
-    _check_universe(f, s)
+    _same_universe(f, s)
     return [(r, part) for r, level in f.levels.items() if (part := level & s.bits.bits)]
 
 
 def measure_probs(f: Attribute, s: SubsetKet) -> dict[Fraction, Fraction]:
     """Probability of each eigenvalue with nonzero projection; sums to 1."""
-    _expect(Attribute, f)
-    _expect(SubsetKet, s)
+    _expect_operands(f, s)
     if s.is_zero:
         raise ZeroState("cannot measure the zero ket")
     n = s.cardinality
@@ -121,11 +124,11 @@ def measure_probs(f: Attribute, s: SubsetKet) -> dict[Fraction, Fraction]:
 
 def measure(f: Attribute, s: SubsetKet, rng: random.Random) -> MeasurementOutcome:
     """Sample an eigenvalue by a uniform draw over S and collapse onto its level set."""
+    _expect_operands(f, s)
     if s.is_zero:
         raise ZeroState("cannot measure the zero ket")
-    _check_universe(f, s)
-    j = nth_set_bit(s.bits.bits, rng.randrange(s.cardinality))
-    return measure_given(f, s, f.values[j])
+    _same_universe(f, s)
+    return measure_given(f, s, f.values[_random_set_bit(s.bits.bits, rng)])
 
 
 def measure_given(f: Attribute, s: SubsetKet, r: Rational) -> MeasurementOutcome:
@@ -161,6 +164,8 @@ def is_complete(fs: Sequence[Attribute]) -> bool:
 
 def eigenkets(fs: Sequence[Attribute]) -> dict[str, tuple[Fraction, ...]]:
     """Each element named by its tuple of eigenvalues under a complete family."""
+    _expect(Sequence, fs)
+    _expect(Attribute, *fs)
     if not is_complete(fs):
         raise NotComplete("attribute family does not separate all elements")
     return dict(zip(fs[0].universe.labels, zip(*(f.values for f in fs))))
@@ -168,5 +173,6 @@ def eigenkets(fs: Sequence[Attribute]) -> dict[str, tuple[Fraction, ...]]:
 
 def spectral_apply(f: Attribute, s: SubsetKet) -> list[tuple[Fraction, SubsetKet]]:
     """Formal spectral decomposition: (r, f^-1(r) ∩ S) with nonzero components."""
+    _expect_operands(f, s)
     n = s.universe.size
     return [(r, SubsetKet(s.universe, BitVec(n, part))) for r, part in _split(f, s)]

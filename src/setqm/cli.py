@@ -55,7 +55,7 @@ def _parse_subset(text: str, universe: Universe) -> SubsetKet:
 
 
 def _parse_partition(text: str, universe: Universe) -> Partition:
-    return Partition(universe, (universe._mask(_subset_labels(chunk)) for chunk in text.split("|")))
+    return Partition.from_blocks(universe, map(_subset_labels, text.split("|")))
 
 
 def _parse_attr(text: str, universe: Universe) -> Attribute:

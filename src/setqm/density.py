@@ -18,10 +18,10 @@ from functools import cached_property
 from typing import Iterable
 
 from .attributes import Attribute
-from .errors import InvalidBlocks, ShapeMismatch, UniverseMismatch, ZeroState
+from .errors import InvalidBlocks, ShapeMismatch, ZeroState
 from .gf2 import _expect
 from .partitions import Partition, _block_masks, _nested
-from .space import SubsetKet, Universe, rat_json
+from .space import SubsetKet, Universe, _same_universe, rat_json
 
 
 @dataclass(frozen=True, init=False)
@@ -40,6 +40,7 @@ class DensityMatrix:
     _nums: tuple[int, ...]
 
     def __init__(self, universe: Universe, blocks: Iterable[tuple[int, Fraction]]):
+        _expect(Universe, universe)
         try:
             pairs = [(m, w if type(w) is Fraction else Fraction(w)) for m, w in blocks]
         except (TypeError, ValueError, ArithmeticError) as e:
@@ -137,8 +138,7 @@ def logical_entropy_rho(rho: DensityMatrix) -> Fraction:
 
 def expectation(f: Attribute, rho: DensityMatrix) -> Fraction:
     """tr[f rho]: each numerator a times the sum of r |B_a ∩ f^-1(r)|, B_a the union of a's blocks."""
-    if f.universe != rho.universe:
-        raise UniverseMismatch("attribute and density matrix live on different universes")
+    _same_universe(f, rho)
     union: dict[int, int] = {}
     for mask, a in zip(rho.masks, rho._nums):
         union[a] = union.get(a, 0) | mask
@@ -155,8 +155,7 @@ def measure_density(f: Attribute, rho: DensityMatrix) -> DensityMatrix:
     of a partition p the result is rho of join(f's partition, p). Every
     block keeps a nonempty part, so the common denominator stays the same.
     """
-    if f.universe != rho.universe:
-        raise UniverseMismatch("attribute and density matrix live on different universes")
+    _same_universe(f, rho)
     levels = f.levels.values()
     parts = sorted(((mask & level, a) for mask, a in zip(rho.masks, rho._nums)
                     for level in levels if mask & level), key=lambda part: part[0] & -part[0])
@@ -179,8 +178,7 @@ def entropy_increase(before: DensityMatrix, after: DensityMatrix) -> Fraction:
     """
     if before.dim != after.dim:
         raise ShapeMismatch("density matrices differ in dimension")
-    if before.universe != after.universe:
-        raise UniverseMismatch("density matrices live on different universes")
+    _same_universe(before, after)
     masks, parts = before.masks, after.masks
     nested = _nested(masks, parts)
     if nested is None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimMismatch, ZeroState
-from .gf2 import BitVec, GF2Matrix, _expect, _row_sum, mat_apply, mat_mul, nth_set_bit
+from .gf2 import BitVec, GF2Matrix, _expect, _random_set_bit, _row_sum, mat_apply, mat_mul
 from .space import BasisFrame, SubsetKet, _preimages, born, to_basis
 
 
@@ -44,6 +44,9 @@ class SlitConfig:
     slit_state: SubsetKet
 
     def __post_init__(self):
+        _expect(Dynamics, self.dynamics)
+        _expect(BasisFrame, self.position_frame)
+        _expect(SubsetKet, self.slit_state)
         if self.dynamics.dim != self.position_frame.dim:
             raise DimMismatch("dynamics and position frame dimensions differ")
         if self.slit_state.bits.length != self.dynamics.dim:
@@ -108,6 +111,7 @@ def double_slit(cfg: SlitConfig, measure_at_slits: bool) -> dict[str, Fraction]:
     over slit outcomes; without measurement the whole superposition evolves
     once and interference can cancel wall positions.
     """
+    _expect(SlitConfig, cfg)
     frame = cfg.position_frame
     if measure_at_slits:
         slit_probs = born(cfg.slit_state, frame)
@@ -124,6 +128,7 @@ def double_slit(cfg: SlitConfig, measure_at_slits: bool) -> dict[str, Fraction]:
 
 def double_slit_sample(cfg: SlitConfig, measure_at_slits: bool, rng: random.Random) -> str:
     """One simulated run: returns the wall label where the particle lands."""
+    _expect(SlitConfig, cfg)
     frame = cfg.position_frame
     state = cfg.slit_state
     if measure_at_slits:
@@ -133,5 +138,4 @@ def double_slit_sample(cfg: SlitConfig, measure_at_slits: bool, rng: random.Rand
 
 def _draw(s: SubsetKet, frame: BasisFrame, rng: random.Random) -> str:
     """A Born-rule draw: the frame label of a uniform pick from the support of `s` in `frame`."""
-    bits = to_basis(s, frame).bits
-    return frame.labels[nth_set_bit(bits.bits, rng.randrange(bits.weight()))]
+    return frame.labels[_random_set_bit(to_basis(s, frame).bits.bits, rng)]

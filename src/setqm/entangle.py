@@ -9,11 +9,11 @@ joint distribution over all three bases can reproduce.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
-from typing import Iterable, Sequence
 
 from .errors import DimMismatch, DuplicateTerms, ImpossibleOutcome, UnknownLabel, ZeroState
 from .gf2 import BitVec, GF2Matrix, _expect, _spread, mat_apply
@@ -229,6 +229,7 @@ def counterfactual_joint(
     Because it is a genuine joint distribution, its pairwise marginals always
     satisfy lhs = Pr(x1,y1) + Pr(y2,z2) >= Pr(x1,z2) = rhs.
     """
+    _expect(ProductState, s)
     f1, f2, f3 = _three_frames(frames)
     # one change of basis per frame; every outcome's probability is read from it
     p1, p2, p3 = (_left_probs(product_to_frame(s, f, f)) for f in (f1, f2, f3))
@@ -296,10 +297,11 @@ class BellReport:
 
 def bell_basis_frames(universe: Universe) -> tuple[BasisFrame, BasisFrame, BasisFrame]:
     """The three bases of a two-element universe (each pair of nonzero kets is one)."""
+    _expect(Universe, universe)
     if universe.size != 2:
         raise DimMismatch("only a two-element universe has exactly three bases")
     x, y = universe.labels
-    u = universe.canonical_frame("U")
+    u = universe.canonical_frame()
     u1 = BasisFrame("U'", (x + "'", y + "'"), GF2Matrix.from_rows([[1, 0], [1, 1]]))
     u2 = BasisFrame("U''", (x + "''", y + "''"), GF2Matrix.from_rows([[1, 1], [1, 0]]))
     return u, u1, u2
@@ -309,6 +311,7 @@ def bell_violation(
     s: ProductState, frames: Sequence[BasisFrame] | None = None
 ) -> BellReport:
     """Evaluate lhs = Pr(x1,y1) + Pr(y2,z2) >= Pr(x1,z2) = rhs with sequential probabilities."""
+    _expect(ProductState, s)
     if frames is None:
         frames = bell_basis_frames(s.space.left)
     f1, f2, f3 = _three_frames(frames)
@@ -324,6 +327,8 @@ def bell_violation(
 
 
 def _three_frames(frames: Sequence[BasisFrame]) -> Sequence[BasisFrame]:
+    _expect(Sequence, frames)
+    _expect(BasisFrame, *frames)
     if len(frames) != 3 or any(f.dim < 2 for f in frames):
         raise DimMismatch("need exactly three frames, each with at least two labels")
     return frames

@@ -8,6 +8,7 @@ so values can be shared freely between threads.
 
 from __future__ import annotations
 
+import random
 import struct
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -53,10 +54,13 @@ class BitVec:
     @classmethod
     def from_coords(cls, coords: Sequence[int]) -> BitVec:
         bits = 0
-        for j, c in enumerate(coords):
-            if c not in (0, 1):
-                raise InvalidArgument("coordinates must be 0 or 1")
-            bits |= c << j
+        try:
+            for j, c in enumerate(coords):
+                if c not in (0, 1):
+                    raise InvalidArgument("coordinates must be 0 or 1")
+                bits |= c << j
+        except TypeError:  # a non-int equal to 0 or 1, such as 1.0
+            raise InvalidArgument("coordinates must be 0 or 1") from None
         return cls(len(coords), bits)
 
     @classmethod
@@ -108,6 +112,14 @@ def nth_set_bit(x: int, n: int) -> int:
     return lo
 
 
+def _random_set_bit(x: int, rng: random.Random) -> int:
+    """Position of a uniform pick among the set bits of nonzero x, by one `randrange` call.
+
+    This is the Born rule's draw: every element of the support is equally likely.
+    """
+    return nth_set_bit(x, rng.randrange(x.bit_count()))
+
+
 def _expect(cls: type, *values: object) -> None:
     """Raise InvalidArgument unless every value is a `cls`."""
     for v in values:
@@ -151,18 +163,10 @@ class GF2Matrix:
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> GF2Matrix:
         if not rows:
             raise InvalidArgument("matrix needs positive dimensions")
-        cols = len(rows[0])
-        packed = []
-        for row in rows:
-            if len(row) != cols:
-                raise InvalidArgument("rows must all have the same length")
-            bits = 0
-            for j, e in enumerate(row):
-                if e not in (0, 1):
-                    raise InvalidArgument("entries must be 0 or 1")
-                bits |= e << j
-            packed.append(bits)
-        return cls(len(rows), cols, tuple(packed))
+        packed = [BitVec.from_coords(row) for row in rows]
+        if any(v.length != packed[0].length for v in packed):
+            raise InvalidArgument("rows must all have the same length")
+        return cls(len(rows), packed[0].length, tuple(v.bits for v in packed))
 
     @classmethod
     def _derived(cls, rows: int, cols: int, row_bits: tuple[int, ...]) -> GF2Matrix:

@@ -10,9 +10,9 @@ from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InvalidArgument, InvalidBlocks, OutOfRange, ShapeMismatch, UniverseMismatch
+from .errors import InvalidArgument, InvalidBlocks, OutOfRange, ShapeMismatch
 from .gf2 import BitVec, _expect
-from .space import SubsetKet, Universe, _fmt_labels
+from .space import SubsetKet, Universe, _fmt_labels, _same_universe
 
 
 def _rational(v: object, what: str) -> Fraction:
@@ -65,6 +65,7 @@ class Partition:
     masks: tuple[int, ...]
 
     def __post_init__(self):
+        _expect(Universe, self.universe)
         n = self.universe.size
         masks = _block_masks(n, self.masks)
         if sum(m.bit_count() for m in masks) != n:
@@ -148,43 +149,36 @@ class _Dits(Set):
     def _from_iterable(cls, pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
         return frozenset(pairs)
 
-    def _block_of(self) -> dict[str, int]:
-        """Each label's block index, built from the masks on first use."""
-        if self._owner is None:
-            u = self.partition.universe
-            self._owner = {x: k for k, m in enumerate(self.partition.masks) for x in u._labels(m)}
-        return self._owner
-
     def __len__(self) -> int:
         return _dit_count(self.partition)
 
     def __contains__(self, pair: object) -> bool:
         if not isinstance(pair, tuple) or len(pair) != 2:
             return False
-        owner = self._block_of()
-        i, j = owner.get(pair[0]), owner.get(pair[1])
+        if self._owner is None:  # each label's block index, built from the masks on first use
+            u = self.partition.universe
+            self._owner = {x: k for k, m in enumerate(self.partition.masks) for x in u._labels(m)}
+        i, j = self._owner.get(pair[0]), self._owner.get(pair[1])
         return i is not None and j is not None and i != j  # None: a label outside U
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        blocks = [[] for _ in self.partition.masks]
-        for x, k in self._block_of().items():
-            blocks[k].append(x)
+        blocks = [self.partition.universe._labels(m) for m in self.partition.masks]
         for xs in blocks:
             for ys in blocks:
                 if xs is not ys:
                     yield from product(xs, ys)
 
-    def _same_universe(self, other: object) -> bool:
+    def _comparable(self, other: object) -> bool:
         return isinstance(other, _Dits) and other.partition.universe == self.partition.universe
 
     def __le__(self, other: object) -> bool:
         # dit(p) <= dit(q) exactly when q refines p
-        if self._same_universe(other):
+        if self._comparable(other):
             return refines(self.partition, other.partition)
         return Set.__le__(self, other)
 
     def __eq__(self, other: object) -> bool:
-        if self._same_universe(other):
+        if self._comparable(other):
             return self.partition.masks == other.partition.masks
         return Set.__eq__(self, other)
 
@@ -202,21 +196,12 @@ def _dit_count(p: Partition) -> int:
     return n * n - sum(m.bit_count() ** 2 for m in p.masks)
 
 
-def _check_same_universe(p: Partition, q: Partition) -> None:
-    """InvalidArgument unless both are partitions, UniverseMismatch unless of one universe.
-
-    `join` and `refines` test the valid case inline and call this only to
-    raise: the call would cost about as much as the check.
-    """
-    _expect(Partition, p, q)
-    if p.universe != q.universe:
-        raise UniverseMismatch("partitions on different universes are incompatible")
-
-
 def join(p: Partition, q: Partition) -> Partition:
     """Partition whose blocks are the nonempty pairwise block intersections."""
+    # the valid case is tested inline: a call would cost about as much as the test
     if not (isinstance(p, Partition) and isinstance(q, Partition) and p.universe == q.universe):
-        _check_same_universe(p, q)
+        _expect(Partition, p, q)
+        _same_universe(p, q)
     masks = sorted((b & c for b in p.masks for c in q.masks if b & c), key=_least_bit)
     return Partition._derived(p.universe, tuple(masks))
 
@@ -256,7 +241,8 @@ def refines(coarse: Partition, fine: Partition) -> bool:
     """
     if not (isinstance(coarse, Partition) and isinstance(fine, Partition)
             and coarse.universe == fine.universe):
-        _check_same_universe(coarse, fine)
+        _expect(Partition, coarse, fine)
+        _same_universe(coarse, fine)
     return _nested(coarse.masks, fine.masks) is not None
 
 

@@ -22,7 +22,7 @@ def frames_abc() -> tuple[BasisFrame, BasisFrame, BasisFrame]:
     The primed basis kets are {a,b}, {b,c}, {a,b,c}; the double-primed ones
     are {a}, {a,b}, {a,c}.
     """
-    u = universe_abc().canonical_frame("U")
+    u = universe_abc().canonical_frame()
     u1 = BasisFrame(
         "U'",
         ("a'", "b'", "c'"),
@@ -45,7 +45,7 @@ def double_slit_setup() -> SlitConfig:
     """Three vertical positions, slits at a and c, one-period flight to the wall."""
     universe = universe_abc()
     dynamics = Dynamics(GF2Matrix.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]]))
-    return SlitConfig(dynamics, universe.canonical_frame("U"), universe.subset(["a", "c"]))
+    return SlitConfig(dynamics, universe.canonical_frame(), universe.subset(["a", "c"]))
 
 
 def pair_space() -> ProductUniverse:

@@ -42,7 +42,7 @@ from .errors import (
     WrongArity,
     ZeroState,
 )
-from .gf2 import BitVec, GF2Matrix, _expect, is_nonsingular, kron, nth_set_bit
+from .gf2 import BitVec, GF2Matrix, _expect, _random_set_bit, is_nonsingular, kron
 
 MAX_LINES = 20  # a register of n lines is a 2^n-bit int; 20 lines is 128 KiB
 
@@ -280,6 +280,8 @@ def _line_mask(r: Register, line: int, value: int) -> int:
 
 def line_probs(r: Register, line: int) -> dict[int, Fraction]:
     """Born probabilities of each bit value on one line."""
+    if not isinstance(r, Register):
+        _expect(Register, r)
     ones = (r.state.bits & _line_mask(r, line, 1)).bit_count()
     total = r.state.weight()
     return {0: Fraction(total - ones, total), 1: Fraction(ones, total)}
@@ -288,8 +290,7 @@ def line_probs(r: Register, line: int) -> dict[int, Fraction]:
 def measure_line(r: Register, line: int, rng: random.Random) -> tuple[int, Register]:
     """Measure one line: uniform draw over the support, collapse to the matching kets."""
     ones = _line_mask(r, line, 1)
-    k = nth_set_bit(r.state.bits, rng.randrange(r.state.weight()))
-    return measure_line_given(r, line, (ones >> k) & 1)
+    return measure_line_given(r, line, (ones >> _random_set_bit(r.state.bits, rng)) & 1)
 
 
 def measure_line_given(r: Register, line: int, outcome: int) -> tuple[int, Register]:
@@ -322,17 +323,14 @@ class TeleportTrace:
         }
 
 
-def teleport(
-    alpha: int,
-    beta: int,
-    rng: random.Random | None = None,
-    force_outcome: int | None = None,
-) -> TeleportTrace:
+def teleport(alpha: int, beta: int, rng: random.Random) -> TeleportTrace:
     """Teleport Alice's qubit (alpha, beta) to Bob using one classical bit.
 
     Bob superposes his |0> with H0, Cnot_B entangles the pair, Alice
-    measures her line and sends the result M, and Bob applies X^M.
+    measures her line and sends the result M, drawn with `rng`, and Bob
+    applies X^M.
     """
+    _expect(random.Random, rng)
     if not all(isinstance(a, int) and a in (0, 1) for a in (alpha, beta)):
         raise InvalidArgument(f"amplitudes over Z2 are 0 or 1, got ({alpha!r}, {beta!r})")
     if (alpha, beta) == (0, 0):
@@ -340,10 +338,7 @@ def teleport(
     phi0 = Register.from_indices(2, [k for k, amp in ((0, alpha), (2, beta)) if amp])
     phi1 = apply(standard_gate("H0"), phi0, line=1)
     phi2 = apply(standard_gate("CNOT_B"), phi1)
-    if force_outcome is not None:
-        m, collapsed = measure_line_given(phi2, 0, force_outcome)
-    else:
-        m, collapsed = measure_line(phi2, 0, rng or random.Random())
+    m, collapsed = measure_line(phi2, 0, rng)
     if m:
         collapsed = apply(standard_gate("X"), collapsed, line=1)
     bob = (collapsed.coefficient(m * 2), collapsed.coefficient(m * 2 + 1))
@@ -358,6 +353,8 @@ class BooleanFunction:
     table: tuple[int, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.arity, int) and isinstance(self.table, tuple)):
+            raise InvalidArgument("a Boolean function is an int arity and a tuple truth table")
         if self.arity < 1:
             raise WrongArity("arity must be at least 1")
         table = self.table
@@ -405,6 +402,7 @@ def ef_gate(f: BooleanFunction) -> Gate:
     TooLarge is raised before anything is built. `apply_ef` builds only the
     2x2 factors, so the register's width is its only bound.
     """
+    _expect(BooleanFunction, f)
     lines = 1 << (f.arity - 1)
     if lines > MAX_EF_GATE_LINES:
         raise TooLarge(

@@ -7,10 +7,10 @@ field, and every probability is an exact `fractions.Fraction`.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DimMismatch,
@@ -86,8 +86,8 @@ class Universe:
         for bits in range(1 << self.size):
             yield SubsetKet(self, BitVec(self.size, bits))
 
-    def canonical_frame(self, name: str = "U") -> BasisFrame:
-        return BasisFrame(name, self.labels, GF2Matrix.identity(self.size))
+    def canonical_frame(self) -> BasisFrame:
+        return BasisFrame("U", self.labels, GF2Matrix.identity(self.size))
 
 
 @dataclass(frozen=True)
@@ -118,21 +118,27 @@ class SubsetKet:
         return bool((self.bits.bits >> self.universe.index(label)) & 1)
 
     def __add__(self, other: SubsetKet) -> SubsetKet:
-        self._check_universe(other)
+        _same_universe(self, other)
         return SubsetKet(self.universe, self.bits ^ other.bits)
 
     def intersect(self, other: SubsetKet) -> SubsetKet:
-        self._check_universe(other)
+        _same_universe(self, other)
         return SubsetKet(self.universe, BitVec(self.bits.length, self.bits.bits & other.bits.bits))
-
-    def _check_universe(self, other: SubsetKet) -> None:
-        if self.universe != other.universe:
-            raise UniverseMismatch(
-                f"universes {self.universe.labels} and {other.universe.labels} differ"
-            )
 
     def __str__(self) -> str:
         return _fmt_labels(self.labels)
+
+
+def _same_universe(a, b) -> None:
+    """UniverseMismatch unless `a` and `b` live on one universe.
+
+    The message names the operands' types, not their labels, which can
+    run to thousands.
+    """
+    if a.universe != b.universe:
+        raise UniverseMismatch(
+            f"{type(a).__name__} and {type(b).__name__} live on different universes"
+        )
 
 
 def _preimages(matrix: GF2Matrix, what: str) -> GF2Matrix:
@@ -207,8 +213,7 @@ def rat_json(v: Fraction) -> str:
 def bracket(t: SubsetKet, s: SubsetKet) -> int:
     """Overlap |T ∩ S| of two subsets of the same universe."""
     _expect(SubsetKet, t, s)
-    if t.universe != s.universe:
-        raise UniverseMismatch("bracket of subsets of different universes is undefined")
+    _same_universe(t, s)
     return (t.bits.bits & s.bits.bits).bit_count()
 
 
@@ -304,6 +309,7 @@ def ket_table(dim: int, frames: Sequence[BasisFrame]) -> KetTable:
     MAX_KET_TABLE_DIM, before any row is built.
     """
     _expect(int, dim)
+    _expect(Sequence, frames)
     frames = tuple(frames)
     _expect(BasisFrame, *frames)
     if not frames:

@@ -640,3 +640,27 @@ def test_kron_with_a_wide_sparse_left_factor_matches_the_per_bit_loop(n, left, r
 def test_spread_moves_bit_j_to_bit_j_times_the_stride(bits, stride):
     want = sum(1 << j * stride for j in range(bits.bit_length()) if bits >> j & 1)
     assert gf2._spread(bits, stride) == want
+
+
+def reference_from_rows(rows):
+    """The per-entry packing `from_rows` replaced: entry (i, j) is bit j of row i."""
+    return GF2Matrix(len(rows), len(rows[0]),
+                     tuple(sum(e << j for j, e in enumerate(row)) for row in rows))
+
+
+@given(st.integers(1, 70).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(0, 1), min_size=cols, max_size=cols),
+                          min_size=1, max_size=20)))
+def test_from_rows_matches_the_per_entry_packing(rows):
+    assert GF2Matrix.from_rows(rows) == reference_from_rows(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[0, 2]], [[1, -1]], [[1.0, 0]], [["1", 0]], [[1, 0], [1]], [[1], [1, 0]], [], [[]]],
+    ids=["entry-2", "entry-negative", "entry-float", "entry-str", "ragged-short",
+         "ragged-long", "no-rows", "empty-row"],
+)
+def test_from_rows_rejects_bad_rows(rows):
+    with pytest.raises(InvalidArgument):
+        GF2Matrix.from_rows(rows)

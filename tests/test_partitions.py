@@ -106,6 +106,8 @@ def test_dit_set_matches_double_loop(p):
     assert len(ds) == len(ref)
     assert hash(ds.pairs) == hash(ref)
     assert hash(ds) == hash(DitSet(ref)) and ds == DitSet(ref)
+    pairs = list(ds.pairs)  # iteration yields every pair once
+    assert len(pairs) == len(ref) and set(pairs) == ref
     labels = p.universe.labels
     for pair in itertools.product(labels + ("outside",), repeat=2):
         assert (pair in ds) == (pair in ref)

@@ -7,6 +7,7 @@ import pytest
 
 from setqm.errors import (
     ImpossibleOutcome,
+    InvalidArgument,
     SizeMismatch,
     TooLarge,
     UnknownGate,
@@ -145,10 +146,18 @@ def test_measure_impossible_outcome():
         measure_line_given(reg, 0, 1)
 
 
+def first_seed_trace(alpha, beta, branch):
+    """The teleport trace of the first seed, from 0 up, whose measurement gives `branch`."""
+    for seed in itertools.count():
+        trace = teleport(alpha, beta, random.Random(seed))
+        if trace.measured == branch:
+            return trace
+
+
 def test_teleport_all_inputs_both_branches():
     for alpha, beta in NONZERO_QUBITS:
         for branch in (0, 1):
-            trace = teleport(alpha, beta, force_outcome=branch)
+            trace = first_seed_trace(alpha, beta, branch)
             assert trace.measured == branch
             assert trace.bob == (alpha, beta)
             assert trace.phi1.coefficients() == (alpha, alpha, beta, beta)
@@ -159,7 +168,9 @@ def test_teleport_seeded():
     trace = teleport(1, 1, rng=random.Random(5))
     assert trace.bob == (1, 1)
     with pytest.raises(ZeroState):
-        teleport(0, 0)
+        teleport(0, 0, random.Random(0))
+    with pytest.raises(InvalidArgument):  # the draw needs an explicit Random
+        teleport(1, 1, None)
 
 
 def test_ef_gate_unary():

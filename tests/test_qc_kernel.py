@@ -165,8 +165,8 @@ def test_a_line_that_is_not_an_int_is_rejected():
 def test_teleport_amplitudes_are_bits():
     for alpha, beta in ((1, 3), (2, 0), (-1, 1), (0.5, 1), (1.0, 0), ("1", 0)):
         with pytest.raises(InvalidArgument):
-            teleport(alpha, beta, force_outcome=0)
-    assert teleport(True, False, force_outcome=0).bob == (1, 0)
+            teleport(alpha, beta, random.Random(0))
+    assert teleport(True, False, random.Random(0)).bob == (1, 0)
 
 
 def test_from_bitstrings_rejects_terms_that_are_not_bitstrings():

@@ -46,6 +46,8 @@ class Attribute:
 
     @classmethod
     def from_values(cls, universe: Universe, values: Mapping[str, Rational]) -> Attribute:
+        _expect(Universe, universe)
+        _expect(Mapping, values)
         if set(values) != set(universe.labels):
             raise NotTotal("attribute must be total on the universe")
         return cls(universe, tuple(values[x] for x in universe.labels))
@@ -70,7 +72,7 @@ class Attribute:
         return tuple(self.levels)
 
     def level_set(self, r: Rational) -> SubsetKet:
-        mask = self.levels.get(Fraction(r), 0)
+        mask = self.levels.get(_rational(r, "eigenvalue"), 0)
         return SubsetKet(self.universe, BitVec(self.universe.size, mask))
 
     def to_json(self) -> dict[str, str]:

@@ -81,58 +81,50 @@ def _parse_pairs(text: str):
     return presets.pair_space().state(pairs)
 
 
-def _emit(args, table_text: Callable[[], str], payload: Callable[[], object]) -> None:
-    """Print the format that --format names, building only that one."""
-    if args.format == "json":
-        print(json.dumps(payload(), indent=2))
-    else:
-        print(table_text())
+# What each handler returns: the table text and the JSON object, each built
+# only when called, so `main` renders just the format that --format names.
+_Renderings = tuple[Callable[[], str], Callable[[], object]]
 
 
 def _fmt_probs(probs: dict) -> str:
     return "\n".join(f"{label}  {value}" for label, value in probs.items())
 
 
-def _cmd_ket_table(args) -> int:
+def _cmd_ket_table(args) -> _Renderings:
     frames = _frames(args.dim)
     table = ket_table(args.dim, frames)
-    _emit(args, table.to_text, table.to_json)
-    return 0
+    return table.to_text, table.to_json
 
 
-def _cmd_bracket(args) -> int:
+def _cmd_bracket(args) -> _Renderings:
     universe = _universe(args.dim)
     t = _parse_subset(args.t, universe)
     s = _parse_subset(args.s, universe)
     value = bracket(t, s)
-    _emit(args, lambda: str(value), lambda: {"bracket": value})
-    return 0
+    return lambda: str(value), lambda: {"bracket": value}
 
 
-def _cmd_born(args) -> int:
+def _cmd_born(args) -> _Renderings:
     universe = _universe(args.dim)
     frames = {f.name: f for f in _frames(args.dim)}
     if args.frame not in frames:
         raise SetQMError(f"unknown frame {args.frame!r}; choose from {sorted(frames)}")
     s = _parse_subset(args.state, universe)
     probs = born(s, frames[args.frame])
-    _emit(
-        args,
+    return (
         lambda: _fmt_probs(probs),
         lambda: {"state": list(s.labels), "frame": args.frame,
                  "probabilities": {k: rat_json(v) for k, v in probs.items()}},
     )
-    return 0
 
 
-def _cmd_measure(args) -> int:
+def _cmd_measure(args) -> _Renderings:
     universe = _universe(args.dim)
     f = _parse_attr(args.attr, universe)
     s = _parse_subset(args.state, universe)
     probs = measure_probs(f, s)
     outcome = measure(f, s, random.Random(args.seed))
-    _emit(
-        args,
+    return (
         lambda: "\n".join(
             [
                 "eigenvalue probabilities",
@@ -149,23 +141,20 @@ def _cmd_measure(args) -> int:
             "post_state": list(outcome.post_state.labels),
         },
     )
-    return 0
 
 
-def _cmd_entropy(args) -> int:
+def _cmd_entropy(args) -> _Renderings:
     universe = _universe(args.dim)
     p = _parse_partition(args.partition, universe)
     h = logical_entropy(p)
     hs = shannon_entropy(p)
-    _emit(
-        args,
+    return (
         lambda: f"h = {h}\nH = {hs:.4f}",
         lambda: {"partition": p.to_json(), "logical": rat_json(h), "shannon": hs},
     )
-    return 0
 
 
-def _cmd_density(args) -> int:
+def _cmd_density(args) -> _Renderings:
     universe = _universe(args.dim)
     if (args.partition is None) == (args.state is None):
         raise SetQMError("give exactly one of --partition or --state")
@@ -174,16 +163,14 @@ def _cmd_density(args) -> int:
     else:
         rho = rho_of_subset(_parse_subset(args.state, universe))
     gamma, h = purity(rho), logical_entropy_rho(rho)
-    _emit(
-        args,
+    return (
         lambda: "\n".join([rho.to_text(), f"purity = {gamma}", f"h = {h}"]),
         lambda: {"matrix": rho.to_json(), "purity": rat_json(gamma),
                  "logical_entropy": rat_json(h)},
     )
-    return 0
 
 
-def _cmd_measure_density(args) -> int:
+def _cmd_measure_density(args) -> _Renderings:
     universe = _universe(args.dim)
     f = _parse_attr(args.attr, universe)
     if args.partition is not None:
@@ -192,30 +179,26 @@ def _cmd_measure_density(args) -> int:
         before = rho_of_partition(Partition.indiscrete(universe))
     after = measure_density(f, before)
     gain = entropy_increase(before, after)
-    _emit(
-        args,
+    return (
         lambda: "\n".join(
             ["before", before.to_text(), "after", after.to_text(), f"entropy increase = {gain}"]
         ),
         lambda: {"before": before.to_json(), "after": after.to_json(),
                  "entropy_increase": rat_json(gain)},
     )
-    return 0
 
 
-def _cmd_double_slit(args) -> int:
+def _cmd_double_slit(args) -> _Renderings:
     cfg = presets.double_slit_setup()
     dist = double_slit(cfg, args.measure_at_slits)
-    _emit(
-        args,
+    return (
         lambda: _fmt_probs(dist),
         lambda: {"measured_at_slits": args.measure_at_slits,
                  "distribution": {k: rat_json(v) for k, v in dist.items()}},
     )
-    return 0
 
 
-def _cmd_bell(args) -> int:
+def _cmd_bell(args) -> _Renderings:
     state = _parse_pairs(args.state) if args.state else presets.bell_state()
     u, u1, u2 = presets.frames_ab()
     universe = presets.universe_ab()
@@ -252,16 +235,14 @@ def _cmd_bell(args) -> int:
             **report.to_json(),
         }
 
-    _emit(args, text, payload)
-    return 0
+    return text, payload
 
 
-def _cmd_teleport(args) -> int:
+def _cmd_teleport(args) -> _Renderings:
     rng = random.Random(args.seed)
     trace = teleport(args.alpha, args.beta, rng)
     ok = trace.bob == trace.input
-    _emit(
-        args,
+    return (
         lambda: "\n".join(
             [
                 f"input: ({trace.input[0]}, {trace.input[1]})",
@@ -275,10 +256,9 @@ def _cmd_teleport(args) -> int:
         ),
         lambda: {**trace.to_json(), "teleported": ok},
     )
-    return 0
 
 
-def _cmd_parity_sat(args) -> int:
+def _cmd_parity_sat(args) -> _Renderings:
     n = len(args.table)
     if n < 2 or n & (n - 1) or set(args.table) - {"0", "1"}:
         raise SetQMError("truth table must be a power-of-two string of 0/1 bits")
@@ -299,14 +279,14 @@ def _cmd_parity_sat(args) -> int:
             lines.append(f"deutsch: {'balanced' if result.parity else 'constant'}")
         return "\n".join(lines)
 
-    _emit(args, text, lambda: {**result.to_json(), "table": args.table})
-    return 0
+    return text, lambda: {**result.to_json(), "table": args.table}
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> _Renderings:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     result = dsl.run(dsl.parse(text), seed=args.seed)
+    result._check_printable()
 
     def table() -> str:
         lines = [f"{entry.label}: {entry.register}" for entry in result.trace]
@@ -314,8 +294,7 @@ def _cmd_run(args) -> int:
             lines.append(f"line {m.line} -> {m.outcome} (p = {m.probability})")
         return "\n".join(lines)
 
-    _emit(args, table, result.to_json)
-    return 0
+    return table, result.to_json
 
 
 def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
@@ -396,7 +375,9 @@ def main(argv: list[str] | tuple[str, ...] | None = None) -> int:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        return args.fn(args)
+        text, payload = args.fn(args)
+        print(json.dumps(payload(), indent=2) if args.format == "json" else text())
+        return 0
     except (SetQMError, OSError, UnicodeDecodeError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -25,12 +25,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ParseError, RegisterTooWide, ZeroInitial, ZeroState
+from .errors import ParseError, RegisterTooWide, TooLarge, ZeroInitial, ZeroState
 from . import qc
 from .gf2 import _expect
 from .space import rat_json
 
 _ONE_LINE_GATES = tuple(name for name, g in qc._LIBRARY.items() if g.width == 1)
+# The most kets, summed over a run's trace, that its JSON object or `setqm run`
+# prints; each ket is a bitstring of one character per line. A 20-step run on
+# 12 lines has at most 21 * 4096 = 86016.
+MAX_TRACE_KETS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -273,7 +277,14 @@ class RunResult:
     def final(self) -> qc.Register:
         return self.trace[-1].register
 
+    def _check_printable(self) -> None:
+        """Raise TooLarge, before any ket string is built, above MAX_TRACE_KETS kets."""
+        kets = sum(t.register.state.weight() for t in self.trace)
+        if kets > MAX_TRACE_KETS:
+            raise TooLarge(f"the trace holds {kets} kets, above the print limit of {MAX_TRACE_KETS}")
+
     def to_json(self) -> dict:
+        self._check_printable()
         return {
             "lines": self.ast.lines,
             "trace": [
@@ -291,7 +302,7 @@ class RunResult:
         }
 
 
-def run(ast: CircuitAst, seed: int | None = None) -> RunResult:
+def run(ast: CircuitAst, seed: int) -> RunResult:
     """Execute a circuit; deterministic for a fixed seed.
 
     The generator is only consulted when a measurement is genuinely random;

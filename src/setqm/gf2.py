@@ -53,6 +53,7 @@ class BitVec:
 
     @classmethod
     def from_coords(cls, coords: Sequence[int]) -> BitVec:
+        _expect(Sequence, coords)  # its length is the vector's
         bits = 0
         try:
             for j, c in enumerate(coords):
@@ -117,6 +118,8 @@ def _random_set_bit(x: int, rng: random.Random) -> int:
 
     This is the Born rule's draw: every element of the support is equally likely.
     """
+    if not isinstance(rng, random.Random):
+        _expect(random.Random, rng)
     return nth_set_bit(x, rng.randrange(x.bit_count()))
 
 

@@ -31,7 +31,10 @@ def _least_bit(mask: int) -> int:
 
 def _block_masks(size: int, masks: Iterable[int]) -> tuple[int, ...]:
     """Nonempty, pairwise disjoint masks below bit `size`, ordered by least element."""
-    masks = tuple(masks)
+    try:
+        masks = tuple(masks)
+    except TypeError:
+        raise InvalidBlocks("block masks must be an iterable of ints") from None
     union = 0
     for m in masks:
         if not isinstance(m, int):

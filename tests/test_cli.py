@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import setqm
 from setqm import cli
 from setqm.cli import build_parser, main
 from setqm.density import DensityMatrix
@@ -204,6 +206,29 @@ def test_run_too_wide_exits_1(capsys, tmp_path):
     code, out, err = run_cli(capsys, "run", str(wide))
     assert code == 1 and out == ""
     assert err.startswith("RegisterTooWide:") and "Traceback" not in err
+
+
+# main in a child whose address space is capped at 400 MB (`ulimit -v 400000`)
+CAPPED_MAIN = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (400_000 << 10, 400_000 << 10))
+sys.path.insert(0, {src!r})
+from setqm.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_run_too_many_kets_to_print_exits_1_before_rendering(tmp_path, fmt):
+    # 20 lines, each given H0 three times: the trace holds about 5 * 2^20 kets
+    wide = tmp_path / "wide.qc2"
+    wide.write_text("lines 20\n" + "".join(f"gate H0 {k % 20}\n" for k in range(60)))
+    src = str(Path(setqm.__file__).resolve().parent.parent)
+    child = subprocess.run([sys.executable, "-c", CAPPED_MAIN.format(src=src),
+                            "run", str(wide), "--format", fmt],
+                           capture_output=True, text=True, timeout=120)
+    assert child.returncode == 1 and child.stdout == ""
+    assert child.stderr.startswith("TooLarge:") and "Traceback" not in child.stderr
 
 
 def test_run_non_ascii_line_count_exits_1(capsys, tmp_path):

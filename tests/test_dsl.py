@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setqm.dsl import (
+    MAX_TRACE_KETS,
     CircuitAst,
     CnotStep,
     EfStep,
@@ -18,7 +19,7 @@ from setqm.dsl import (
     render,
     run,
 )
-from setqm.errors import ParseError, RegisterTooWide, ZeroInitial
+from setqm.errors import ParseError, RegisterTooWide, TooLarge, ZeroInitial
 from setqm.qc import (
     MAX_LINES,
     BooleanFunction,
@@ -106,7 +107,7 @@ def test_parse_rejects_too_many_lines():
         parse(f"lines {MAX_LINES + 1}\nmeasure 0\n")
     assert parse(f"lines {MAX_LINES}\nmeasure 0\n").lines == MAX_LINES
     with pytest.raises(RegisterTooWide):  # an AST built without the parser
-        run(CircuitAst(40, ("1" * 40,), (MeasureStep(0),)))
+        run(CircuitAst(40, ("1" * 40,), (MeasureStep(0),)), seed=0)
 
 
 def test_comments_and_blank_lines():
@@ -155,10 +156,10 @@ def test_run_is_deterministic_per_seed():
 
 
 def test_certain_measurements_never_sample():
-    # without a seed, a deterministic circuit still runs identically
-    result1 = run(parse(DEUTSCH_X))
-    result2 = run(parse(DEUTSCH_X))
-    assert result1.measurements == result2.measurements
+    # the measured line is certain, so every seed records the same measurement
+    records = {run(parse(DEUTSCH_X), seed=s).measurements for s in range(10)}
+    assert len(records) == 1
+    assert [m.probability for m in records.pop()] == [1]
 
 
 def test_run_no_measure_reports_final_state():
@@ -173,7 +174,7 @@ def test_init_ket_cancellation():
     result = run(ast, seed=0)
     assert result.trace[0].register.bitstrings() == ("10",)
     with pytest.raises(ZeroInitial):
-        run(parse("lines 1\ninit ket 0+0\ngate X 0\n"))
+        run(parse("lines 1\ninit ket 0+0\ngate X 0\n"), seed=0)
 
 
 def test_run_teleport_circuit_trace():
@@ -200,6 +201,17 @@ def test_json_payload():
     assert data["lines"] == 1
     assert data["measurements"] == [{"line": 0, "outcome": 1, "probability": "1/1"}]
     assert data["trace"][0] == {"step": "init", "state": ["0"]}
+
+
+def test_json_payload_refuses_a_trace_above_the_ket_limit():
+    # H0 on the first k of 20 lines: the trace holds 1 + 2 + ... + 2^k = 2^(k+1) - 1 kets
+    def h0_run(k):
+        return run(parse("lines 20\n" + "".join(f"gate H0 {j}\n" for j in range(k))), seed=0)
+
+    assert (1 << 17) - 1 <= MAX_TRACE_KETS < (1 << 18) - 1
+    h0_run(16)._check_printable()
+    with pytest.raises(TooLarge, match="262143 kets"):
+        h0_run(17).to_json()
 
 
 # ---- properties: render inverts parse, and parse never escapes SetQMError

@@ -6,7 +6,7 @@ from types import ModuleType
 import pytest
 
 import setqm
-from setqm import cli, dsl
+from setqm import cli, dsl, presets
 from setqm.dynamics import (
     Dynamics, SlitConfig, double_slit, double_slit_sample, evolve, evolved_frame,
     interference_coefficients,
@@ -21,7 +21,9 @@ from setqm.errors import (
 from setqm.gf2 import (
     BitVec, GF2Matrix, add, invert, is_nonsingular, kron, mat_apply, mat_mul, solve, transpose,
 )
-from setqm.attributes import Attribute, eigenkets, measure, measure_probs, project, spectral_apply
+from setqm.attributes import (
+    Attribute, eigenkets, measure, measure_given, measure_probs, project, spectral_apply,
+)
 from setqm.density import (
     DensityMatrix, entropy_increase, expectation, measure_density, purity, rho_of_partition,
 )
@@ -29,8 +31,8 @@ from setqm.partitions import (
     Partition, block_entropy_relation, dit_set, join, logical_entropy, refines, shannon_entropy,
 )
 from setqm.qc import (
-    BooleanFunction, Gate, Register, deutsch, ef_gate, line_probs, parity_sat, standard_gate,
-    unambiguous_sat,
+    BooleanFunction, Gate, Register, deutsch, ef_gate, line_probs, measure_line, parity_sat,
+    standard_gate, unambiguous_sat,
 )
 from setqm.space import (
     BasisFrame, SubsetKet, Universe, bracket, born, from_basis, ket_table, norm_sq, resolve, to_basis,
@@ -40,6 +42,7 @@ M, V = GF2Matrix.identity(2), BitVec(2, 1)
 U = Universe(("a", "b"))
 KET, FRAME, DYN = U.subset(["a"]), U.canonical_frame(), Dynamics(M)
 PART = Partition(U, (0b01, 0b10))
+F = Attribute(U, (1, 2))
 
 
 @pytest.mark.parametrize(
@@ -119,7 +122,7 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
         lambda: parity_sat("01"),
         lambda: deutsch("0"),
         lambda: unambiguous_sat(None),
-        lambda: dsl.run("lines 2"),
+        lambda: dsl.run("lines 2", 0),
         lambda: dsl.render("x"),
         lambda: dsl.parse(None),
         lambda: supports(None),
@@ -154,6 +157,14 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
         lambda: measure(None, None, None),
         lambda: project(None, None, None),
         lambda: spectral_apply(None, None),
+        # a valid first argument with a bad later one, which the sweep below never pairs
+        lambda: measure(F, KET, None),
+        lambda: measure_line(Register.basis(1, 0), 0, None),
+        lambda: double_slit_sample(presets.double_slit_setup(), False, None),
+        lambda: Attribute.from_values(U, None),
+        lambda: project(F, [1], KET),
+        lambda: measure_given(F, KET, [1]),
+        lambda: GF2Matrix.from_rows([iter([1])]),
     ],
     ids=["basis-float-index", "from-indices-float", "bitvec-float-bits",
          "from-indices-str", "from-bits-letter", "table-float-entry",
@@ -177,7 +188,9 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
          "partition-none", "slit-config-none", "bell-basis-frames-none", "bell-violation-none",
          "counterfactual-joint-none", "double-slit-none", "double-slit-sample-none",
          "ef-gate-none", "eigenkets-str", "ket-table-none-frames", "line-probs-none",
-         "measure-none", "project-none", "spectral-apply-none"],
+         "measure-none", "project-none", "spectral-apply-none", "measure-none-rng",
+         "measure-line-none-rng", "double-slit-sample-none-rng", "from-values-none-values",
+         "project-list-eigenvalue", "measure-given-list-eigenvalue", "from-rows-iterator-row"],
 )
 def test_wrongly_typed_arguments_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument):
@@ -242,7 +255,6 @@ def test_star_import_binds_no_module():
 
 
 FOREIGN = Universe(("v0", "v1"))  # the same size as U, other labels
-F = Attribute(U, (1, 2))
 RHO, FOREIGN_RHO = rho_of_partition(PART), rho_of_partition(Partition.discrete(FOREIGN))
 FOREIGN_KET = FOREIGN.subset(["v0"])
 

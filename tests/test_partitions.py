@@ -368,6 +368,8 @@ def test_invalid_masks_are_rejected(data):
         Partition(u, masks + (1 << j,))  # overlap
     with pytest.raises(InvalidBlocks):
         Partition(u, masks[:k] + masks[k + 1:])  # does not cover
+    with pytest.raises(InvalidBlocks):
+        Partition(u, None)  # not an iterable
     with pytest.raises(ShapeMismatch):
         Partition(u, masks + (1 << data.draw(st.integers(n, n + 8)),))
     with pytest.raises(ShapeMismatch):

@@ -22,7 +22,7 @@ from .errors import (
     NotTotal,
     ZeroState,
 )
-from .gf2 import BitVec, _expect, _random_set_bit
+from .gf2 import _expect, _random_set_bit
 from .partitions import Partition, _least_bit, _rational
 from .space import SubsetKet, Universe, _same_universe, rat_json
 
@@ -55,6 +55,7 @@ class Attribute:
     @classmethod
     def indicator(cls, universe: Universe, labels: Sequence[str]) -> Attribute:
         """Characteristic function of a subset; raises UnknownLabel outside the universe."""
+        _expect(Universe, universe)
         return cls(universe, universe.subset(labels).bits.coords())
 
     def value(self, label: str) -> Fraction:
@@ -72,8 +73,7 @@ class Attribute:
         return tuple(self.levels)
 
     def level_set(self, r: Rational) -> SubsetKet:
-        mask = self.levels.get(_rational(r, "eigenvalue"), 0)
-        return SubsetKet(self.universe, BitVec(self.universe.size, mask))
+        return SubsetKet._derived(self.universe, self.levels.get(_rational(r, "eigenvalue"), 0))
 
     def to_json(self) -> dict[str, str]:
         return {x: rat_json(v) for x, v in zip(self.universe.labels, self.values)}
@@ -92,65 +92,73 @@ def inverse_image_partition(f: Attribute) -> Partition:
     A total attribute's level masks are nonempty, disjoint and cover the
     universe, so they are only put in order.
     """
+    if not isinstance(f, Attribute):
+        _expect(Attribute, f)
     return Partition._derived(f.universe, tuple(sorted(f.levels.values(), key=_least_bit)))
 
 
-def _expect_operands(f: Attribute, s: SubsetKet) -> None:
-    """InvalidArgument unless `f` is an Attribute and `s` a SubsetKet; inline for the valid case."""
-    if not (isinstance(f, Attribute) and isinstance(s, SubsetKet)):
+def _check(f: Attribute, s: SubsetKet, measured: bool) -> None:
+    """InvalidArgument, then ZeroState (if `measured`), then UniverseMismatch; one test if valid."""
+    if not (isinstance(f, Attribute) and isinstance(s, SubsetKet)
+            and (s.bits.bits or not measured) and f.universe == s.universe):
         _expect(Attribute, f)
         _expect(SubsetKet, s)
+        if s.is_zero and measured:
+            raise ZeroState("cannot measure the zero ket")
+        _same_universe(f, s)
 
 
 def project(f: Attribute, r: Rational, s: SubsetKet) -> SubsetKet:
     """Projection f^-1(r) ∩ S; may be the zero ket."""
-    _expect_operands(f, s)
-    _same_universe(f, s)
-    return f.level_set(r).intersect(s)
+    _check(f, s, measured=False)
+    return SubsetKet._derived(s.universe, f.levels.get(_rational(r, "eigenvalue"), 0) & s.bits.bits)
 
 
 def _split(f: Attribute, s: SubsetKet) -> list[tuple[Fraction, int]]:
     """(r, mask of f^-1(r) ∩ S) for each eigenvalue whose part of S is nonempty."""
-    _same_universe(f, s)
     return [(r, part) for r, level in f.levels.items() if (part := level & s.bits.bits)]
 
 
 def measure_probs(f: Attribute, s: SubsetKet) -> dict[Fraction, Fraction]:
     """Probability of each eigenvalue with nonzero projection; sums to 1."""
-    _expect_operands(f, s)
-    if s.is_zero:
-        raise ZeroState("cannot measure the zero ket")
+    _check(f, s, measured=True)
     n = s.cardinality
     return {r: Fraction(part.bit_count(), n) for r, part in _split(f, s)}
 
 
+def _collapse(f: Attribute, s: SubsetKet, r: Fraction) -> MeasurementOutcome:
+    """The outcome r of measuring f on operands already checked: f^-1(r) ∩ S kept."""
+    kept = f.levels.get(r, 0) & s.bits.bits
+    if not kept:
+        raise ImpossibleOutcome(f"eigenvalue {r} has probability 0 in this state")
+    post = SubsetKet._derived(s.universe, kept)
+    return MeasurementOutcome(r, Fraction(kept.bit_count(), s.cardinality), post)
+
+
 def measure(f: Attribute, s: SubsetKet, rng: random.Random) -> MeasurementOutcome:
     """Sample an eigenvalue by a uniform draw over S and collapse onto its level set."""
-    _expect_operands(f, s)
-    if s.is_zero:
-        raise ZeroState("cannot measure the zero ket")
-    _same_universe(f, s)
-    return measure_given(f, s, f.values[_random_set_bit(s.bits.bits, rng)])
+    _check(f, s, measured=True)
+    return _collapse(f, s, f.values[_random_set_bit(s.bits.bits, rng)])
 
 
 def measure_given(f: Attribute, s: SubsetKet, r: Rational) -> MeasurementOutcome:
     """Deterministic variant: the outcome for a chosen eigenvalue of nonzero probability."""
-    if s.is_zero:
-        raise ZeroState("cannot measure the zero ket")
-    post = project(f, r, s)
-    if post.is_zero:
-        raise ImpossibleOutcome(f"eigenvalue {r} has probability 0 in this state")
-    return MeasurementOutcome(Fraction(r), Fraction(post.cardinality, s.cardinality), post)
+    _check(f, s, measured=True)
+    return _collapse(f, s, _rational(r, "eigenvalue"))
 
 
 def is_compatible(f: Attribute, g: Attribute) -> bool:
     """Attributes are compatible exactly when they share a universe."""
+    if not (isinstance(f, Attribute) and isinstance(g, Attribute)):
+        _expect(Attribute, f, g)
     return f.universe == g.universe
 
 
 def is_complete(fs: Sequence[Attribute]) -> bool:
     """True when the join of the level masks, most levels first, reaches |U| blocks: eigenvalue
     tuples all differ."""
+    if not isinstance(fs, Sequence):
+        _expect(Sequence, fs)
     if not fs:
         raise IncompatibleAttributes("need at least one attribute")
     if not all(is_compatible(fs[0], g) for g in fs):
@@ -175,6 +183,5 @@ def eigenkets(fs: Sequence[Attribute]) -> dict[str, tuple[Fraction, ...]]:
 
 def spectral_apply(f: Attribute, s: SubsetKet) -> list[tuple[Fraction, SubsetKet]]:
     """Formal spectral decomposition: (r, f^-1(r) ∩ S) with nonzero components."""
-    _expect_operands(f, s)
-    n = s.universe.size
-    return [(r, SubsetKet(s.universe, BitVec(n, part))) for r, part in _split(f, s)]
+    _check(f, s, measured=False)
+    return [(r, SubsetKet._derived(s.universe, part)) for r, part in _split(f, s)]

@@ -113,6 +113,8 @@ def rho_of_partition(p: Partition) -> DensityMatrix:
 
 def rho_of_subset(s: SubsetKet) -> DensityMatrix:
     """The single block S with weight 1/|S|."""
+    if not isinstance(s, SubsetKet):
+        _expect(SubsetKet, s)
     if s.is_zero:
         raise ZeroState("no density matrix for the zero ket")
     k = s.cardinality
@@ -133,12 +135,24 @@ def purity(rho: DensityMatrix) -> Fraction:
 
 def logical_entropy_rho(rho: DensityMatrix) -> Fraction:
     """1 - tr[rho^2]: the probability that two draws land in distinct blocks."""
+    if not isinstance(rho, DensityMatrix):
+        _expect(DensityMatrix, rho)
     return Fraction(rho._den ** 2 - _square_sum(rho), rho._den ** 2)
+
+
+def _check(f: Attribute, rho: DensityMatrix) -> None:
+    """InvalidArgument unless an Attribute and a DensityMatrix, then UniverseMismatch; the
+    valid case is tested inline."""
+    if not (isinstance(f, Attribute) and isinstance(rho, DensityMatrix)
+            and f.universe == rho.universe):
+        _expect(Attribute, f)
+        _expect(DensityMatrix, rho)
+        _same_universe(f, rho)
 
 
 def expectation(f: Attribute, rho: DensityMatrix) -> Fraction:
     """tr[f rho]: each numerator a times the sum of r |B_a ∩ f^-1(r)|, B_a the union of a's blocks."""
-    _same_universe(f, rho)
+    _check(f, rho)
     union: dict[int, int] = {}
     for mask, a in zip(rho.masks, rho._nums):
         union[a] = union.get(a, 0) | mask
@@ -155,7 +169,7 @@ def measure_density(f: Attribute, rho: DensityMatrix) -> DensityMatrix:
     of a partition p the result is rho of join(f's partition, p). Every
     block keeps a nonempty part, so the common denominator stays the same.
     """
-    _same_universe(f, rho)
+    _check(f, rho)
     levels = f.levels.values()
     parts = sorted(((mask & level, a) for mask, a in zip(rho.masks, rho._nums)
                     for level in levels if mask & level), key=lambda part: part[0] & -part[0])
@@ -176,9 +190,12 @@ def entropy_increase(before: DensityMatrix, after: DensityMatrix) -> Fraction:
     B lie inside it, and one pass over the blocks sums |A|^2. Otherwise
     every block of `before` meets every block of `after`.
     """
-    if before.dim != after.dim:
-        raise ShapeMismatch("density matrices differ in dimension")
-    _same_universe(before, after)
+    if not (isinstance(before, DensityMatrix) and isinstance(after, DensityMatrix)
+            and before.universe == after.universe):
+        _expect(DensityMatrix, before, after)
+        if before.dim != after.dim:
+            raise ShapeMismatch("density matrices differ in dimension")
+        _same_universe(before, after)
     masks, parts = before.masks, after.masks
     nested = _nested(masks, parts)
     if nested is None:

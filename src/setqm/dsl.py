@@ -309,6 +309,7 @@ def run(ast: CircuitAst, seed: int) -> RunResult:
     measurements with a certain outcome never draw from it.
     """
     _expect(CircuitAst, ast)
+    _expect(int, seed)
     try:
         reg = qc.Register.from_bitstrings(ast.lines, ast.initial)
     except ZeroState:
@@ -320,14 +321,14 @@ def run(ast: CircuitAst, seed: int) -> RunResult:
     measurements: list[MeasureRecord] = []
 
     def do_measure(line: int) -> None:
-        # the outcome is certain when no ket, or every ket, has a 1 on the line
+        # the outcome is certain, and the register kept, when no ket or every ket has a 1
         nonlocal reg
         total = reg.state.weight()
-        ones = (reg.state.bits & qc._line_mask(reg, line, 1)).bit_count()
+        ones = qc._ones(reg, line).bit_count()
         if 0 < ones < total:
             outcome, reg = qc.measure_line(reg, line, rng)
         else:
-            outcome, reg = qc.measure_line_given(reg, line, 1 if ones else 0)
+            outcome = 1 if ones else 0
         measurements.append(MeasureRecord(line, outcome, Fraction(reg.state.weight(), total)))
         trace.append(entry(f"measure {line} -> {outcome}", reg))
 

@@ -15,7 +15,9 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from .errors import DimMismatch, DuplicateTerms, ImpossibleOutcome, UnknownLabel, ZeroState
+from .errors import (
+    DimMismatch, DuplicateTerms, ImpossibleOutcome, InvalidArgument, UnknownLabel, ZeroState,
+)
 from .gf2 import BitVec, GF2Matrix, _expect, _spread, mat_apply
 from .space import BasisFrame, SubsetKet, Universe, _fmt_labels, born, rat_json
 
@@ -27,6 +29,9 @@ class ProductUniverse:
     left: Universe
     right: Universe
 
+    def __post_init__(self):
+        _expect(Universe, self.left, self.right)
+
     @property
     def pair_labels(self) -> tuple[tuple[str, str], ...]:
         return tuple((x, y) for x in self.left.labels for y in self.right.labels)
@@ -36,12 +41,19 @@ class ProductUniverse:
         return self.left.size * self.right.size
 
     def index(self, pair: tuple[str, str]) -> int:
-        return self.left.index(pair[0]) * self.right.size + self.right.index(pair[1])
+        try:
+            x, y = pair
+        except (TypeError, ValueError):
+            raise UnknownLabel(f"{pair!r} is not a pair of labels") from None
+        return self.left.index(x) * self.right.size + self.right.index(y)
 
     def state(self, pairs: Iterable[tuple[str, str]]) -> ProductState:
         bits = 0
-        for pair in pairs:
-            bits |= 1 << self.index(pair)
+        try:
+            for pair in pairs:
+                bits |= 1 << self.index(pair)
+        except TypeError:  # `index` catches its own, so `pairs` is not an iterable
+            raise InvalidArgument(f"expected pairs, got {type(pairs).__name__}") from None
         return ProductState(self, BitVec(self.size, bits))
 
     def all_states(self):
@@ -58,6 +70,7 @@ class ProductState:
     bits: BitVec
 
     def __post_init__(self):
+        _expect(ProductUniverse, self.space)
         _expect(BitVec, self.bits)
         if self.bits.length != self.space.size:
             raise DimMismatch("bit vector length does not match the product size")
@@ -105,6 +118,9 @@ class JointDistribution:
 
     support: ProductState
 
+    def __post_init__(self):
+        _expect(ProductState, self.support)
+
     def prob(self, pair: tuple[str, str]) -> Fraction:
         s = self.support
         try:
@@ -115,7 +131,6 @@ class JointDistribution:
 
 
 def joint(s: ProductState) -> JointDistribution:
-    _expect(ProductState, s)
     return JointDistribution(s)
 
 

@@ -164,6 +164,7 @@ class GF2Matrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> GF2Matrix:
+        _expect(Sequence, rows)
         if not rows:
             raise InvalidArgument("matrix needs positive dimensions")
         packed = [BitVec.from_coords(row) for row in rows]
@@ -185,6 +186,7 @@ class GF2Matrix:
 
     @classmethod
     def identity(cls, n: int) -> GF2Matrix:
+        _expect(int, n)
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     def column(self, j: int) -> BitVec:

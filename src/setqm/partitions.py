@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Set
+from collections.abc import Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidArgument, InvalidBlocks, OutOfRange, ShapeMismatch
-from .gf2 import BitVec, _expect
+from .gf2 import _expect
 from .space import SubsetKet, Universe, _fmt_labels, _same_universe
 
 
@@ -47,19 +46,6 @@ def _block_masks(size: int, masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(masks, key=_least_bit))
 
 
-def _ket(universe: Universe, mask: int) -> SubsetKet:
-    """The ket of `mask`, built without the SubsetKet and BitVec checks.
-
-    Relies on `mask` being a nonnegative int below bit `universe.size`, as
-    every mask `_block_masks` has checked is, and every mask derived from
-    checked ones by AND.
-    """
-    ket = object.__new__(SubsetKet)
-    fields = ket.__dict__
-    fields["universe"], fields["bits"] = universe, BitVec._derived(universe.size, mask)
-    return ket
-
-
 @dataclass(frozen=True)
 class Partition:
     """Disjoint nonempty block masks covering a universe, ordered by least element index."""
@@ -92,19 +78,23 @@ class Partition:
     @cached_property
     def blocks(self) -> tuple[SubsetKet, ...]:
         """The ket of each block, built from the masks on first read."""
-        return tuple(_ket(self.universe, m) for m in self.masks)
+        return tuple(SubsetKet._derived(self.universe, m) for m in self.masks)
 
     @classmethod
     def from_blocks(cls, universe: Universe, blocks: Iterable[Iterable[str]]) -> Partition:
+        _expect(Universe, universe)
+        _expect(Iterable, blocks)
         return cls(universe, tuple(map(universe._mask, blocks)))
 
     @classmethod
     def discrete(cls, universe: Universe) -> Partition:
+        _expect(Universe, universe)
         return cls(universe, tuple(1 << j for j in range(universe.size)))
 
     @classmethod
     def indiscrete(cls, universe: Universe) -> Partition:
         """The blob: the single block containing everything."""
+        _expect(Universe, universe)
         return cls(universe, ((1 << universe.size) - 1,))
 
     def to_json(self) -> list[list[str]]:
@@ -131,6 +121,7 @@ class DitSet:
         return pair in self.pairs
 
     def issubset(self, other: DitSet) -> bool:
+        _expect(DitSet, other)
         return self.pairs <= other.pairs
 
 
@@ -287,6 +278,7 @@ def block_entropy_relation(p_b: Fraction) -> tuple[Fraction, float]:
 
 def iter_partitions(universe: Universe) -> Iterator[Partition]:
     """All partitions of the universe (restricted-growth enumeration)."""
+    _expect(Universe, universe)
     n = universe.size
 
     def grow(j: int, masks: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -25,10 +25,10 @@ entry of column j.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
-from typing import Callable, Iterable
 
 from .errors import (
     ImpossibleOutcome,
@@ -179,6 +179,16 @@ def _check_width(lines: int) -> None:
         raise RegisterTooWide(f"{lines} lines exceed the limit of {MAX_LINES}")
 
 
+def _check_index(index: int) -> None:
+    if not (isinstance(index, int) and index >= 0):
+        raise InvalidArgument(f"basis index {index!r} must be a nonnegative int")
+
+
+def _check_line(r: Register, line: int) -> None:
+    if not (isinstance(line, int) and 0 <= line < r.lines):
+        raise LineOutOfRange(f"line {line!r} outside 0..{r.lines - 1}")
+
+
 @dataclass(frozen=True)
 class Register:
     """n lines holding a nonzero vector in Z2^(2^n)."""
@@ -206,6 +216,7 @@ class Register:
     @classmethod
     def from_bitstrings(cls, lines: int, strings: Iterable[str]) -> Register:
         _check_width(lines)
+        _expect(Iterable, strings)
         bits = 0
         for s in strings:
             if not isinstance(s, str) or len(s) != lines or s.strip("01"):
@@ -235,12 +246,15 @@ class Register:
         return tuple(format(k, f"0{self.lines}b") for k in self.support())
 
     def coefficient(self, index: int) -> int:
+        _check_index(index)
         return (self.state.bits >> index) & 1
 
     def coefficients(self) -> tuple[int, ...]:
         return self.state.coords()
 
     def line_value(self, index: int, line: int) -> int:
+        _check_index(index)
+        _check_line(self, line)
         return (index >> (self.lines - 1 - line)) & 1
 
     def __str__(self) -> str:
@@ -256,6 +270,9 @@ def apply(g: Gate, r: Register, line: int = 0) -> Register:
     mask-and-shift per local value plus one shift-and-XOR per set entry of a
     column whose kets are present.
     """
+    if not (isinstance(g, Gate) and isinstance(r, Register)):
+        _expect(Gate, g)
+        _expect(Register, r)
     width, lines = g.width, r.lines
     if not (isinstance(line, int) and 0 <= line <= lines - width):
         raise SizeMismatch(
@@ -268,36 +285,35 @@ def apply(g: Gate, r: Register, line: int = 0) -> Register:
     return Register._derived(lines, kernel(r.state.bits, _block_mask(lines, pos, width), 1 << pos))
 
 
-def _line_mask(r: Register, line: int, value: int) -> int:
-    """Basis indices of the register whose bit on `line` is `value` (none if not a bit)."""
-    if not (isinstance(line, int) and 0 <= line < r.lines):
-        raise LineOutOfRange(f"line {line!r} outside 0..{r.lines - 1}")
-    if value not in (0, 1):
-        return 0
+def _ones(r: Register, line: int) -> int:
+    """The kets of `r` with a 1 on `line`; the rest of the support has a 0 there."""
+    if not isinstance(r, Register):
+        _expect(Register, r)
+    _check_line(r, line)
     pos = r.lines - 1 - line
-    return _block_mask(r.lines, pos, 1) << (value << pos)
+    return r.state.bits & _block_mask(r.lines, pos, 1) << (1 << pos)
 
 
 def line_probs(r: Register, line: int) -> dict[int, Fraction]:
     """Born probabilities of each bit value on one line."""
-    if not isinstance(r, Register):
-        _expect(Register, r)
-    ones = (r.state.bits & _line_mask(r, line, 1)).bit_count()
+    ones = _ones(r, line).bit_count()
     total = r.state.weight()
     return {0: Fraction(total - ones, total), 1: Fraction(ones, total)}
 
 
 def measure_line(r: Register, line: int, rng: random.Random) -> tuple[int, Register]:
     """Measure one line: uniform draw over the support, collapse to the matching kets."""
-    ones = _line_mask(r, line, 1)
-    return measure_line_given(r, line, (ones >> _random_set_bit(r.state.bits, rng)) & 1)
+    ones, bits = _ones(r, line), r.state.bits
+    outcome = (ones >> _random_set_bit(bits, rng)) & 1
+    return outcome, Register._derived(r.lines, ones if outcome else bits ^ ones)
 
 
 def measure_line_given(r: Register, line: int, outcome: int) -> tuple[int, Register]:
     """Deterministic variant: collapse onto a chosen outcome of nonzero probability."""
-    kept = r.state.bits & _line_mask(r, line, outcome)
+    ones, is_bit = _ones(r, line), isinstance(outcome, int) and outcome in (0, 1)
+    kept = (r.state.bits ^ ones, ones)[outcome] if is_bit else 0
     if not kept:
-        raise ImpossibleOutcome(f"outcome {outcome} on line {line} has probability 0")
+        raise ImpossibleOutcome(f"outcome {outcome!r} on line {line} has probability 0")
     return outcome, Register._derived(r.lines, kept)
 
 
@@ -363,6 +379,7 @@ class BooleanFunction:
 
     @classmethod
     def from_bits(cls, bits: str) -> BooleanFunction:
+        _expect(str, bits)
         try:
             table = tuple(int(c) for c in bits)
         except ValueError:
@@ -370,6 +387,8 @@ class BooleanFunction:
         return cls(len(bits).bit_length() - 1, table)
 
     def value(self, index: int) -> int:
+        if not (isinstance(index, int) and 0 <= index < len(self.table)):
+            raise InvalidArgument(f"input {index!r} outside 0..{len(self.table) - 1}")
         return self.table[index]
 
     @property
@@ -414,6 +433,8 @@ def ef_gate(f: BooleanFunction) -> Gate:
 
 def apply_ef(f: BooleanFunction, r: Register) -> Register:
     """Same as apply(ef_gate(f), r), one 2x2 factor per line, without building the gate."""
+    if not isinstance(f, BooleanFunction):
+        _expect(BooleanFunction, f)
     for line, g in enumerate(_ef_factors(f)):
         r = apply(g, r, line)
     return r

@@ -61,8 +61,11 @@ class Universe:
     def _mask(self, labels: Iterable[str]) -> int:
         """Bitmask of the named elements; raises UnknownLabel for a label outside."""
         bits = 0
-        for x in labels:
-            bits |= 1 << self.index(x)
+        try:
+            for x in labels:
+                bits |= 1 << self.index(x)
+        except TypeError:  # `index` catches its own, so `labels` is not an iterable
+            raise InvalidArgument(f"expected labels, got {type(labels).__name__}") from None
         return bits
 
     def _labels(self, mask: int) -> tuple[str, ...]:
@@ -98,9 +101,19 @@ class SubsetKet:
     bits: BitVec
 
     def __post_init__(self):
+        _expect(Universe, self.universe)
         _expect(BitVec, self.bits)
         if self.bits.length != self.universe.size:
             raise DimMismatch("bit vector length does not match universe size")
+
+    @classmethod
+    def _derived(cls, universe: Universe, mask: int) -> SubsetKet:
+        """The ket of `mask`, built without the checks: only for a nonnegative int below
+        bit `universe.size` derived from checked values, such as the AND of checked masks."""
+        ket = object.__new__(cls)
+        fields = ket.__dict__
+        fields["universe"], fields["bits"] = universe, BitVec._derived(universe.size, mask)
+        return ket
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -122,8 +135,9 @@ class SubsetKet:
         return SubsetKet(self.universe, self.bits ^ other.bits)
 
     def intersect(self, other: SubsetKet) -> SubsetKet:
+        _expect(SubsetKet, other)
         _same_universe(self, other)
-        return SubsetKet(self.universe, BitVec(self.bits.length, self.bits.bits & other.bits.bits))
+        return SubsetKet._derived(self.universe, self.bits.bits & other.bits.bits)
 
     def __str__(self) -> str:
         return _fmt_labels(self.labels)
@@ -229,8 +243,7 @@ def to_basis(s: SubsetKet, frame: BasisFrame) -> SubsetKet:
     _expect(BasisFrame, frame)
     if frame.dim != s.universe.size:
         raise DimMismatch("frame dimension does not match the ket")
-    coords = _row_sum(frame._expansions.row_bits, s.bits.bits)
-    return SubsetKet(frame.universe, BitVec._derived(frame.dim, coords))
+    return SubsetKet._derived(frame.universe, _row_sum(frame._expansions.row_bits, s.bits.bits))
 
 
 def from_basis(s: SubsetKet, frame: BasisFrame, canonical: Universe) -> SubsetKet:
@@ -270,10 +283,12 @@ class KetTable:
         return {f.name: f.universe._labels(m) for f, m in zip(self.frames, row)}
 
     def row_for(self, frame_name: str, labels: Sequence[str]) -> dict[str, tuple[str, ...]]:
+        """The row whose `frame_name` entry is `labels`, listed in universe order."""
+        _expect(Iterable, labels)
         key = tuple(labels)
-        for row in map(self._labelled, self.rows):
-            if row.get(frame_name) == key:
-                return row
+        for k, f in enumerate(self.frames):
+            if f.name == frame_name and f.universe._labels(mask := f.universe._mask(key)) == key:
+                return self._labelled(next(row for row in self.rows if row[k] == mask))
         raise UnknownLabel(f"no row with {frame_name} entry {key}")
 
     def to_json(self) -> list[dict[str, list[str]]]:

@@ -12,11 +12,12 @@ from setqm.dynamics import (
     interference_coefficients,
 )
 from setqm.entangle import (
-    ProductState, ProductUniverse, bell_basis_frames, bell_violation, counterfactual_joint,
-    is_separated, joint, marginals, product_to_frame, supports,
+    JointDistribution, ProductState, ProductUniverse, bell_basis_frames, bell_violation,
+    counterfactual_joint, is_separated, joint, marginals, product_to_frame, supports,
 )
 from setqm.errors import (
-    DimMismatch, InvalidArgument, SetQMError, Singular, UnknownGate, UniverseMismatch,
+    DimMismatch, ImpossibleOutcome, InvalidArgument, NotTotal, ParseError, SetQMError, SizeMismatch,
+    Singular, UnknownGate, UniverseMismatch, ZeroState,
 )
 from setqm.gf2 import (
     BitVec, GF2Matrix, add, invert, is_nonsingular, kron, mat_apply, mat_mul, solve, transpose,
@@ -28,11 +29,12 @@ from setqm.density import (
     DensityMatrix, entropy_increase, expectation, measure_density, purity, rho_of_partition,
 )
 from setqm.partitions import (
-    Partition, block_entropy_relation, dit_set, join, logical_entropy, refines, shannon_entropy,
+    Partition, block_entropy_relation, dit_set, iter_partitions, join, logical_entropy, refines,
+    shannon_entropy,
 )
 from setqm.qc import (
-    BooleanFunction, Gate, Register, deutsch, ef_gate, line_probs, measure_line, parity_sat,
-    standard_gate, unambiguous_sat,
+    BooleanFunction, Gate, Register, deutsch, ef_gate, line_probs, measure_line,
+    measure_line_given, parity_sat, standard_gate, teleport, unambiguous_sat,
 )
 from setqm.space import (
     BasisFrame, SubsetKet, Universe, bracket, born, from_basis, ket_table, norm_sq, resolve, to_basis,
@@ -165,6 +167,24 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
         lambda: project(F, [1], KET),
         lambda: measure_given(F, KET, [1]),
         lambda: GF2Matrix.from_rows([iter([1])]),
+        # a classmethod or method with a non-iterable argument
+        lambda: Partition.from_blocks(U, None),
+        lambda: U.subset(None),
+        lambda: Attribute.indicator(U, None),
+        lambda: ket_table(2, [FRAME]).row_for("U", None),
+        lambda: GF2Matrix.from_rows(5),
+        lambda: Register.from_bitstrings(1, None),
+        lambda: BooleanFunction.from_bits(None),
+        # a universe that is not a Universe
+        lambda: SubsetKet(None, BitVec(2, 1)),
+        lambda: ProductState(None, BitVec(4, 1)),
+        lambda: ProductUniverse(None, U).state([("a", "a")]),
+        lambda: Partition.discrete(None),
+        lambda: list(iter_partitions(None)),
+        lambda: JointDistribution(None).prob(("a", "a")),
+        # a seed that is not an int: every draw of a run is seeded
+        lambda: dsl.run(dsl.parse("lines 1\nmeasure 0\n"), [1]),
+        lambda: dsl.run(dsl.parse("lines 1\nmeasure 0\n"), None),
     ],
     ids=["basis-float-index", "from-indices-float", "bitvec-float-bits",
          "from-indices-str", "from-bits-letter", "table-float-entry",
@@ -190,20 +210,75 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
          "ef-gate-none", "eigenkets-str", "ket-table-none-frames", "line-probs-none",
          "measure-none", "project-none", "spectral-apply-none", "measure-none-rng",
          "measure-line-none-rng", "double-slit-sample-none-rng", "from-values-none-values",
-         "project-list-eigenvalue", "measure-given-list-eigenvalue", "from-rows-iterator-row"],
+         "project-list-eigenvalue", "measure-given-list-eigenvalue", "from-rows-iterator-row",
+         "from-blocks-none-blocks", "subset-none-labels", "indicator-none-labels",
+         "row-for-none-labels", "from-rows-int", "from-bitstrings-none-strings",
+         "from-bits-none", "ket-none-universe", "product-state-none-space",
+         "product-universe-none-left", "discrete-none", "iter-partitions-none",
+         "joint-distribution-none", "run-list-seed", "run-none-seed"],
 )
 def test_wrongly_typed_arguments_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument):
         call()
 
 
-def test_an_unhashable_gate_name_is_an_unknown_gate():
-    with pytest.raises(UnknownGate):
-        standard_gate(["H0"])
+@pytest.mark.parametrize("outcome", [1.0, "1", None, 2, -1],
+                         ids=["float", "str", "none", "two", "minus-one"])
+def test_only_the_ints_0_and_1_are_line_outcomes(outcome):
+    with pytest.raises(ImpossibleOutcome):
+        measure_line_given(Register.basis(1, 1), 0, outcome)
 
 
 SINGULAR = GF2Matrix.from_rows([[1, 1], [1, 1]])
 WIDE = GF2Matrix.from_rows([[1, 0, 0], [0, 1, 0]])
+U3 = Universe(("a", "b", "c"))
+FRAME3 = U3.canonical_frame()
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: Gate("g", WIDE), SizeMismatch, "must be square"),
+        (lambda: Gate("g", GF2Matrix.identity(3)), SizeMismatch, "power of two"),
+        (lambda: Gate("g", SINGULAR), Singular, "must be nonsingular"),
+        (lambda: Register(1, BitVec(4, 1)), SizeMismatch, "2\\^lines"),
+        (lambda: Register(1, BitVec(2, 0)), ZeroState, "must be nonzero"),
+        (lambda: SubsetKet(U, BitVec(3, 1)), DimMismatch, "does not match universe size"),
+        (lambda: ProductState(ProductUniverse(U, U), BitVec(3, 1)), DimMismatch,
+         "product size"),
+        (lambda: to_basis(KET, FRAME3), DimMismatch, "does not match the ket"),
+        (lambda: from_basis(KET, FRAME, U3), DimMismatch, "does not match the universe"),
+        (lambda: interference_coefficients(KET, FRAME, FRAME3), DimMismatch, "do not agree"),
+        (lambda: SlitConfig(DYN, FRAME3, KET), DimMismatch, "position frame"),
+        (lambda: SlitConfig(DYN, FRAME, U3.subset(["a"])), DimMismatch, "slit state"),
+        (lambda: product_to_frame(presets.bell_state(), FRAME3, FRAME), DimMismatch,
+         "do not match the factors"),
+        (lambda: bell_basis_frames(U3), DimMismatch, "two-element universe"),
+        (lambda: solve(M, BitVec(3, 1)), DimMismatch, "2 rows, vector has length 3"),
+        (lambda: Attribute(U, (1,)), NotTotal, "every element"),
+        (lambda: measure(F, U.empty(), random.Random(0)), ZeroState, "zero ket"),
+        (lambda: measure_given(F, U.empty(), 1), ZeroState, "zero ket"),
+        (lambda: dsl.parse("lines 1\ninit 0\ninit 1\ngate X 0\n"), ParseError,
+         "only one init"),
+        (lambda: dsl.parse("lines 1\ngate X 0\ninit 0\n"), ParseError, "init must come before"),
+        (lambda: dsl.parse("lines 1\ngate EF\n"), ParseError, "one truth-table bitstring"),
+        (lambda: dsl.parse("lines 1\ngate EF 0x\n"), ParseError, "must be 0/1 bits"),
+    ],
+    ids=["gate-not-square", "gate-not-power-of-two", "gate-singular", "register-length",
+         "register-zero", "ket-length", "product-state-length", "to-basis-dim", "from-basis-dim",
+         "interference-dims", "slit-frame-dim", "slit-state-dim", "product-to-frame-dims",
+         "bell-frames-universe", "solve-dims", "attribute-not-total", "measure-zero",
+         "measure-given-zero", "parse-two-inits", "parse-late-init", "parse-ef-arity",
+         "parse-ef-table"],
+)
+def test_each_checked_fault_raises_its_own_error(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_an_unhashable_gate_name_is_an_unknown_gate():
+    with pytest.raises(UnknownGate):
+        standard_gate(["H0"])
 
 
 @pytest.mark.parametrize(
@@ -285,18 +360,33 @@ def test_operands_of_equal_size_foreign_universes_raise_universe_mismatch(call):
 
 
 SWEEP_VALUES = (None, "x", -1, 1.5, (), [1], object())
-# Lazy generators are exempt: calling one builds nothing. Of the others,
-# Universe.all_subsets and ProductUniverse.all_states are methods, not public names.
-SWEEP_EXEMPT = {"iter_partitions"}
-# Callables that still let a plain AttributeError or TypeError out. Each runs in
-# a microsecond-scale benchmarked op, where a boundary check waits for a measured
-# change. Remove a name once it is mended; the test fails until then.
-STILL_ESCAPES = {
-    "apply", "apply_ef", "measure_line", "measure_line_given",  # circuits
-    "measure_given",  # frames
-    "is_compatible", "is_complete", "inverse_image_partition", "rho_of_subset",  # mixed_states
-    "logical_entropy_rho", "expectation", "measure_density", "entropy_increase",
-}
+BELL = presets.bell_state()
+# One instance of each public class, whose public bound methods the sweep calls.
+SAMPLES = [
+    F, FRAME, BitVec(2, 1), BooleanFunction.from_bits("0110"), dsl.parse("lines 1\nmeasure 0\n"),
+    RHO, dit_set(PART), DYN, M, standard_gate("H0"), joint(BELL), ket_table(2, [FRAME]),
+    measure(F, KET, random.Random(0)), parity_sat(BooleanFunction.from_bits("01")), PART, BELL,
+    BELL.space, Register.basis(2, 1), dsl.run(dsl.parse("lines 1\nmeasure 0\n"), 0),
+    presets.double_slit_setup(), KET, teleport(1, 0, random.Random(0)), U,
+    bell_violation(BELL), counterfactual_joint(BELL, presets.frames_ab()),
+]
+
+
+def sweep_targets():
+    """Each public function and class, and the public classmethods and sample methods of a class."""
+    samples = {type(v): v for v in SAMPLES}
+    for name in setqm.__all__:
+        fn = getattr(setqm, name)
+        # SetQMError takes any arguments and has no signature to read
+        if not callable(fn) or isinstance(fn, type) and issubclass(fn, BaseException):
+            continue
+        yield name, fn
+        if isinstance(fn, type):
+            sample = samples[fn]  # a KeyError: a public class without a sample
+            for attr in dir(sample):  # its classmethods come bound to the class
+                method = getattr(sample, attr)
+                if not attr.startswith("_") and inspect.ismethod(method):
+                    yield f"{name}.{attr}", method
 
 
 def sweep_arguments(fn):
@@ -310,19 +400,14 @@ def sweep_arguments(fn):
 
 def test_every_public_callable_returns_or_raises_a_domain_error():
     escapes = {}
-    for name in setqm.__all__:
-        fn = getattr(setqm, name)
-        # SetQMError takes any arguments and has no signature to read
-        if not callable(fn) or name in SWEEP_EXEMPT or (
-                isinstance(fn, type) and issubclass(fn, BaseException)):
-            continue
+    for name, fn in sweep_targets():
         for args in sweep_arguments(fn):
             try:
-                fn(*args)
+                out = fn(*args)
+                if inspect.isgenerator(out):  # a lazy generator raises on its first item
+                    list(out)
             except SetQMError:
                 pass
             except Exception as exc:  # any other type escapes the contract
                 escapes.setdefault(name, f"{name}{args!r}: {type(exc).__name__}: {exc}")
-    new = [escapes[n] for n in sorted(escapes.keys() - STILL_ESCAPES)]
-    assert not new, "escape the SetQMError hierarchy:\n" + "\n".join(new)
-    assert not STILL_ESCAPES - escapes.keys(), "mended; remove from STILL_ESCAPES"
+    assert not escapes, "escape the SetQMError hierarchy:\n" + "\n".join(escapes.values())

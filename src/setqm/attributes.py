@@ -17,7 +17,6 @@ from functools import cached_property
 from .errors import (
     ImpossibleOutcome,
     IncompatibleAttributes,
-    InvalidArgument,
     NotComplete,
     NotTotal,
     ZeroState,

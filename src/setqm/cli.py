@@ -32,7 +32,7 @@ from .entangle import bell_violation
 from .errors import InvalidArgument, NotTotal, SetQMError
 from .partitions import Partition, logical_entropy, shannon_entropy
 from .qc import BooleanFunction, parity_sat, teleport
-from .space import BasisFrame, SubsetKet, Universe, born, bracket, ket_table, rat_json
+from .space import BasisFrame, SubsetKet, Universe, _fmt_columns, born, bracket, ket_table, rat_json
 
 
 def _universe(dim: int) -> Universe:
@@ -128,7 +128,7 @@ def _cmd_measure(args) -> _Renderings:
         lambda: "\n".join(
             [
                 "eigenvalue probabilities",
-                *(f"{r}  {p}" for r, p in probs.items()),
+                _fmt_probs(probs),
                 f"observed eigenvalue: {outcome.eigenvalue}",
                 f"probability: {outcome.probability}",
                 f"post state: {outcome.post_state}",
@@ -212,10 +212,7 @@ def _cmd_bell(args) -> _Renderings:
 
     def text() -> str:
         rows = [[str(s), *map(str, probs)] for s, probs in zip(given, outcome)]
-        widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
-        table_lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-        for r in rows:
-            table_lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+        table_lines = _fmt_columns(header, rows, rule=False)
         seq_lines = [f"Pr{k} = {v}" for k, v in report.terms.items()]
         verdict = "VIOLATED" if report.violated else "SATISFIED"
         terms = list(report.terms.values())
@@ -259,9 +256,6 @@ def _cmd_teleport(args) -> _Renderings:
 
 
 def _cmd_parity_sat(args) -> _Renderings:
-    n = len(args.table)
-    if n < 2 or n & (n - 1) or set(args.table) - {"0", "1"}:
-        raise SetQMError("truth table must be a power-of-two string of 0/1 bits")
     f = BooleanFunction.from_bits(args.table)
     result = parity_sat(f)
 

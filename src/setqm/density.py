@@ -185,10 +185,10 @@ def entropy_increase(before: DensityMatrix, after: DensityMatrix) -> Fraction:
     logical_entropy_rho(after) - logical_entropy_rho(before) when `after`
     came from measure_density on `before`.
 
-    When every block of `after` lies inside the block of `before` that
-    holds its least element (as after measure_density), the blocks A meeting
-    B lie inside it, and one pass over the blocks sums |A|^2. Otherwise
-    every block of `before` meets every block of `after`.
+    The cells B ∩ A come from one pass over the blocks when every block of
+    `after` lies inside the block of `before` that holds its least element
+    (as after measure_density): they are the blocks A inside B. Otherwise
+    every block of `before` is ANDed with every block of `after`.
     """
     if not (isinstance(before, DensityMatrix) and isinstance(after, DensityMatrix)
             and before.universe == after.universe):
@@ -197,10 +197,7 @@ def entropy_increase(before: DensityMatrix, after: DensityMatrix) -> Fraction:
             raise ShapeMismatch("density matrices differ in dimension")
         _same_universe(before, after)
     masks, parts = before.masks, after.masks
-    nested = _nested(masks, parts)
-    if nested is None:
-        kept = [sum((m & b).bit_count() ** 2 for b in parts) for m in masks]
-    else:
-        kept = [sum(b.bit_count() ** 2 for b in inside) for inside in nested]
+    cells = _nested(masks, parts) or [[m & b for b in parts] for m in masks]
+    kept = [sum(c.bit_count() ** 2 for c in inside) for inside in cells]
     lost = sum(a * a * (m.bit_count() ** 2 - k) for m, a, k in zip(masks, before._nums, kept))
     return Fraction(lost, before._den ** 2)

@@ -15,9 +15,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from .errors import (
-    DimMismatch, DuplicateTerms, ImpossibleOutcome, InvalidArgument, UnknownLabel, ZeroState,
-)
+from .errors import DimMismatch, DuplicateTerms, ImpossibleOutcome, UnknownLabel, ZeroState
 from .gf2 import BitVec, GF2Matrix, _expect, _spread, mat_apply
 from .space import BasisFrame, SubsetKet, Universe, _fmt_labels, born, rat_json
 
@@ -47,14 +45,10 @@ class ProductUniverse:
             raise UnknownLabel(f"{pair!r} is not a pair of labels") from None
         return self.left.index(x) * self.right.size + self.right.index(y)
 
+    _mask = Universe._mask  # the label loop, reading pairs through `index`
+
     def state(self, pairs: Iterable[tuple[str, str]]) -> ProductState:
-        bits = 0
-        try:
-            for pair in pairs:
-                bits |= 1 << self.index(pair)
-        except TypeError:  # `index` catches its own, so `pairs` is not an iterable
-            raise InvalidArgument(f"expected pairs, got {type(pairs).__name__}") from None
-        return ProductState(self, BitVec(self.size, bits))
+        return ProductState(self, BitVec(self.size, self._mask(pairs)))
 
     def all_states(self):
         """All nonempty subsets of the pair set."""

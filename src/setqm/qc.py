@@ -12,8 +12,9 @@ neighbouring local values:
 
 - an identity of any width returns the register itself;
 - the 2x2 matrices are the six elements of GL(2, Z2): H0 and H1 are one
-  transvection, b ^ ((b & m) << s) and b ^ ((b >> s) & m); X swaps the
-  two halves; XH0 and XH1 are a transvection followed by that swap;
+  transvection, b ^ ((b & m) << s) and b ^ ((b >> s) & m); X is the delta
+  swap below of local values 0 and 1, the same kernel as the Cnots; XH0
+  and XH1 are a transvection followed by that swap;
 - the two Cnots are a delta swap of two local values,
   t = ((b >> d) ^ b) & M; b ^ t ^ (t << d).
 
@@ -95,10 +96,6 @@ def _column_loop(columns: tuple[tuple[int, ...], ...], b: int, m: int, s: int) -
     return out
 
 
-def _swap(b: int, m: int, s: int) -> int:
-    return ((b & m) << s) | ((b >> s) & m)
-
-
 def _h0(b: int, m: int, s: int) -> int:
     return b ^ ((b & m) << s)
 
@@ -108,11 +105,11 @@ def _h1(b: int, m: int, s: int) -> int:
 
 
 def _xh0(b: int, m: int, s: int) -> int:
-    return _swap(b ^ ((b & m) << s), m, s)
+    return _delta_swap(b ^ ((b & m) << s), m, s)
 
 
 def _xh1(b: int, m: int, s: int) -> int:
-    return _swap(b ^ ((b >> s) & m), m, s)
+    return _delta_swap(b ^ ((b >> s) & m), m, s)
 
 
 def _delta_swap(b: int, mask: int, d: int) -> int:
@@ -132,7 +129,7 @@ def _cnot_b(b: int, m: int, s: int) -> int:
 # The gate library: name, matrix rows, kernel (None: the identity returns its input).
 _GATES = (
     ("I", [[1, 0], [0, 1]], None),
-    ("X", [[0, 1], [1, 0]], _swap),
+    ("X", [[0, 1], [1, 0]], _delta_swap),  # local values 0 <-> 1
     ("H0", [[1, 0], [1, 1]], _h0),
     ("H1", [[1, 1], [0, 1]], _h1),
     ("XH0", [[1, 1], [1, 0]], _xh0),
@@ -380,11 +377,9 @@ class BooleanFunction:
     @classmethod
     def from_bits(cls, bits: str) -> BooleanFunction:
         _expect(str, bits)
-        try:
-            table = tuple(int(c) for c in bits)
-        except ValueError:
-            raise InvalidArgument(f"truth table {bits!r} must be 0/1 bits") from None
-        return cls(len(bits).bit_length() - 1, table)
+        if bits.strip("01"):
+            raise InvalidArgument(f"truth table {bits!r} must be 0/1 bits")
+        return cls(len(bits).bit_length() - 1, tuple(map(int, bits)))
 
     def value(self, index: int) -> int:
         if not (isinstance(index, int) and 0 <= index < len(self.table)):

@@ -59,7 +59,8 @@ class Universe:
             raise UnknownLabel(f"{label!r} not in universe {self.labels}") from None
 
     def _mask(self, labels: Iterable[str]) -> int:
-        """Bitmask of the named elements; raises UnknownLabel for a label outside."""
+        """Bitmask of the named elements; raises UnknownLabel for a label outside.
+        ProductUniverse shares this loop: its labels are pairs."""
         bits = 0
         try:
             for x in labels:
@@ -130,14 +131,18 @@ class SubsetKet:
     def __contains__(self, label: str) -> bool:
         return bool((self.bits.bits >> self.universe.index(label)) & 1)
 
+    def _other_bits(self, other: SubsetKet) -> int:
+        """The mask of `other`, a ket of this universe; the valid case is tested inline."""
+        if not (isinstance(other, SubsetKet) and other.universe == self.universe):
+            _expect(SubsetKet, other)
+            _same_universe(self, other)
+        return other.bits.bits
+
     def __add__(self, other: SubsetKet) -> SubsetKet:
-        _same_universe(self, other)
-        return SubsetKet(self.universe, self.bits ^ other.bits)
+        return SubsetKet._derived(self.universe, self.bits.bits ^ self._other_bits(other))
 
     def intersect(self, other: SubsetKet) -> SubsetKet:
-        _expect(SubsetKet, other)
-        _same_universe(self, other)
-        return SubsetKet._derived(self.universe, self.bits.bits & other.bits.bits)
+        return SubsetKet._derived(self.universe, self.bits.bits & self._other_bits(other))
 
     def __str__(self) -> str:
         return _fmt_labels(self.labels)
@@ -297,12 +302,7 @@ class KetTable:
     def to_text(self) -> str:
         names = [f.name for f in self.frames]
         cells = [[_fmt_labels(row[n]) for n in names] for row in map(self._labelled, self.rows)]
-        widths = [max(len(n), *(len(c[i]) for c in cells)) for i, n in enumerate(names)]
-        lines = ["  ".join(n.ljust(w) for n, w in zip(names, widths))]
-        lines.append("  ".join("-" * w for w in widths))
-        for c in cells:
-            lines.append("  ".join(x.ljust(w) for x, w in zip(c, widths)))
-        return "\n".join(lines)
+        return "\n".join(_fmt_columns(names, cells, rule=True))
 
     def __str__(self) -> str:
         return self.to_text()
@@ -310,6 +310,16 @@ class KetTable:
 
 def _fmt_labels(labels: Iterable[str]) -> str:
     return "{" + ",".join(labels) + "}"
+
+
+def _fmt_columns(header: list[str], rows: list[list[str]], rule: bool) -> list[str]:
+    """The header and rows as lines, each column left-aligned to its widest cell and
+    two spaces from the next; `rule` puts a line of dashes under the header."""
+    rows = [header, *rows]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    if rule:
+        rows.insert(1, ["-" * w for w in widths])
+    return ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in rows]
 
 
 MAX_KET_TABLE_DIM = 16  # 2^16 rows of one mask per frame each

@@ -176,9 +176,15 @@ def test_parity_sat(capsys):
     assert "deutsch: constant" in out
 
 
-def test_parity_sat_bad_table(capsys):
-    code, _, err = run_cli(capsys, "parity-sat", "--table", "110")
-    assert code == 1 and "truth table" in err
+@pytest.mark.parametrize("table, error", [
+    ("110", "InvalidArgument: truth table must hold 2^arity bits"),
+    ("\u0661\u0660", "InvalidArgument: truth table"),  # digits, but not 0/1 bits
+    ("1", "WrongArity: arity must be at least 1"),
+])
+def test_parity_sat_bad_table(capsys, table, error):
+    # the library's BooleanFunction check, the only one
+    code, _, err = run_cli(capsys, "parity-sat", "--table", table)
+    assert code == 1 and err.startswith(error) and "Traceback" not in err
 
 
 def test_run_circuit(capsys):

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import operator
 import random
 from types import ModuleType
 
@@ -81,6 +82,7 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
         lambda: BitVec(2, 1.0),
         lambda: BitVec.from_indices(4, ["1"]),
         lambda: BooleanFunction.from_bits("1x"),
+        lambda: BooleanFunction.from_bits("\u0661\u0660"),  # int() reads these as 1 and 0
         lambda: BooleanFunction(1, (0, 1.0)),
         lambda: GF2Matrix(2, 2, (1.0, 2)),
         lambda: GF2Matrix("2", 2, (1, 2)),
@@ -187,7 +189,7 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
         lambda: dsl.run(dsl.parse("lines 1\nmeasure 0\n"), None),
     ],
     ids=["basis-float-index", "from-indices-float", "bitvec-float-bits",
-         "from-indices-str", "from-bits-letter", "table-float-entry",
+         "from-indices-str", "from-bits-letter", "from-bits-other-digits", "table-float-entry",
          "matrix-float-row", "matrix-str-rows", "matrix-list-rows", "matrix-float-column",
          "dynamics-str", "frame-str-matrix", "invert-str", "nonsingular-str",
          "mat-apply-str-matrix", "mat-apply-str-vector", "mat-mul-str-right",
@@ -389,25 +391,68 @@ def sweep_targets():
                     yield f"{name}.{attr}", method
 
 
-def sweep_arguments(fn):
-    """Every combination of SWEEP_VALUES for up to two required arguments, else one value in all."""
-    slots = sum(1 for p in inspect.signature(fn).parameters.values()
-                if p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD))
+def required(fn) -> list[inspect.Parameter]:
+    """The parameters every call must fill: the positional ones without a default."""
+    return [p for p in inspect.signature(fn).parameters.values()
+            if p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+
+
+def sweep_arguments(slots: int):
+    """Every combination of SWEEP_VALUES for up to two slots, else one value in all."""
     if slots <= 2:
         return itertools.product(SWEEP_VALUES, repeat=slots)
     return ((v,) * slots for v in SWEEP_VALUES)
 
 
+def escapes(calls) -> str:
+    """For each (name, fn, args) call, the first per name to raise outside SetQMError."""
+    found = {}
+    for name, fn, args in calls:
+        try:
+            out = fn(*args)
+            if inspect.isgenerator(out):  # a lazy generator raises on its first item
+                list(out)
+        except SetQMError:
+            pass
+        except Exception as exc:  # any other type escapes the contract
+            found.setdefault(name, f"{name}{args!r}: {type(exc).__name__}: {exc}")
+    return "\n".join(found.values())
+
+
 def test_every_public_callable_returns_or_raises_a_domain_error():
-    escapes = {}
-    for name, fn in sweep_targets():
-        for args in sweep_arguments(fn):
-            try:
-                out = fn(*args)
-                if inspect.isgenerator(out):  # a lazy generator raises on its first item
-                    list(out)
-            except SetQMError:
-                pass
-            except Exception as exc:  # any other type escapes the contract
-                escapes.setdefault(name, f"{name}{args!r}: {type(exc).__name__}: {exc}")
-    assert not escapes, "escape the SetQMError hierarchy:\n" + "\n".join(escapes.values())
+    found = escapes((name, fn, args) for name, fn in sweep_targets()
+                    for args in sweep_arguments(len(required(fn))))
+    assert not found, "escape the SetQMError hierarchy:\n" + found
+
+
+def held_first_targets():
+    """Each public function of two or more required parameters whose first is annotated with
+    a sample's class, with that sample and the number of parameters left. setqm's modules
+    postpone annotations, so each annotation is its source text, such as "SubsetKet"."""
+    samples = {type(v).__name__: v for v in SAMPLES}
+    for name in setqm.__all__:
+        fn = getattr(setqm, name)
+        if callable(fn) and not isinstance(fn, type):
+            params = required(fn)
+            if len(params) >= 2 and params[0].annotation in samples:
+                yield name, fn, samples[params[0].annotation], len(params) - 1
+
+
+def test_a_valid_first_argument_with_bad_later_ones_raises_a_domain_error():
+    targets = list(held_first_targets())
+    assert {"apply", "born", "join", "measure_line", "entropy_increase"} <= {t[0] for t in targets}
+    found = escapes((name, fn, (sample, *rest)) for name, fn, sample, slots in targets
+                    for rest in sweep_arguments(slots))
+    assert not found, "escape the SetQMError hierarchy:\n" + found
+
+
+@pytest.mark.parametrize(
+    "op, operand",
+    [(operator.add, KET), (operator.xor, V), (operator.contains, KET),
+     (operator.contains, dit_set(PART))],
+    ids=["ket-add", "bitvec-xor", "ket-in", "dit-set-in"],
+)
+def test_operators_return_or_raise_a_domain_error(op, operand):
+    # operator.contains(a, v) is `v in a`
+    found = escapes((op.__name__, op, (operand, v)) for v in SWEEP_VALUES)
+    assert not found, "escape the SetQMError hierarchy:\n" + found

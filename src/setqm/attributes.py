@@ -23,7 +23,7 @@ from .errors import (
 )
 from .gf2 import _expect, _random_set_bit
 from .partitions import Partition, _least_bit, _rational
-from .space import SubsetKet, Universe, _same_universe, rat_json
+from .space import SubsetKet, Universe, _operands, rat_json
 
 Rational = Fraction | int | str
 
@@ -96,20 +96,17 @@ def inverse_image_partition(f: Attribute) -> Partition:
     return Partition._derived(f.universe, tuple(sorted(f.levels.values(), key=_least_bit)))
 
 
-def _check(f: Attribute, s: SubsetKet, measured: bool) -> None:
-    """InvalidArgument, then ZeroState (if `measured`), then UniverseMismatch; one test if valid."""
-    if not (isinstance(f, Attribute) and isinstance(s, SubsetKet)
-            and (s.bits.bits or not measured) and f.universe == s.universe):
+def _check(f: Attribute, s: SubsetKet) -> None:
+    """The operands of a measurement: InvalidArgument, then ZeroState, then UniverseMismatch."""
+    if isinstance(s, SubsetKet) and not s.bits.bits:
         _expect(Attribute, f)
-        _expect(SubsetKet, s)
-        if s.is_zero and measured:
-            raise ZeroState("cannot measure the zero ket")
-        _same_universe(f, s)
+        raise ZeroState("cannot measure the zero ket")
+    _operands(f, s, Attribute, SubsetKet)
 
 
 def project(f: Attribute, r: Rational, s: SubsetKet) -> SubsetKet:
     """Projection f^-1(r) ∩ S; may be the zero ket."""
-    _check(f, s, measured=False)
+    _operands(f, s, Attribute, SubsetKet)
     return SubsetKet._derived(s.universe, f.levels.get(_rational(r, "eigenvalue"), 0) & s.bits.bits)
 
 
@@ -120,7 +117,7 @@ def _split(f: Attribute, s: SubsetKet) -> list[tuple[Fraction, int]]:
 
 def measure_probs(f: Attribute, s: SubsetKet) -> dict[Fraction, Fraction]:
     """Probability of each eigenvalue with nonzero projection; sums to 1."""
-    _check(f, s, measured=True)
+    _check(f, s)
     n = s.cardinality
     return {r: Fraction(part.bit_count(), n) for r, part in _split(f, s)}
 
@@ -136,13 +133,13 @@ def _collapse(f: Attribute, s: SubsetKet, r: Fraction) -> MeasurementOutcome:
 
 def measure(f: Attribute, s: SubsetKet, rng: random.Random) -> MeasurementOutcome:
     """Sample an eigenvalue by a uniform draw over S and collapse onto its level set."""
-    _check(f, s, measured=True)
+    _check(f, s)
     return _collapse(f, s, f.values[_random_set_bit(s.bits.bits, rng)])
 
 
 def measure_given(f: Attribute, s: SubsetKet, r: Rational) -> MeasurementOutcome:
     """Deterministic variant: the outcome for a chosen eigenvalue of nonzero probability."""
-    _check(f, s, measured=True)
+    _check(f, s)
     return _collapse(f, s, _rational(r, "eigenvalue"))
 
 
@@ -160,7 +157,8 @@ def is_complete(fs: Sequence[Attribute]) -> bool:
         _expect(Sequence, fs)
     if not fs:
         raise IncompatibleAttributes("need at least one attribute")
-    if not all(is_compatible(fs[0], g) for g in fs):
+    # a list, not a generator: every member's type is checked before the universes' verdict
+    if not all([is_compatible(fs[0], g) for g in fs]):
         raise IncompatibleAttributes("attributes live on different universes")
     n = fs[0].universe.size
     first, *rest = sorted(fs, key=lambda f: len(f.levels), reverse=True)
@@ -173,8 +171,6 @@ def is_complete(fs: Sequence[Attribute]) -> bool:
 
 def eigenkets(fs: Sequence[Attribute]) -> dict[str, tuple[Fraction, ...]]:
     """Each element named by its tuple of eigenvalues under a complete family."""
-    _expect(Sequence, fs)
-    _expect(Attribute, *fs)
     if not is_complete(fs):
         raise NotComplete("attribute family does not separate all elements")
     return dict(zip(fs[0].universe.labels, zip(*(f.values for f in fs))))
@@ -182,5 +178,5 @@ def eigenkets(fs: Sequence[Attribute]) -> dict[str, tuple[Fraction, ...]]:
 
 def spectral_apply(f: Attribute, s: SubsetKet) -> list[tuple[Fraction, SubsetKet]]:
     """Formal spectral decomposition: (r, f^-1(r) ∩ S) with nonzero components."""
-    _check(f, s, measured=False)
+    _operands(f, s, Attribute, SubsetKet)
     return [(r, SubsetKet._derived(s.universe, part)) for r, part in _split(f, s)]

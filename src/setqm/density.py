@@ -18,10 +18,10 @@ from functools import cached_property
 from typing import Iterable
 
 from .attributes import Attribute
-from .errors import InvalidBlocks, ShapeMismatch, ZeroState
+from .errors import InvalidBlocks, ShapeMismatch, UniverseMismatch, ZeroState
 from .gf2 import _expect
 from .partitions import Partition, _block_masks, _nested
-from .space import SubsetKet, Universe, _same_universe, rat_json
+from .space import SubsetKet, Universe, _operands, rat_json
 
 
 @dataclass(frozen=True, init=False)
@@ -140,19 +140,9 @@ def logical_entropy_rho(rho: DensityMatrix) -> Fraction:
     return Fraction(rho._den ** 2 - _square_sum(rho), rho._den ** 2)
 
 
-def _check(f: Attribute, rho: DensityMatrix) -> None:
-    """InvalidArgument unless an Attribute and a DensityMatrix, then UniverseMismatch; the
-    valid case is tested inline."""
-    if not (isinstance(f, Attribute) and isinstance(rho, DensityMatrix)
-            and f.universe == rho.universe):
-        _expect(Attribute, f)
-        _expect(DensityMatrix, rho)
-        _same_universe(f, rho)
-
-
 def expectation(f: Attribute, rho: DensityMatrix) -> Fraction:
     """tr[f rho]: each numerator a times the sum of r |B_a ∩ f^-1(r)|, B_a the union of a's blocks."""
-    _check(f, rho)
+    _operands(f, rho, Attribute, DensityMatrix)
     union: dict[int, int] = {}
     for mask, a in zip(rho.masks, rho._nums):
         union[a] = union.get(a, 0) | mask
@@ -169,7 +159,7 @@ def measure_density(f: Attribute, rho: DensityMatrix) -> DensityMatrix:
     of a partition p the result is rho of join(f's partition, p). Every
     block keeps a nonempty part, so the common denominator stays the same.
     """
-    _check(f, rho)
+    _operands(f, rho, Attribute, DensityMatrix)
     levels = f.levels.values()
     parts = sorted(((mask & level, a) for mask, a in zip(rho.masks, rho._nums)
                     for level in levels if mask & level), key=lambda part: part[0] & -part[0])
@@ -190,12 +180,12 @@ def entropy_increase(before: DensityMatrix, after: DensityMatrix) -> Fraction:
     (as after measure_density): they are the blocks A inside B. Otherwise
     every block of `before` is ANDed with every block of `after`.
     """
-    if not (isinstance(before, DensityMatrix) and isinstance(after, DensityMatrix)
-            and before.universe == after.universe):
-        _expect(DensityMatrix, before, after)
+    try:
+        _operands(before, after, DensityMatrix, DensityMatrix)
+    except UniverseMismatch:  # one universe has one size, so only foreign operands can differ
         if before.dim != after.dim:
-            raise ShapeMismatch("density matrices differ in dimension")
-        _same_universe(before, after)
+            raise ShapeMismatch("density matrices differ in dimension") from None
+        raise
     masks, parts = before.masks, after.masks
     cells = _nested(masks, parts) or [[m & b for b in parts] for m in masks]
     kept = [sum(c.bit_count() ** 2 for c in inside) for inside in cells]

@@ -11,7 +11,7 @@ from itertools import product
 
 from .errors import InvalidArgument, InvalidBlocks, OutOfRange, ShapeMismatch
 from .gf2 import _expect
-from .space import SubsetKet, Universe, _fmt_labels, _same_universe
+from .space import SubsetKet, Universe, _fmt_labels, _operands
 
 
 def _rational(v: object, what: str) -> Fraction:
@@ -192,10 +192,7 @@ def _dit_count(p: Partition) -> int:
 
 def join(p: Partition, q: Partition) -> Partition:
     """Partition whose blocks are the nonempty pairwise block intersections."""
-    # the valid case is tested inline: a call would cost about as much as the test
-    if not (isinstance(p, Partition) and isinstance(q, Partition) and p.universe == q.universe):
-        _expect(Partition, p, q)
-        _same_universe(p, q)
+    _operands(p, q, Partition, Partition)
     masks = sorted((b & c for b in p.masks for c in q.masks if b & c), key=_least_bit)
     return Partition._derived(p.universe, tuple(masks))
 
@@ -233,10 +230,7 @@ def refines(coarse: Partition, fine: Partition) -> bool:
     Each fine block is tested only against the coarse block that holds its
     least element: O(|coarse| + |fine|) mask operations.
     """
-    if not (isinstance(coarse, Partition) and isinstance(fine, Partition)
-            and coarse.universe == fine.universe):
-        _expect(Partition, coarse, fine)
-        _same_universe(coarse, fine)
+    _operands(coarse, fine, Partition, Partition)
     return _nested(coarse.masks, fine.masks) is not None
 
 

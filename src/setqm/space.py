@@ -131,30 +131,29 @@ class SubsetKet:
     def __contains__(self, label: str) -> bool:
         return bool((self.bits.bits >> self.universe.index(label)) & 1)
 
-    def _other_bits(self, other: SubsetKet) -> int:
-        """The mask of `other`, a ket of this universe; the valid case is tested inline."""
-        if not (isinstance(other, SubsetKet) and other.universe == self.universe):
-            _expect(SubsetKet, other)
-            _same_universe(self, other)
-        return other.bits.bits
-
     def __add__(self, other: SubsetKet) -> SubsetKet:
-        return SubsetKet._derived(self.universe, self.bits.bits ^ self._other_bits(other))
+        _operands(self, other, SubsetKet, SubsetKet)
+        return SubsetKet._derived(self.universe, self.bits.bits ^ other.bits.bits)
 
     def intersect(self, other: SubsetKet) -> SubsetKet:
-        return SubsetKet._derived(self.universe, self.bits.bits & self._other_bits(other))
+        _operands(self, other, SubsetKet, SubsetKet)
+        return SubsetKet._derived(self.universe, self.bits.bits & other.bits.bits)
 
     def __str__(self) -> str:
         return _fmt_labels(self.labels)
 
 
-def _same_universe(a, b) -> None:
-    """UniverseMismatch unless `a` and `b` live on one universe.
+def _operands(a, b, a_type: type, b_type: type) -> None:
+    """InvalidArgument unless `a` is an `a_type` and `b` a `b_type`, then UniverseMismatch
+    unless both live on one universe; a shared universe object skips the label comparison.
 
     The message names the operands' types, not their labels, which can
     run to thousands.
     """
-    if a.universe != b.universe:
+    if not (isinstance(a, a_type) and isinstance(b, b_type)
+            and (a.universe is b.universe or a.universe == b.universe)):
+        _expect(a_type, a)
+        _expect(b_type, b)
         raise UniverseMismatch(
             f"{type(a).__name__} and {type(b).__name__} live on different universes"
         )
@@ -231,8 +230,7 @@ def rat_json(v: Fraction) -> str:
 
 def bracket(t: SubsetKet, s: SubsetKet) -> int:
     """Overlap |T ∩ S| of two subsets of the same universe."""
-    _expect(SubsetKet, t, s)
-    _same_universe(t, s)
+    _operands(t, s, SubsetKet, SubsetKet)
     return (t.bits.bits & s.bits.bits).bit_count()
 
 

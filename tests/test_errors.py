@@ -17,14 +17,15 @@ from setqm.entangle import (
     counterfactual_joint, is_separated, joint, marginals, product_to_frame, supports,
 )
 from setqm.errors import (
-    DimMismatch, ImpossibleOutcome, InvalidArgument, NotTotal, ParseError, SetQMError, SizeMismatch,
-    Singular, UnknownGate, UniverseMismatch, ZeroState,
+    DimMismatch, ImpossibleOutcome, IncompatibleAttributes, InvalidArgument, NotTotal, ParseError,
+    SetQMError, ShapeMismatch, SizeMismatch, Singular, UnknownGate, UniverseMismatch, ZeroState,
 )
 from setqm.gf2 import (
     BitVec, GF2Matrix, add, invert, is_nonsingular, kron, mat_apply, mat_mul, solve, transpose,
 )
 from setqm.attributes import (
-    Attribute, eigenkets, measure, measure_given, measure_probs, project, spectral_apply,
+    Attribute, eigenkets, is_complete, measure, measure_given, measure_probs, project,
+    spectral_apply,
 )
 from setqm.density import (
     DensityMatrix, entropy_increase, expectation, measure_density, purity, rho_of_partition,
@@ -332,33 +333,94 @@ def test_star_import_binds_no_module():
 
 
 FOREIGN = Universe(("v0", "v1"))  # the same size as U, other labels
-RHO, FOREIGN_RHO = rho_of_partition(PART), rho_of_partition(Partition.discrete(FOREIGN))
-FOREIGN_KET = FOREIGN.subset(["v0"])
+TWIN = Universe(U.labels)  # equal labels, a distinct object
+RHO = rho_of_partition(PART)
+
+
+def second_operands(u: Universe):
+    """A ket {u_0}, the discrete partition and its density matrix, all on `u`."""
+    part = Partition.discrete(u)
+    return SubsetKet(u, BitVec(2, 0b01)), part, rho_of_partition(part)
+
+
+# Every two-operand call that checks its operands' universes, given its second operand.
+DOOR_CALLS = {
+    "add": lambda ket, part, rho: KET + ket,
+    "intersect": lambda ket, part, rho: KET.intersect(ket),
+    "bracket": lambda ket, part, rho: bracket(KET, ket),
+    "project": lambda ket, part, rho: project(F, 1, ket),
+    "measure-probs": lambda ket, part, rho: measure_probs(F, ket),
+    "measure": lambda ket, part, rho: measure(F, ket, random.Random(0)),
+    "measure-given": lambda ket, part, rho: measure_given(F, ket, 1),
+    "spectral-apply": lambda ket, part, rho: spectral_apply(F, ket),
+    "expectation": lambda ket, part, rho: expectation(F, rho),
+    "measure-density": lambda ket, part, rho: measure_density(F, rho),
+    "entropy-increase": lambda ket, part, rho: entropy_increase(RHO, rho),
+    "join": lambda ket, part, rho: join(PART, part),
+    "refines": lambda ket, part, rho: refines(PART, part),
+}
+
+
+@pytest.mark.parametrize("name", DOOR_CALLS)
+def test_operands_of_equal_size_foreign_universes_raise_universe_mismatch(name):
+    # one message, naming the operand types and none of the labels
+    with pytest.raises(UniverseMismatch, match=r"^\w+ and \w+ live on different universes$") as exc:
+        DOOR_CALLS[name](*second_operands(FOREIGN))
+    assert "v0" not in str(exc.value)
+
+
+@pytest.mark.parametrize("name", DOOR_CALLS)
+def test_operands_on_an_equal_universe_object_act_as_on_the_shared_one(name):
+    call = DOOR_CALLS[name]
+    assert TWIN is not U and call(*second_operands(TWIN)) == call(*second_operands(U))
+
+
+FOREIGN_KET, FOREIGN_PART, FOREIGN_RHO = second_operands(FOREIGN)
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call,error,message",
     [
-        lambda: KET + FOREIGN_KET,
-        lambda: KET.intersect(FOREIGN_KET),
-        lambda: bracket(KET, FOREIGN_KET),
-        lambda: project(F, 1, FOREIGN_KET),
-        lambda: measure_probs(F, FOREIGN_KET),
-        lambda: measure(F, FOREIGN_KET, random.Random(0)),
-        lambda: expectation(F, FOREIGN_RHO),
-        lambda: measure_density(F, FOREIGN_RHO),
-        lambda: entropy_increase(RHO, FOREIGN_RHO),
-        lambda: join(PART, Partition.discrete(FOREIGN)),
-        lambda: refines(PART, Partition.discrete(FOREIGN)),
+        # a wrong type that lives on a foreign universe, on either side
+        (lambda: KET + FOREIGN_PART, InvalidArgument, "expected a SubsetKet, got Partition"),
+        (lambda: bracket(FOREIGN_RHO, KET), InvalidArgument, "expected a SubsetKet, got Density"),
+        (lambda: measure_probs(F, FOREIGN_PART), InvalidArgument, "got Partition"),
+        (lambda: project(FOREIGN_RHO, 1, KET), InvalidArgument,
+         "expected a Attribute, got DensityMatrix"),
+        (lambda: expectation(F, FOREIGN_KET), InvalidArgument, "got SubsetKet"),
+        (lambda: entropy_increase(FOREIGN_PART, RHO), InvalidArgument, "got Partition"),
+        (lambda: join(PART, FOREIGN_RHO), InvalidArgument, "got DensityMatrix"),
+        (lambda: refines(FOREIGN_KET, PART), InvalidArgument, "got SubsetKet"),
+        # a zero ket on a foreign universe
+        (lambda: measure_probs(F, FOREIGN.empty()), ZeroState, "zero ket"),
+        (lambda: measure(F, FOREIGN.empty(), random.Random(0)), ZeroState, "zero ket"),
+        (lambda: measure_given(F, FOREIGN.empty(), 1), ZeroState, "zero ket"),
+        # density matrices of different sizes, so on different universes too
+        (lambda: entropy_increase(RHO, rho_of_partition(Partition.discrete(U3))), ShapeMismatch,
+         "differ in dimension"),
     ],
-    ids=["add", "intersect", "bracket", "project", "measure-probs", "measure", "expectation",
-         "measure-density", "entropy-increase", "join", "refines"],
+    ids=["add", "bracket", "measure-probs", "project", "expectation", "entropy-increase", "join",
+         "refines", "measure-probs-zero", "measure-zero", "measure-given-zero",
+         "entropy-increase-size"],
 )
-def test_operands_of_equal_size_foreign_universes_raise_universe_mismatch(call):
-    # one message, naming the operand types and none of the labels
-    with pytest.raises(UniverseMismatch, match=r"^\w+ and \w+ live on different universes$") as exc:
+def test_a_two_operand_call_with_two_faults_raises_the_first_in_order(call, error, message):
+    # the wrong type first, then the zero state or the size, then the universe
+    with pytest.raises(error, match=message):
         call()
-    assert "v0" not in str(exc.value)
+
+
+@pytest.mark.parametrize("fn", [eigenkets, is_complete], ids=["eigenkets", "is-complete"])
+@pytest.mark.parametrize(
+    "fs,error",
+    [(None, InvalidArgument), ([F, None], InvalidArgument), ([None, F], InvalidArgument),
+     ([F, Attribute(FOREIGN, (1, 2)), None], InvalidArgument), ([], IncompatibleAttributes),
+     ([F, Attribute(FOREIGN, (1, 2))], IncompatibleAttributes)],
+    ids=["none", "non-attribute-last", "non-attribute-first", "foreign-then-non-attribute",
+         "empty", "foreign"],
+)
+def test_an_attribute_family_raises_the_wrong_type_first(fn, fs, error):
+    with pytest.raises(error):
+        fn(fs)
 
 
 SWEEP_VALUES = (None, "x", -1, 1.5, (), [1], object())

@@ -235,10 +235,10 @@ def mat_mul(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
 
 # Four-Russians Gauss-Jordan (Arlazarov et al. 1970; M4RI, G. Bard, *Algebraic
 # Cryptanalysis*, 2009) clears _BLOCK_COLUMNS columns from every row with one
-# table lookup and one XOR. Below _BLOCKED_FROM columns the plain column loop,
-# which has no per-block table to build, is faster.
+# table lookup and one XOR. Below _BLOCKED_FROM columns, the best-of crossover
+# on dense and sparse matrices, the plain column loop, which builds no table, is faster.
 _BLOCK_COLUMNS = 6
-_BLOCKED_FROM = 64
+_BLOCKED_FROM = 40
 
 
 def _reduce(a: GF2Matrix) -> list[int] | None:
@@ -274,32 +274,43 @@ def _column_pass(row_bits: Sequence[int], n: int) -> list[int] | None:
 
 
 def _block_pass(row_bits: Sequence[int], n: int) -> list[int] | None:
-    """_BLOCK_COLUMNS columns at a time, highest block first: find their pivots, then clear them.
+    """_BLOCK_COLUMNS columns at a time, highest block first: find their pivots in one scan, then clear them.
 
-    Row i starts as a_i << n | e_i. table[s] is the sum of the block's
-    pivots named by the bits of s; the pivots are kept identity on the
-    block's columns found so far, so a row's own bits there index the sum
-    that clears them. Once its block is cleared a pivot row drops its pivot
-    bit, which no later block reads, so no row has a bit above the block
-    being cleared: its index is a shift of the row's few top bits, and a
-    full-rank reduction leaves row i = inverse_i.
+    Row i starts as a_i << n | e_i. The scan (Bard 2009, ch. 9) reduces
+    each row not yet a pivot by the pivots so far; the first with a block
+    bit left pivots on its lowest, which the earlier pivots then drop, so
+    the pivots stay identity on the block and table[s], built once, is the
+    sum of those that the bits of s name. A cleared pivot row drops its
+    pivot bit, so no row has a bit above the block being cleared, its table
+    index is a shift of its few top bits, and full rank leaves row i = inverse_i.
     """
     rows = [r << n | 1 << i for i, r in enumerate(row_bits)]
     for c0 in reversed(range(0, n, _BLOCK_COLUMNS)):
         top, shift = min(c0 + _BLOCK_COLUMNS, n), n + c0
-        table = [0]
-        for c in range(c0, top):
-            bit, earlier = 1 << (n + c), len(table) - 1
-            for p in chain(range(c, top), range(c0)):  # the rows not yet pivots
-                r = rows[p]
-                r ^= table[r >> shift & earlier]  # the candidate as the earlier pivots leave it
-                if r & bit:
+        pivots = {}  # pivots[1 << j] is the pivot of column c0 + j
+        for p in chain(range(c0, top), range(c0)):  # the rows not yet pivots
+            r = rows[p]
+            s = r >> shift
+            if not s:
+                continue
+            for low, q in pivots.items():
+                if s & low:
+                    r ^= q  # the candidate as the earlier pivots leave it
+            s = r >> shift
+            if s:
+                low = s & -s
+                for k, q in pivots.items():
+                    if q >> shift & low:
+                        pivots[k] = q ^ r
+                rows[p] = rows[c0 + len(pivots)]  # that slot's row, no pivot, takes p's place
+                pivots[low] = r
+                if len(pivots) == top - c0:
                     break
-            else:
-                return None  # a square matrix with a pivotless column is singular
-            rows[p] = rows[c]  # row c itself gets its pivot once the block is cleared
-            table = [t ^ r if t & bit else t for t in table]
-            table += [t ^ r for t in table]
+        else:
+            return None  # the rows ran out first: a square matrix with a pivotless column is singular
+        table = [0]
+        for _, q in sorted(pivots.items()):
+            table += [t ^ q for t in table]
         rows = [r ^ table[r >> shift] for r in rows]
         rows[c0:top] = [table[1 << j] ^ 1 << (shift + j) for j in range(top - c0)]
     return rows

@@ -496,6 +496,81 @@ def test_a_pivotless_column_in_the_top_block_is_singular(n, where, base, seed):
         invert(a)
 
 
+# The block pass finds a block's pivots in one scan: rows c0..top-1, then
+# the rows below c0, each reduced by the pivots found so far. The block's
+# own rows that become no pivot move into the places of pivots taken from
+# below c0. These cases reach each of those paths on purpose.
+
+SCAN_SIZES = st.one_of(st.integers(64, 80), st.just(256))
+
+
+def assert_both_passes_invert(a):
+    """Both passes give the reference inverse's rows, or None, and `invert` agrees."""
+    expected = reference_inverse(a)
+    want = None if expected is None else list(expected.row_bits)
+    assert gf2._block_pass(a.row_bits, a.rows) == want
+    assert gf2._column_pass(a.row_bits, a.rows) == want
+    if expected is None:
+        with pytest.raises(Singular):
+            invert(a)
+    else:
+        assert invert(a) == expected
+
+
+def full_block(n, rng, lowest=0):
+    """The first column of a random block of _BLOCK_COLUMNS columns that fits in n, from `lowest` up."""
+    return rng.randrange(lowest, n - gf2._BLOCK_COLUMNS + 1, gf2._BLOCK_COLUMNS)
+
+
+@settings(max_examples=20)
+@given(SCAN_SIZES, st.booleans(), st.integers(0, 2**32 - 1))
+def test_permutations_take_pivots_from_below_the_block(n, anti, seed):
+    # the anti-diagonal's top block has its pivots in rows 0..5 and none in its own rows
+    order = list(reversed(range(n)))
+    if not anti:
+        random.Random(seed).shuffle(order)
+    assert_both_passes_invert(GF2Matrix(n, n, tuple(1 << j for j in order)))
+
+
+@settings(max_examples=20)
+@given(SCAN_SIZES, st.integers(0, 2**32 - 1))
+def test_a_candidate_with_block_bits_only_on_pivot_columns_is_reduced_away(n, seed):
+    # row c0 pivots on c0; row c0 + 1 holds only c0 in the block, so reduction leaves
+    # it without block bits, and column c0 + 1 takes its pivot from row x below c0
+    rng = random.Random(seed)
+    c0 = full_block(n, rng, lowest=gf2._BLOCK_COLUMNS)
+    x = rng.randrange(c0)
+    rows = [1 << i for i in range(n)]
+    rows[c0 + 1] = 1 << c0 | 1 << x | rng.getrandbits(x)
+    rows[x] = 1 << (c0 + 1) | rng.getrandbits(c0)
+    assert_both_passes_invert(GF2Matrix(n, n, tuple(rows)))
+
+
+@settings(max_examples=20)
+@given(SCAN_SIZES, st.integers(0, 2**32 - 1))
+def test_a_first_pivot_on_the_blocks_last_column(n, seed):
+    rng = random.Random(seed)
+    c0 = full_block(n, rng)
+    last = c0 + gf2._BLOCK_COLUMNS - 1
+    rows = [1 << i for i in range(n)]
+    rows[c0], rows[last] = 1 << last | rng.getrandbits(c0), 1 << c0
+    assert_both_passes_invert(GF2Matrix(n, n, tuple(rows)))
+
+
+@settings(max_examples=30)
+@given(SCAN_SIZES, st.integers(1, gf2._BLOCK_COLUMNS - 1),
+       st.sampled_from([random_nonsingular, sparse_nonsingular]), st.integers(0, 2**32 - 1))
+def test_rank_loss_found_mid_block_after_some_pivots_is_singular(n, taken, base, seed):
+    # the block's columns past its first `taken` become sums of those, so the scan
+    # takes `taken` pivots and then runs out of rows
+    rng = random.Random(seed)
+    c0 = full_block(n, rng)
+    a = base(n, rng)
+    for col in range(c0 + taken, c0 + gf2._BLOCK_COLUMNS):
+        a = without_pivot_at(a, col, rng, among=(1 << (c0 + taken)) - (1 << c0))
+    assert_both_passes_invert(a)
+
+
 # -- transpose and row sums against per-bit references --
 
 

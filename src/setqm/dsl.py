@@ -25,12 +25,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import ParseError, RegisterTooWide, TooLarge, ZeroInitial, ZeroState
+from .errors import InvalidArgument, ParseError, RegisterTooWide, TooLarge, ZeroInitial, ZeroState
 from . import qc
 from .gf2 import _expect
 from .space import rat_json
 
 _ONE_LINE_GATES = tuple(name for name, g in qc._LIBRARY.items() if g.width == 1)
+# a CNOT step's gate by target - control; lines that are not adjacent have none
+_CNOT_NAMES = {1: "CNOT_A", -1: "CNOT_B"}
 # The most kets, summed over a run's trace, that its JSON object or `setqm run`
 # prints; each ket is a bitstring of one character per line. A 20-step run on
 # 12 lines has at most 21 * 4096 = 86016.
@@ -341,9 +343,13 @@ def run(ast: CircuitAst, seed: int) -> RunResult:
         if kind is GateStep:
             reg = qc.apply(qc.standard_gate(step.name), reg, step.line)
         elif kind is CnotStep:
-            name = "CNOT_A" if step.control < step.target else "CNOT_B"
+            name = _CNOT_NAMES.get(step.target - step.control)
+            if name is None:  # as `parse` requires
+                raise InvalidArgument(f"{step}: CNOT control and target must be adjacent lines")
             reg = qc.apply(qc.standard_gate(name), reg, min(step.control, step.target))
-        else:
+        elif kind is EfStep:
             reg = qc.apply_ef(qc.BooleanFunction.from_bits(step.table), reg)
+        else:
+            raise InvalidArgument(f"expected a circuit step, got {kind.__name__}")
         trace.append(entry(str(step), reg))
     return RunResult(ast, tuple(trace), tuple(measurements))

@@ -16,7 +16,7 @@ from functools import reduce
 from operator import or_
 
 from .errors import DimMismatch, DuplicateTerms, ImpossibleOutcome, UnknownLabel, ZeroState
-from .gf2 import BitVec, GF2Matrix, _expect, _spread, mat_apply
+from .gf2 import BitVec, GF2Matrix, _expect, _get, _spread, mat_apply
 from .space import BasisFrame, SubsetKet, Universe, _fmt_labels, born, rat_json
 
 
@@ -94,18 +94,6 @@ def _rows(s: ProductState) -> dict[str, int]:
     return {x: s.bits.bits >> (i * k) & ((1 << k) - 1) for i, x in enumerate(s.space.left.labels)}
 
 
-def _left_probs(s: ProductState) -> dict[str, Fraction]:
-    """Each left label -> the share of the state's pairs that have it."""
-    n = s.cardinality
-    return {x: Fraction(row.bit_count(), n) for x, row in _rows(s).items()}
-
-
-def _column_counts(s: ProductState) -> dict[str, int]:
-    """Each right label -> how many of the state's pairs have it."""
-    column = _spread((1 << s.space.left.size) - 1, s.space.right.size)
-    return {y: (s.bits.bits & column << j).bit_count() for j, y in enumerate(s.space.right.labels)}
-
-
 @dataclass(frozen=True)
 class JointDistribution:
     """The uniform distribution carried by a product state."""
@@ -143,12 +131,20 @@ def is_separated(s: ProductState) -> bool:
     return s.cardinality == sx.cardinality * sy.cardinality
 
 
+def _margin_counts(s: ProductState) -> tuple[dict[str, int], dict[str, int]]:
+    """Each left label, and each right label -> how many of the state's pairs have it."""
+    column = _spread((1 << s.space.left.size) - 1, s.space.right.size)  # bit i*k: row i's first pair
+    bits = s.bits.bits
+    return ({x: row.bit_count() for x, row in _rows(s).items()},
+            {y: (bits & column << j).bit_count() for j, y in enumerate(s.space.right.labels)})
+
+
 def marginals(d: JointDistribution) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
     """Exact marginal distributions of the two factors."""
     _expect(JointDistribution, d)
-    s = d.support
-    right = {y: Fraction(c, s.cardinality) for y, c in _column_counts(s).items()}
-    return _left_probs(s), right
+    n = d.support.cardinality
+    left, right = _margin_counts(d.support)
+    return {x: Fraction(c, n) for x, c in left.items()}, {y: Fraction(c, n) for y, c in right.items()}
 
 
 def is_independent(d: JointDistribution) -> bool:
@@ -193,14 +189,14 @@ def product_to_frame(
 
 def left_measure_prob(s: ProductState, frame: BasisFrame, outcome: str) -> Fraction:
     """Fraction of the state's pairs, expressed in the frame, with the given left label."""
-    return _left_probs(product_to_frame(s, frame, frame)).get(outcome, Fraction(0))
+    expressed = product_to_frame(s, frame, frame)
+    return Fraction(_get(_margin_counts(expressed)[0], outcome, 0), expressed.cardinality)
 
 
 def right_measure_prob(s: ProductState, frame: BasisFrame, outcome: str) -> Fraction:
     """Mirror of left_measure_prob for the right factor."""
     expressed = product_to_frame(s, frame, frame)
-    hits = _column_counts(expressed).get(outcome, 0)
-    return Fraction(hits, expressed.cardinality)
+    return Fraction(_get(_margin_counts(expressed)[1], outcome, 0), expressed.cardinality)
 
 
 @dataclass(frozen=True)
@@ -240,18 +236,20 @@ def counterfactual_joint(
     """
     _expect(ProductState, s)
     f1, f2, f3 = _three_frames(frames)
-    # one change of basis per frame; every outcome's probability is read from it
-    p1, p2, p3 = (_left_probs(product_to_frame(s, f, f)) for f in (f1, f2, f3))
+    # one change of basis per frame; each probability is one Fraction of a product of counts
+    expressed = [product_to_frame(s, f, f) for f in (f1, f2, f3)]
+    c1, c2, c3 = (_margin_counts(e)[0] for e in expressed)
+    n1, n2, n3 = (e.cardinality for e in expressed)
     probs = {
-        (x, y, z): p1[x] * p2[y] * p3[z]
+        (x, y, z): Fraction(c1[x] * c2[y] * c3[z], n1 * n2 * n3)
         for x in f1.labels
         for y in f2.labels
         for z in f3.labels
     }
     # each single-frame distribution sums to 1, so every pairwise marginal is a product
-    marginal_xy = {(x, y): p1[x] * p2[y] for x in f1.labels for y in f2.labels}
-    marginal_yz = {(y, z): p2[y] * p3[z] for y in f2.labels for z in f3.labels}
-    marginal_xz = {(x, z): p1[x] * p3[z] for x in f1.labels for z in f3.labels}
+    marginal_xy = {(x, y): Fraction(c1[x] * c2[y], n1 * n2) for x in f1.labels for y in f2.labels}
+    marginal_yz = {(y, z): Fraction(c2[y] * c3[z], n2 * n3) for y in f2.labels for z in f3.labels}
+    marginal_xz = {(x, z): Fraction(c1[x] * c3[z], n1 * n3) for x in f1.labels for z in f3.labels}
     lhs = marginal_xy[(f1.labels[0], f2.labels[0])] + marginal_yz[(f2.labels[1], f3.labels[1])]
     rhs = marginal_xz[(f1.labels[0], f3.labels[1])]
     return CounterfactualReport(
@@ -273,7 +271,7 @@ def sequential_pair_prob(
     right support, which is Born-measured in the right frame.
     """
     expressed = product_to_frame(s, left_frame, left_frame)
-    kept = _rows(expressed).get(left_outcome, 0)
+    kept = _get(_rows(expressed), left_outcome, 0)
     if not kept:
         raise ImpossibleOutcome(
             f"left outcome {left_outcome!r} has probability 0; no state to collapse to"
@@ -282,7 +280,7 @@ def sequential_pair_prob(
     # the kept right support is in left_frame coordinates; move it back to canonical
     back = mat_apply(left_frame.matrix, BitVec(left_frame.dim, kept))
     canonical = SubsetKet(s.space.right, back)
-    p_right = born(canonical, right_frame)[right_outcome]
+    p_right = _get(born(canonical, right_frame), right_outcome, Fraction(0))
     return p_left * p_right
 
 

@@ -10,7 +10,7 @@ from functools import cached_property
 from itertools import product
 
 from .errors import InvalidArgument, InvalidBlocks, OutOfRange, ShapeMismatch
-from .gf2 import _expect
+from .gf2 import _expect, _get
 from .space import SubsetKet, Universe, _fmt_labels, _operands
 
 
@@ -152,7 +152,7 @@ class _Dits(Set):
         if self._owner is None:  # each label's block index, built from the masks on first use
             u = self.partition.universe
             self._owner = {x: k for k, m in enumerate(self.partition.masks) for x in u._labels(m)}
-        i, j = self._owner.get(pair[0]), self._owner.get(pair[1])
+        i, j = _get(self._owner, pair[0]), _get(self._owner, pair[1])
         return i is not None and j is not None and i != j  # None: a label outside U
 
     def __iter__(self) -> Iterator[tuple[str, str]]:

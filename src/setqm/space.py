@@ -21,7 +21,7 @@ from .errors import (
     UnknownLabel,
     ZeroState,
 )
-from .gf2 import BitVec, GF2Matrix, _digits, _expect, _row_sum, invert, mat_apply, transpose
+from .gf2 import BitVec, GF2Matrix, _digits, _expect, _row_sum, _xor_table, invert, mat_apply, transpose
 
 
 @dataclass(frozen=True)
@@ -347,14 +347,7 @@ def ket_table(dim: int, frames: Sequence[BasisFrame]) -> KetTable:
         # coordinates compared lowest index first: the bits read in reverse
         return (-bits.bit_count(), -int(f"{bits:0{dim}b}"[::-1], 2))
 
-    def expansions(f: BasisFrame) -> list[int]:
-        # every ket's coordinates by its mask: the kets with bit j set are those
-        # without it, each XORed with the expansion of the singleton j
-        coords = [0]
-        for row in f._expansions.row_bits:
-            coords += [c ^ row for c in coords]
-        return coords
-
-    tables = [expansions(f) for f in frames]
+    # each frame's table of every ket's coordinates, looked up by the ket's mask
+    tables = [_xor_table(f._expansions.row_bits) for f in frames]
     rows = tuple(tuple(t[bits] for t in tables) for bits in sorted(range(1 << dim), key=sort_key))
     return KetTable(frames, rows)

@@ -19,7 +19,7 @@ from setqm.dsl import (
     render,
     run,
 )
-from setqm.errors import ParseError, RegisterTooWide, TooLarge, ZeroInitial
+from setqm.errors import InvalidArgument, ParseError, RegisterTooWide, TooLarge, ZeroInitial
 from setqm.qc import (
     MAX_LINES,
     BooleanFunction,
@@ -108,6 +108,19 @@ def test_parse_rejects_too_many_lines():
     assert parse(f"lines {MAX_LINES}\nmeasure 0\n").lines == MAX_LINES
     with pytest.raises(RegisterTooWide):  # an AST built without the parser
         run(CircuitAst(40, ("1" * 40,), (MeasureStep(0),)), seed=0)
+
+
+@pytest.mark.parametrize(
+    "step,message",
+    [(None, "expected a circuit step, got NoneType"), ("gate X 0", "got str"),
+     (CnotStep(0, 2), "adjacent lines"), (CnotStep(2, 0), "adjacent lines"),
+     (CnotStep(0, 0), "adjacent lines")],
+    ids=["none", "text", "cnot-skips-a-line", "cnot-skips-a-line-upward", "cnot-one-line"],
+)
+def test_run_rejects_a_step_that_parse_never_builds(step, message):
+    # an AST built without the parser; parse(render(ast)) rejects the same steps
+    with pytest.raises(InvalidArgument, match=message):
+        run(CircuitAst(3, ("100",), (step,)), seed=0)
 
 
 def test_comments_and_blank_lines():

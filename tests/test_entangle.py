@@ -185,6 +185,17 @@ def test_sequential_impossible_outcome():
         sequential_pair_prob(only_b, u, "a", u1, "a'")
 
 
+@pytest.mark.parametrize("outcome", ["z", "a", ["a'"], None],
+                         ids=["unknown", "other-frame", "list", "none"])
+def test_an_outcome_outside_the_frame_has_probability_zero(outcome):
+    u, u1, _ = bell_basis_frames(universe_ab())
+    s = bell_state()
+    assert left_measure_prob(s, u1, outcome) == right_measure_prob(s, u1, outcome) == 0
+    assert sequential_pair_prob(s, u, "a", u1, outcome) == 0  # as measured, then read off
+    with pytest.raises(ImpossibleOutcome):  # no left outcome to collapse to
+        sequential_pair_prob(s, u1, outcome, u, "a")
+
+
 def test_bell_violation_reports():
     report = bell_violation(bell_state())
     assert report.terms["(a,a')"] == F(1, 4)

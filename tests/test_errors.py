@@ -500,6 +500,45 @@ def held_first_targets():
                 yield name, fn, samples[params[0].annotation], len(params) - 1
 
 
+AB, AB1, AB2 = presets.frames_ab()
+# A valid call of each public function of three or more required parameters. A class of as
+# many takes its sample's fields.
+VALID_CALLS = {
+    "double_slit_sample": (presets.double_slit_setup(), False, random.Random(0)),
+    "from_basis": (KET, FRAME, U),
+    "interference_coefficients": (KET, FRAME, FRAME),
+    "left_measure_prob": (BELL, AB1, "a'"),
+    "measure": (F, KET, random.Random(0)),
+    "measure_given": (F, KET, 1),
+    "measure_line": (Register.basis(2, 1), 0, random.Random(0)),
+    "measure_line_given": (Register.basis(2, 1), 1, 1),
+    "product_to_frame": (BELL, AB1, AB2),
+    "project": (F, 1, KET),
+    "right_measure_prob": (BELL, AB1, "b'"),
+    "sequential_pair_prob": (BELL, AB, "a", AB1, "a'"),
+    "teleport": (1, 0, random.Random(0)),
+}
+
+
+def valid_calls():
+    """(name, fn, valid arguments) for each sweep target of three or more required parameters."""
+    samples = {type(v): v for v in SAMPLES}
+    for name, fn in sweep_targets():
+        params = required(fn)
+        if len(params) >= 3:  # KeyError: a function without a valid call, a class without a sample
+            yield name, fn, VALID_CALLS.get(name) or [getattr(samples[fn], p.name) for p in params]
+
+
+def test_one_bad_argument_among_valid_ones_raises_a_domain_error():
+    calls = list(valid_calls())
+    assert set(VALID_CALLS) <= {name for name, _, _ in calls}
+    for name, fn, valid in calls:
+        fn(*valid)  # each valid call returns, so each swept position is the one at fault
+    found = escapes((name, fn, (*valid[:k], v, *valid[k + 1:])) for name, fn, valid in calls
+                    for k in range(len(valid)) for v in SWEEP_VALUES)
+    assert not found, "escape the SetQMError hierarchy:\n" + found
+
+
 def test_a_valid_first_argument_with_bad_later_ones_raises_a_domain_error():
     targets = list(held_first_targets())
     assert {"apply", "born", "join", "measure_line", "entropy_increase"} <= {t[0] for t in targets}
@@ -516,5 +555,5 @@ def test_a_valid_first_argument_with_bad_later_ones_raises_a_domain_error():
 )
 def test_operators_return_or_raise_a_domain_error(op, operand):
     # operator.contains(a, v) is `v in a`
-    found = escapes((op.__name__, op, (operand, v)) for v in SWEEP_VALUES)
+    found = escapes((op.__name__, op, (operand, v)) for v in (*SWEEP_VALUES, (["a"], "b")))
     assert not found, "escape the SetQMError hierarchy:\n" + found

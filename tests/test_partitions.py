@@ -139,6 +139,7 @@ def test_dit_set_of_a_large_discrete_partition_stores_no_pairs():
     assert len(ds) == n * n - n
     assert ("e0", "e1") in ds
     assert ("e0", "e0") not in ds and ("e0", "x") not in ds and "e0" not in ds
+    assert (["e0"], "e1") not in ds and ("e0", {}) not in ds  # unhashable labels are outside U
     assert time.perf_counter() - start < 1.0
 
 

@@ -280,9 +280,9 @@ def _cmd_run(args) -> _Renderings:
     with open(args.file, encoding="utf-8") as fh:
         text = fh.read()
     result = dsl.run(dsl.parse(text), seed=args.seed)
-    result._check_printable()
 
     def table() -> str:
+        result._check_printable()  # as to_json checks, before any ket string is built
         lines = [f"{entry.label}: {entry.register}" for entry in result.trace]
         for m in result.measurements:
             lines.append(f"line {m.line} -> {m.outcome} (p = {m.probability})")
@@ -339,7 +339,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
     Building all twelve subparsers costs about seven times what the top-level
     parser and one subparser cost, and parsing is a small share of either,
-    so `main` builds only the one its first argument names.
+    so `main` builds only the one its first argument names. No parser is
+    kept between calls.
     """
     parser = argparse.ArgumentParser(
         prog="setqm",
@@ -360,6 +361,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | tuple[str, ...] | None = None) -> int:
+    """Run one `setqm` command; the one place that prints and sets the exit code.
+
+    A handler returns its table and JSON renderings unbuilt. The one that
+    `--format` names is built inside the same `try` as the computation, so
+    an error raised while rendering still exits 1 with its name.
+    """
     if argv is None:
         argv = sys.argv[1:]
     elif not (isinstance(argv, (list, tuple)) and all(isinstance(a, str) for a in argv)):

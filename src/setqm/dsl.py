@@ -23,7 +23,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Union, get_args
 
 from .errors import InvalidArgument, ParseError, RegisterTooWide, TooLarge, ZeroInitial, ZeroState
 from . import qc
@@ -236,15 +236,41 @@ def _parse_measure(stmt: _Statement, n: int) -> MeasureStep:
     return MeasureStep(_line_word(stmt, 1, n))
 
 
+def _items(ast: CircuitAst, field: str) -> tuple:
+    """The AST's `initial` or `steps` as a tuple; InvalidArgument when it is not iterable."""
+    value = getattr(ast, field)
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidArgument(
+            f"circuit {field} must be iterable, not {type(value).__name__}"
+        ) from None
+
+
+def _not_a_step(step: object) -> InvalidArgument:
+    return InvalidArgument(f"expected a circuit step, got {type(step).__name__}")
+
+
 def render(ast: CircuitAst) -> str:
-    """Canonical text for an AST, each step as its str; parse(render(ast)) == ast."""
+    """Canonical text for an AST, each step as its str; parse(render(ast)) == ast.
+
+    A hand-built AST whose `initial` is a str, empty or holds a non-str,
+    or whose `steps` is not iterable or holds a step of no known type,
+    raises InvalidArgument rather than rendering text that `parse` rejects.
+    """
     _expect(CircuitAst, ast)
+    initial, steps = _items(ast, "initial"), _items(ast, "steps")
+    if isinstance(ast.initial, str) or not initial or not all(isinstance(k, str) for k in initial):
+        raise InvalidArgument(f"circuit initial must hold bitstrings, got {ast.initial!r}")
+    for step in steps:
+        if type(step) not in get_args(Step):
+            raise _not_a_step(step)
     out = [f"lines {ast.lines}"]
-    if len(ast.initial) == 1:
-        out.append(f"init {ast.initial[0]}")
+    if len(initial) == 1:
+        out.append(f"init {initial[0]}")
     else:
-        out.append("init ket " + "+".join(ast.initial))
-    out.extend(map(str, ast.steps))
+        out.append("init ket " + "+".join(initial))
+    out.extend(map(str, steps))
     return "\n".join(out) + "\n"
 
 
@@ -309,9 +335,15 @@ def run(ast: CircuitAst, seed: int) -> RunResult:
 
     The generator is only consulted when a measurement is genuinely random;
     measurements with a certain outcome never draw from it.
+
+    A hand-built AST is held to what `parse` would build: `steps` that are
+    not iterable, a step of no known type, a CNOT whose lines are not
+    adjacent ints, or an EF table that does not span the register raise
+    InvalidArgument.
     """
     _expect(CircuitAst, ast)
     _expect(int, seed)
+    steps = _items(ast, "steps")
     try:
         reg = qc.Register.from_bitstrings(ast.lines, ast.initial)
     except ZeroState:
@@ -334,7 +366,7 @@ def run(ast: CircuitAst, seed: int) -> RunResult:
         measurements.append(MeasureRecord(line, outcome, Fraction(reg.state.weight(), total)))
         trace.append(entry(f"measure {line} -> {outcome}", reg))
 
-    for step in ast.steps:
+    for step in steps:
         kind = type(step)
         if kind is MeasureStep:
             for line in range(ast.lines) if step.line is None else (step.line,):
@@ -343,13 +375,21 @@ def run(ast: CircuitAst, seed: int) -> RunResult:
         if kind is GateStep:
             reg = qc.apply(qc.standard_gate(step.name), reg, step.line)
         elif kind is CnotStep:
-            name = _CNOT_NAMES.get(step.target - step.control)
+            try:
+                name = _CNOT_NAMES.get(step.target - step.control)
+            except TypeError:  # a line that is not an int
+                name = None
             if name is None:  # as `parse` requires
                 raise InvalidArgument(f"{step}: CNOT control and target must be adjacent lines")
             reg = qc.apply(qc.standard_gate(name), reg, min(step.control, step.target))
         elif kind is EfStep:
-            reg = qc.apply_ef(qc.BooleanFunction.from_bits(step.table), reg)
+            f = qc.BooleanFunction.from_bits(step.table)
+            if len(f.table) != 2 * ast.lines:  # as `parse` requires
+                raise InvalidArgument(
+                    f"{step}: EF on {ast.lines} lines needs a {2 * ast.lines}-bit truth table"
+                )
+            reg = qc.apply_ef(f, reg)
         else:
-            raise InvalidArgument(f"expected a circuit step, got {kind.__name__}")
+            raise _not_a_step(step)
         trace.append(entry(str(step), reg))
     return RunResult(ast, tuple(trace), tuple(measurements))

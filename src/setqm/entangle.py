@@ -188,7 +188,11 @@ def product_to_frame(
 
 
 def left_measure_prob(s: ProductState, frame: BasisFrame, outcome: str) -> Fraction:
-    """Fraction of the state's pairs, expressed in the frame, with the given left label."""
+    """Fraction of the state's pairs, expressed in the frame, with the given left label.
+
+    An outcome that is not one of the frame's labels, an unhashable one
+    included, has probability 0.
+    """
     expressed = product_to_frame(s, frame, frame)
     return Fraction(_get(_margin_counts(expressed)[0], outcome, 0), expressed.cardinality)
 

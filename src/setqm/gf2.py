@@ -213,7 +213,7 @@ class GF2Matrix:
 
 
 def mat_apply(a: GF2Matrix, v: BitVec) -> BitVec:
-    """Matrix-vector product mod 2."""
+    """Matrix-vector product mod 2: each row's parity is one digit of one binary string."""
     _expect(GF2Matrix, a)
     _expect(BitVec, v)
     if a.cols != v.length:

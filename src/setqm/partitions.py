@@ -130,14 +130,13 @@ class _Dits(Set):
 
     Between two views of one universe, inclusion is refinement and equality
     is equal masks. The other set operators return a frozenset. The hash
-    equals the frozenset's and is computed once.
+    equals the frozenset's.
     """
 
-    __slots__ = ("partition", "_owner", "_hash_value")
+    __slots__ = ("partition",)
 
     def __init__(self, partition: Partition):
         self.partition = partition
-        self._owner = self._hash_value = None
 
     @classmethod
     def _from_iterable(cls, pairs: Iterable[tuple[str, str]]) -> frozenset[tuple[str, str]]:
@@ -149,11 +148,12 @@ class _Dits(Set):
     def __contains__(self, pair: object) -> bool:
         if not isinstance(pair, tuple) or len(pair) != 2:
             return False
-        if self._owner is None:  # each label's block index, built from the masks on first use
-            u = self.partition.universe
-            self._owner = {x: k for k, m in enumerate(self.partition.masks) for x in u._labels(m)}
-        i, j = _get(self._owner, pair[0]), _get(self._owner, pair[1])
-        return i is not None and j is not None and i != j  # None: a label outside U
+        position = self.partition.universe._position
+        i, j = _get(position, pair[0]), _get(position, pair[1])
+        if i is None or j is None:  # a label outside U
+            return False
+        both = 1 << i | 1 << j
+        return all(m & both != both for m in self.partition.masks)
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         blocks = [self.partition.universe._labels(m) for m in self.partition.masks]
@@ -176,10 +176,7 @@ class _Dits(Set):
             return self.partition.masks == other.partition.masks
         return Set.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        if self._hash_value is None:
-            self._hash_value = self._hash()  # equal to the hash of the frozenset of the same pairs
-        return self._hash_value
+    __hash__ = Set._hash
 
     def __repr__(self) -> str:
         return f"_Dits({self.partition!r})"
@@ -237,8 +234,8 @@ def refines(coarse: Partition, fine: Partition) -> bool:
 def dit_set(p: Partition) -> DitSet:
     """All ordered pairs that cross blocks, as a view over the block masks.
 
-    `len` is |U|^2 - sum of |B|^2, `in` is two lookups in a label-to-block
-    table built once from the masks, inclusion and equality between two
+    `len` is |U|^2 - sum of |B|^2, `in` looks up both labels' positions and
+    tests that no block mask holds both, inclusion and equality between two
     views of one universe are `refines` and equal masks, and iteration
     yields the pairs block pair by block pair; no pair is stored.
     """

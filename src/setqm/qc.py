@@ -462,17 +462,15 @@ class ParitySatResult:
 def parity_sat(f: BooleanFunction) -> ParitySatResult:
     """Decide the parity of all 2^arity function values with one evaluation gate.
 
-    The uniform superposition turns the evaluation gate into its row sums,
-    which land on exactly one basis ket; each line's bit is the parity of
-    the function on one prefix slice, and their sum is the total parity.
+    H0 on every line of |0...0> gives the uniform superposition, built here
+    directly. It turns the evaluation gate into its row sums, which land on
+    exactly one basis ket; each line's bit is the parity of the function on
+    one prefix slice, and their sum is the total parity.
     """
     _expect(BooleanFunction, f)
     lines = 1 << (f.arity - 1)
-    reg = Register.basis(lines, 0)
-    h0 = standard_gate("H0")
-    for line in range(lines):
-        reg = apply(h0, reg, line)
-    reg = apply_ef(f, reg)
+    _check_width(lines)
+    reg = apply_ef(f, Register._derived(lines, (1 << (1 << lines)) - 1))
     bits = reg.state.bits
     if bits & (bits - 1):
         raise AssertionError("post-evaluation state must be a single basis ket")

@@ -277,7 +277,10 @@ def resolve(s: SubsetKet) -> list[SubsetKet]:
 
 @dataclass(frozen=True)
 class KetTable:
-    """Every ket of the space, one row per ket: its coordinate mask in each of `frames`."""
+    """Every ket of the space, one row per ket: its coordinate mask in each of `frames`.
+
+    Labels are built only for output, by `to_text`, `to_json` and `row_for`.
+    """
 
     frames: tuple[BasisFrame, ...]
     rows: tuple[tuple[int, ...], ...]

@@ -237,6 +237,16 @@ def test_run_too_many_kets_to_print_exits_1_before_rendering(tmp_path, fmt):
     assert child.stderr.startswith("TooLarge:") and "Traceback" not in child.stderr
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_run_sums_the_trace_once(capsys, monkeypatch, fmt):
+    checks = []
+    check = setqm.dsl.RunResult._check_printable
+    monkeypatch.setattr(setqm.dsl.RunResult, "_check_printable",
+                        lambda result: checks.append(result) or check(result))
+    code, out, _ = run_cli(capsys, "run", str(CIRCUITS / "teleport.qc2"), "--format", fmt)
+    assert code == 0 and out and len(checks) == 1
+
+
 def test_run_non_ascii_line_count_exits_1(capsys, tmp_path):
     bad = tmp_path / "digit.qc2"
     bad.write_text("lines ²\ngate X 0\n", encoding="utf-8")

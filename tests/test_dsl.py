@@ -114,13 +114,43 @@ def test_parse_rejects_too_many_lines():
     "step,message",
     [(None, "expected a circuit step, got NoneType"), ("gate X 0", "got str"),
      (CnotStep(0, 2), "adjacent lines"), (CnotStep(2, 0), "adjacent lines"),
-     (CnotStep(0, 0), "adjacent lines")],
-    ids=["none", "text", "cnot-skips-a-line", "cnot-skips-a-line-upward", "cnot-one-line"],
+     (CnotStep(0, 0), "adjacent lines"), (CnotStep("0", 1), "adjacent lines"),
+     (EfStep("0110"), "EF on 3 lines needs a 6-bit truth table")],
+    ids=["none", "text", "cnot-skips-a-line", "cnot-skips-a-line-upward", "cnot-one-line",
+         "cnot-str-line", "ef-narrower-than-the-register"],
 )
 def test_run_rejects_a_step_that_parse_never_builds(step, message):
     # an AST built without the parser; parse(render(ast)) rejects the same steps
     with pytest.raises(InvalidArgument, match=message):
         run(CircuitAst(3, ("100",), (step,)), seed=0)
+
+
+def test_run_rejects_an_ef_table_that_does_not_span_the_register():
+    # on 2 lines a 2-bit table would act on line 0 alone
+    with pytest.raises(InvalidArgument, match="EF on 2 lines needs a 4-bit truth table"):
+        run(CircuitAst(2, ("00",), (EfStep("01"),)), seed=0)
+    assert run(CircuitAst(2, ("00",), (EfStep("0110"),)), seed=0).final.lines == 2
+
+
+@pytest.mark.parametrize(
+    "ast,message",
+    [(CircuitAst(2, ("00",), (None,)), "expected a circuit step, got NoneType"),
+     (CircuitAst(2, ("00",), None), "steps must be iterable"),
+     (CircuitAst(2, "00", (MeasureStep(0),)), "initial must hold bitstrings"),
+     (CircuitAst(2, ("00", 1), (MeasureStep(0),)), "initial must hold bitstrings"),
+     (CircuitAst(2, (), (MeasureStep(0),)), "initial must hold bitstrings"),
+     (CircuitAst(2, None, (MeasureStep(0),)), "initial must be iterable")],
+    ids=["none-step", "none-steps", "str-initial", "int-in-initial", "empty-initial",
+         "none-initial"],
+)
+def test_render_rejects_an_ast_that_parse_never_builds(ast, message):
+    with pytest.raises(InvalidArgument, match=message):
+        render(ast)
+
+
+def test_render_takes_a_list_initial_as_a_tuple():
+    ast = CircuitAst(2, ["00", "11"], [GateStep("X", 0)])
+    assert render(ast) == "lines 2\ninit ket 00+11\ngate X 0\n"
 
 
 def test_comments_and_blank_lines():

@@ -188,6 +188,14 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
         # a seed that is not an int: every draw of a run is seeded
         lambda: dsl.run(dsl.parse("lines 1\nmeasure 0\n"), [1]),
         lambda: dsl.run(dsl.parse("lines 1\nmeasure 0\n"), None),
+        # a hand-built AST that `parse` never builds
+        lambda: dsl.run(dsl.CircuitAst(2, ("00",), None), 0),
+        lambda: dsl.run(dsl.CircuitAst(2, ("00",), (dsl.CnotStep("0", 1),)), 0),
+        lambda: dsl.run(dsl.CircuitAst(2, ("00",), (dsl.EfStep("01"),)), 0),
+        lambda: dsl.render(dsl.CircuitAst(2, ("00",), (None,))),
+        lambda: dsl.render(dsl.CircuitAst(2, ("00",), None)),
+        lambda: dsl.render(dsl.CircuitAst(2, "00", ())),
+        lambda: dsl.render(dsl.CircuitAst(2, (0,), ())),
     ],
     ids=["basis-float-index", "from-indices-float", "bitvec-float-bits",
          "from-indices-str", "from-bits-letter", "from-bits-other-digits", "table-float-entry",
@@ -218,7 +226,9 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
          "row-for-none-labels", "from-rows-int", "from-bitstrings-none-strings",
          "from-bits-none", "ket-none-universe", "product-state-none-space",
          "product-universe-none-left", "discrete-none", "iter-partitions-none",
-         "joint-distribution-none", "run-list-seed", "run-none-seed"],
+         "joint-distribution-none", "run-list-seed", "run-none-seed", "run-none-steps",
+         "run-str-cnot-line", "run-narrow-ef-table", "render-none-step", "render-none-steps",
+         "render-str-initial", "render-int-initial"],
 )
 def test_wrongly_typed_arguments_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument):

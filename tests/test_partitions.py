@@ -113,6 +113,17 @@ def test_dit_set_matches_double_loop(p):
         assert (pair in ds) == (pair in ref)
 
 
+def test_dit_set_membership_and_hash_match_stored_pairs():
+    # every ordered pair over U, a label outside it and unhashable labels
+    labels = ABCD.labels + ("z", ["a"], {})
+    for p in iter_partitions(ABCD):
+        ds, ref = dit_set(p), reference_dit_set(p)
+        for x, y in itertools.product(labels, repeat=2):
+            expected = isinstance(x, str) and isinstance(y, str) and (x, y) in ref
+            assert ((x, y) in ds.pairs) == expected
+        assert hash(ds.pairs) == hash(ref) and hash(ds) == hash(DitSet(ref))
+
+
 def test_dit_set_operators_match_stored_pairs():
     # the view's &, |, - and ^ build plain sets of pairs, from either side
     for p, q in itertools.product(list(iter_partitions(ABCD)), repeat=2):

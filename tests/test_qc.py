@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from setqm import qc
 from setqm.errors import (
     ImpossibleOutcome,
     InvalidArgument,
+    RegisterTooWide,
     SizeMismatch,
     TooLarge,
     UnknownGate,
@@ -253,6 +255,37 @@ def test_parity_sat_slice_decoding():
             result = parity_sat(f)
             for p, slice_parity in enumerate(result.slice_parities):
                 assert slice_parity == (f.table[2 * p] + f.table[2 * p + 1]) % 2
+
+
+def test_parity_sat_matches_h0_on_every_line_then_the_evaluation_gate():
+    # reference: H0 applied line by line to |0...0>, then the factors of the gate
+    rng = random.Random(5)
+    h0 = standard_gate("H0")
+    for arity in range(1, 6):
+        lines = 1 << (arity - 1)
+        start = Register.basis(lines, 0)
+        for line in range(lines):
+            start = apply(h0, start, line)
+        functions = list(all_functions(arity)) if arity <= 3 else [
+            BooleanFunction(arity, tuple(rng.randrange(2) for _ in range(1 << arity)))
+            for _ in range(40)
+        ]
+        for f in functions:
+            assert parity_sat(f).state == apply_ef(f, start)
+
+
+def test_parity_sat_applies_only_the_evaluation_factors(monkeypatch):
+    applied = []
+    real_apply = qc.apply
+    monkeypatch.setattr(qc, "apply", lambda g, r, line=0: applied.append(g) or real_apply(g, r, line))
+    f = BooleanFunction.from_bits("0110100110010110")
+    parity_sat(f)
+    assert applied == list(qc._ef_factors(f))
+    # arity 6 spans 32 lines: refused before a 2^32-bit state is built
+    start = time.perf_counter()
+    with pytest.raises(RegisterTooWide):
+        parity_sat(BooleanFunction(6, (0,) * 64))
+    assert time.perf_counter() - start < 1 and applied == list(qc._ef_factors(f))
 
 
 def test_deutsch():

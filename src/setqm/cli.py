@@ -10,6 +10,7 @@ exit 1, usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -329,35 +330,31 @@ _COMMANDS = {
                    (_arg("--table", required=True, help="truth table bits, e.g. 1101"), _FORMAT)),
     "run": ("execute a .qc2 circuit file", _cmd_run, (_arg("file"), _SEED, _FORMAT)),
 }
-# What the full parser's usage shows for the command; a one-command parser
-# shows the same, so its "unrecognized arguments" usage still lists them all.
-_ALL_COMMANDS = "{" + ",".join(_COMMANDS) + "}"
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `setqm` parser: with every subcommand, or with only the one `command` names.
+def build_parser() -> argparse.ArgumentParser:
+    """A new `setqm` parser with every subcommand, built afresh on each call.
 
-    Building all twelve subparsers costs about seven times what the top-level
-    parser and one subparser cost, and parsing is a small share of either,
-    so `main` builds only the one its first argument names. No parser is
-    kept between calls.
+    A caller that changes the parser it gets reaches no other, and not the
+    one `main` keeps.
     """
     parser = argparse.ArgumentParser(
         prog="setqm",
         description="Exact toy quantum mechanics on subsets of a finite universe.",
     )
-    if command is None:
-        subs, names = parser.add_subparsers(dest="command", required=True), _COMMANDS
-    else:
-        subs = parser.add_subparsers(dest="command", required=True, metavar=_ALL_COMMANDS)
-        names = (command,)
-    for name in names:
-        help_text, fn, arguments = _COMMANDS[name]
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, fn, arguments) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         for flags, options in arguments:
             sub.add_argument(*flags, **options)
         sub.set_defaults(fn=fn)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` keeps for the process, built on first use and not at import."""
+    return build_parser()
 
 
 def main(argv: list[str] | tuple[str, ...] | None = None) -> int:
@@ -366,15 +363,17 @@ def main(argv: list[str] | tuple[str, ...] | None = None) -> int:
     A handler returns its table and JSON renderings unbuilt. The one that
     `--format` names is built inside the same `try` as the computation, so
     an error raised while rendering still exits 1 with its name.
+
+    Every call parses with one parser, built on the first call and kept:
+    building all twelve subparsers costs several times a parse, and a
+    parse leaves nothing behind in the parser, so each call answers as a
+    new `build_parser()` would.
     """
     if argv is None:
         argv = sys.argv[1:]
     elif not (isinstance(argv, (list, tuple)) and all(isinstance(a, str) for a in argv)):
         raise InvalidArgument("argv must be None or a list or tuple of str")
-    # no arguments, an option first or an unknown name: the full parser
-    # prints the help, "required: command" or "invalid choice"
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         text, payload = args.fn(args)
         print(json.dumps(payload(), indent=2) if args.format == "json" else text())

@@ -25,7 +25,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union, get_args
 
-from .errors import InvalidArgument, ParseError, RegisterTooWide, TooLarge, ZeroInitial, ZeroState
+from .errors import (
+    InvalidArgument, ParseError, RegisterTooWide, SetQMError, TooLarge, ZeroInitial, ZeroState,
+)
 from . import qc
 from .gf2 import _expect
 from .space import rat_json
@@ -257,6 +259,9 @@ def render(ast: CircuitAst) -> str:
     A hand-built AST whose `initial` is a str, empty or holds a non-str,
     or whose `steps` is not iterable or holds a step of no known type,
     raises InvalidArgument rather than rendering text that `parse` rejects.
+    So does one whose fields `parse` would not give back, such as a gate
+    name it does not know or a line outside the register: the text is
+    parsed again and must yield the AST.
     """
     _expect(CircuitAst, ast)
     initial, steps = _items(ast, "initial"), _items(ast, "steps")
@@ -271,7 +276,14 @@ def render(ast: CircuitAst) -> str:
     else:
         out.append("init ket " + "+".join(initial))
     out.extend(map(str, steps))
-    return "\n".join(out) + "\n"
+    text = "\n".join(out) + "\n"
+    try:
+        back = parse(text)
+    except SetQMError as exc:
+        raise InvalidArgument(f"circuit does not render as text that parses: {exc}") from None
+    if back != CircuitAst(ast.lines, initial, steps):
+        raise InvalidArgument("circuit renders as text that parses to another circuit")
+    return text
 
 
 @dataclass(frozen=True)

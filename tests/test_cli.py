@@ -485,7 +485,7 @@ def test_fuzzed_run_keeps_the_exit_contract(tmp_path, source, data):
     assert_exit_contract(["run", str(path), *data.draw(argument_lists("run"))])
 
 
-# -- one subparser per call: main answers as dispatch through the full parser does --
+# -- one kept parser: main answers as a new build_parser() does, call after call --
 
 # a command name first, then each kind of usage error; before it, the calls that name none
 EDGE_CALLS = [[], ["-h"], ["--help"], ["nope"], ["-h", "bracket"], ["--format", "json", "bracket"]]
@@ -493,36 +493,52 @@ EDGE_CALLS += [
     [command, *tail] for command in SUBCOMMANDS
     for tail in (["-h"], [], ["--format", "xml"], ["--bogus"], ["--dim", "4"], ["w", "x", "y", "z"])
 ]
+# well-formed calls that set options away from their defaults
+SET_OPTIONS = [
+    ["ket-table", "--dim", "2", "--format", "json"], ["double-slit", "--measure-at-slits"],
+    ["measure", "--attr", "a:1,b:2", "--state", "{a,b}", "--seed", "5", "--dim", "2"],
+    ["density", "--state", "{a}", "--format", "json"], ["bell", "--state", "{(a,a),(b,b)}"],
+    ["teleport", "--alpha", "1", "--beta", "0", "--seed", "3", "--format", "json"],
+]
 
 
 def reference_cli(argv):
-    """call_cli with main dispatching through the full parser, whatever argv names.
+    """call_cli with main parsing through a new build_parser() rather than the kept one.
 
     argparse's texts differ between Python versions, so the two sides are
     compared at run time and no output is stored.
     """
-    full = cli.build_parser
-    with mock.patch.object(cli, "build_parser", lambda command=None: full()):
+    with mock.patch.object(cli, "_parser", build_parser):
         return call_cli(argv)
 
 
-def test_main_builds_only_the_named_subparser(capsys):
+def test_main_builds_one_parser_per_process():
     built = []
     full = cli.build_parser
 
-    def spy(command=None):
-        built.append(command)
-        return full(command)
+    def spy():
+        built.append(1)
+        return full()
 
+    calls = [["bracket", "{a}", "{b}"], ["born", "{a}", "--frame", "U", "--format", "json"],
+             ["bracket", "{a}"], ["nope"], ["--format", "json", "bracket"], ["run", "-h"],
+             ["-h"], []]
+    assert cli._parser() is cli._parser()
     with mock.patch.object(cli, "build_parser", spy):
-        for argv in (["bracket", "{a}", "{b}"], ["run", "-h"], ["-h", "bracket"], ["nope"], []):
+        cli._parser.cache_clear()
+        for argv in calls:
             call_cli(argv)
-    assert built == ["bracket", "run", None, None, None]
-    one = build_parser("bracket")
-    assert one.format_usage() == build_parser().format_usage()  # it still lists every command
-    with pytest.raises(SystemExit):  # but parses no other
-        one.parse_args(["born", "{a}", "--frame", "U"])
-    assert "invalid choice: 'born'" in capsys.readouterr().err
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
+def test_the_kept_parser_answers_every_call_of_a_sequence_as_a_new_one():
+    # a usage error, a -h or an earlier command's options leave nothing in it
+    kept = cli._parser()
+    sequence = EDGE_CALLS + SET_OPTIONS + EDGE_CALLS[::-1]
+    for i, argv in enumerate(sequence):
+        assert call_cli(argv) == reference_cli(argv), (i, argv)
+    assert cli._parser() is kept
 
 
 def test_edge_calls_cover_every_subcommand():

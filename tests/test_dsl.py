@@ -139,9 +139,15 @@ def test_run_rejects_an_ef_table_that_does_not_span_the_register():
      (CircuitAst(2, "00", (MeasureStep(0),)), "initial must hold bitstrings"),
      (CircuitAst(2, ("00", 1), (MeasureStep(0),)), "initial must hold bitstrings"),
      (CircuitAst(2, (), (MeasureStep(0),)), "initial must hold bitstrings"),
-     (CircuitAst(2, None, (MeasureStep(0),)), "initial must be iterable")],
+     (CircuitAst(2, None, (MeasureStep(0),)), "initial must be iterable"),
+     # steps of known types whose fields parse rejects or reads back otherwise
+     (CircuitAst(2, ("00",), (GateStep(None, None), MeasureStep("x"))), "unknown gate near 'None'"),
+     (CircuitAst(2, ("00",), (CnotStep(1, 2),)), "line index outside 0..1 near '2'"),
+     (CircuitAst(2, ("00",), (MeasureStep("0"),)), "parses to another circuit"),
+     (CircuitAst("2", ("00",), (GateStep("X", 0),)), "parses to another circuit")],
     ids=["none-step", "none-steps", "str-initial", "int-in-initial", "empty-initial",
-         "none-initial"],
+         "none-initial", "none-gate-fields", "cnot-line-outside", "str-measure-line",
+         "str-line-count"],
 )
 def test_render_rejects_an_ast_that_parse_never_builds(ast, message):
     with pytest.raises(InvalidArgument, match=message):

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import record
 from .errors import (
     ImpossibleOutcome,
     IncompatibleAttributes,
@@ -28,7 +28,7 @@ from .space import SubsetKet, Universe, _operands, rat_json
 Rational = Fraction | int | str
 
 
-@dataclass(frozen=True)
+@record
 class Attribute:
     """A total map from universe elements to exact rational eigenvalues."""
 
@@ -78,8 +78,10 @@ class Attribute:
         return {x: rat_json(v) for x, v in zip(self.universe.labels, self.values)}
 
 
-@dataclass(frozen=True)
+@record
 class MeasurementOutcome:
+    """One measurement of an attribute: the eigenvalue found, its probability, the collapsed ket."""
+
     eigenvalue: Fraction
     probability: Fraction
     post_state: SubsetKet

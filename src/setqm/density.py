@@ -12,11 +12,11 @@ integer sum that becomes one `Fraction` at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
+from ._record import record
 from .attributes import Attribute
 from .errors import InvalidBlocks, ShapeMismatch, UniverseMismatch, ZeroState
 from .gf2 import _expect
@@ -24,7 +24,7 @@ from .partitions import Partition, _block_masks, _nested
 from .space import SubsetKet, Universe, _operands, rat_json
 
 
-@dataclass(frozen=True, init=False)
+@record
 class DensityMatrix:
     """Sum of w_B |B><B| over disjoint nonempty blocks B (bitmasks), with trace 1.
 

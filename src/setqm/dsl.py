@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union, get_args
 
+from ._record import record
 from .errors import (
     InvalidArgument, ParseError, RegisterTooWide, SetQMError, TooLarge, ZeroInitial, ZeroState,
 )
@@ -41,8 +41,10 @@ _CNOT_NAMES = {1: "CNOT_A", -1: "CNOT_B"}
 MAX_TRACE_KETS = 1 << 17
 
 
-@dataclass(frozen=True)
+@record
 class GateStep:
+    """A `gate <NAME> <line>` statement: a one-line gate on one line."""
+
     name: str
     line: int
 
@@ -50,8 +52,10 @@ class GateStep:
         return f"gate {self.name} {self.line}"
 
 
-@dataclass(frozen=True)
+@record
 class CnotStep:
+    """A `gate CNOT <control> <target>` statement on two adjacent lines."""
+
     control: int
     target: int
 
@@ -59,16 +63,20 @@ class CnotStep:
         return f"gate CNOT {self.control} {self.target}"
 
 
-@dataclass(frozen=True)
+@record
 class EfStep:
+    """A `gate EF <truthtable-bits>` statement over every line."""
+
     table: str
 
     def __str__(self) -> str:
         return f"gate EF {self.table}"
 
 
-@dataclass(frozen=True)
+@record
 class MeasureStep:
+    """A `measure <line>` or `measure all` statement."""
+
     line: int | None  # None measures every line in order
 
     def __str__(self) -> str:
@@ -78,8 +86,10 @@ class MeasureStep:
 Step = Union[GateStep, CnotStep, EfStep, MeasureStep]
 
 
-@dataclass(frozen=True)
+@record
 class CircuitAst:
+    """A parsed circuit: its line count, `init` bitstrings and steps in order."""
+
     lines: int
     initial: tuple[str, ...]
     steps: tuple[Step, ...]
@@ -286,15 +296,19 @@ def render(ast: CircuitAst) -> str:
     return text
 
 
-@dataclass(frozen=True)
+@record
 class MeasureRecord:
+    """One line measured in a run: its outcome and that outcome's probability."""
+
     line: int
     outcome: int
     probability: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class TraceEntry:
+    """The register after the run step that `label` names."""
+
     label: str
     register: qc.Register
 
@@ -307,8 +321,10 @@ class TraceEntry:
         return entry
 
 
-@dataclass(frozen=True)
+@record
 class RunResult:
+    """A run of a circuit: the register after each step, and each measurement."""
+
     ast: CircuitAst
     trace: tuple[TraceEntry, ...]
     measurements: tuple[MeasureRecord, ...]

@@ -9,15 +9,16 @@ would not.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 
+from ._record import record
 from .errors import DimMismatch, ZeroState
 from .gf2 import BitVec, GF2Matrix, _expect, _random_set_bit, _row_sum, mat_apply, mat_mul
 from .space import BasisFrame, SubsetKet, _preimages, born, to_basis
 
 
-@dataclass(frozen=True)
+@record
 class Dynamics:
     """One time step of evolution: a square nonsingular GF(2) matrix.
 
@@ -35,7 +36,7 @@ class Dynamics:
         return self.matrix.rows
 
 
-@dataclass(frozen=True)
+@record
 class SlitConfig:
     """A diaphragm state, its position basis, and the flight dynamics to the wall."""
 

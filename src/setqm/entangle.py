@@ -10,17 +10,17 @@ joint distribution over all three bases can reproduce.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import or_
 
+from ._record import record
 from .errors import DimMismatch, DuplicateTerms, ImpossibleOutcome, UnknownLabel, ZeroState
 from .gf2 import BitVec, GF2Matrix, _expect, _get, _spread, mat_apply
 from .space import BasisFrame, SubsetKet, Universe, _fmt_labels, born, rat_json
 
 
-@dataclass(frozen=True)
+@record
 class ProductUniverse:
     """The Cartesian product of two universes, pairs ordered row-major (left outer)."""
 
@@ -56,7 +56,7 @@ class ProductUniverse:
             yield ProductState(self, BitVec(self.size, bits))
 
 
-@dataclass(frozen=True)
+@record
 class ProductState:
     """A nonempty subset of a product universe: bit index(x, y) marks the pair (x, y)."""
 
@@ -94,7 +94,7 @@ def _rows(s: ProductState) -> dict[str, int]:
     return {x: s.bits.bits >> (i * k) & ((1 << k) - 1) for i, x in enumerate(s.space.left.labels)}
 
 
-@dataclass(frozen=True)
+@record
 class JointDistribution:
     """The uniform distribution carried by a product state."""
 
@@ -203,7 +203,7 @@ def right_measure_prob(s: ProductState, frame: BasisFrame, outcome: str) -> Frac
     return Fraction(_get(_margin_counts(expressed)[1], outcome, 0), expressed.cardinality)
 
 
-@dataclass(frozen=True)
+@record
 class CounterfactualReport:
     """Joint distribution over one outcome per frame, built from the three left-measurement probabilities."""
 
@@ -288,7 +288,7 @@ def sequential_pair_prob(
     return p_left * p_right
 
 
-@dataclass(frozen=True)
+@record
 class BellReport:
     """The three sequential probabilities and the inequality they violate."""
 

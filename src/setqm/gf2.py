@@ -10,16 +10,16 @@ from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, compress, count, repeat
 from operator import xor
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import DimMismatch, InvalidArgument, LengthMismatch, NotSquare, Singular
 
 
-@dataclass(frozen=True)
+@record
 class BitVec:
     """A vector in Z2^length, packed into one int (bit j = coordinate j)."""
 
@@ -146,7 +146,7 @@ def add(v: BitVec, w: BitVec) -> BitVec:
     return BitVec(v.length, v.bits ^ w.bits)
 
 
-@dataclass(frozen=True)
+@record
 class GF2Matrix:
     """Dense 0/1 matrix; each row packed into one int (bit j = column j)."""
 

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator, Sequence, Set
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
+from ._record import record
 from .errors import InvalidArgument, InvalidBlocks, OutOfRange, ShapeMismatch
 from .gf2 import _expect, _get
 from .space import SubsetKet, Universe, _fmt_labels, _operands
@@ -46,7 +46,7 @@ def _block_masks(size: int, masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(masks, key=_least_bit))
 
 
-@dataclass(frozen=True)
+@record
 class Partition:
     """Disjoint nonempty block masks covering a universe, ordered by least element index."""
 
@@ -104,7 +104,7 @@ class Partition:
         return "|".join(_fmt_labels(self.universe._labels(m)) for m in self.masks)
 
 
-@dataclass(frozen=True)
+@record
 class DitSet:
     """Ordered pairs of elements lying in distinct blocks.
 

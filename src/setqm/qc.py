@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial, reduce
 
+from ._record import record
 from .errors import (
     ImpossibleOutcome,
     InvalidArgument,
@@ -48,7 +48,7 @@ from .gf2 import BitVec, GF2Matrix, _expect, _random_set_bit, is_nonsingular, kr
 MAX_LINES = 20  # a register of n lines is a 2^n-bit int; 20 lines is 128 KiB
 
 
-@dataclass(frozen=True)
+@record
 class Gate:
     """A named nonsingular matrix of size 2^k acting on k adjacent lines."""
 
@@ -186,7 +186,7 @@ def _check_line(r: Register, line: int) -> None:
         raise LineOutOfRange(f"line {line!r} outside 0..{r.lines - 1}")
 
 
-@dataclass(frozen=True)
+@record
 class Register:
     """n lines holding a nonzero vector in Z2^(2^n)."""
 
@@ -314,7 +314,7 @@ def measure_line_given(r: Register, line: int, outcome: int) -> tuple[int, Regis
     return outcome, Register._derived(r.lines, kept)
 
 
-@dataclass(frozen=True)
+@record
 class TeleportTrace:
     """Every stage of the one-classical-bit teleportation protocol."""
 
@@ -358,7 +358,7 @@ def teleport(alpha: int, beta: int, rng: random.Random) -> TeleportTrace:
     return TeleportTrace((alpha, beta), phi0, phi1, phi2, m, bob)
 
 
-@dataclass(frozen=True)
+@record
 class BooleanFunction:
     """An n-ary Boolean function as its truth table in input order 0..0 to 1..1."""
 
@@ -435,7 +435,7 @@ def apply_ef(f: BooleanFunction, r: Register) -> Register:
     return r
 
 
-@dataclass(frozen=True)
+@record
 class ParitySatResult:
     """Decoded outcome of the one-evaluation parity algorithm."""
 

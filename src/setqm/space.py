@@ -8,10 +8,11 @@ field, and every probability is an exact `fractions.Fraction`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import field
 from fractions import Fraction
 from itertools import compress
 
+from ._record import record
 from .errors import (
     DimMismatch,
     InvalidArgument,
@@ -24,7 +25,7 @@ from .errors import (
 from .gf2 import BitVec, GF2Matrix, _digits, _expect, _row_sum, _xor_table, invert, mat_apply, transpose
 
 
-@dataclass(frozen=True)
+@record
 class Universe:
     """An ordered tuple of distinct labels; position defines the coordinate.
 
@@ -94,7 +95,7 @@ class Universe:
         return BasisFrame("U", self.labels, GF2Matrix.identity(self.size))
 
 
-@dataclass(frozen=True)
+@record
 class SubsetKet:
     """A subset of a universe, i.e. a vector in Z2^|U| in that universe's coordinates."""
 
@@ -174,7 +175,7 @@ def _preimages(matrix: GF2Matrix, what: str) -> GF2Matrix:
         raise Singular(f"{what} must be nonsingular") from None
 
 
-@dataclass(frozen=True)
+@record
 class BasisFrame:
     """A nonsingular change of basis: column j is basis ket j in canonical coordinates.
 
@@ -275,7 +276,7 @@ def resolve(s: SubsetKet) -> list[SubsetKet]:
     return [SubsetKet(s.universe, BitVec(s.universe.size, 1 << j)) for j in s.bits.indices()]
 
 
-@dataclass(frozen=True)
+@record
 class KetTable:
     """Every ket of the space, one row per ket: its coordinate mask in each of `frames`.
 

@@ -5,7 +5,8 @@ does: the same `__init__` signature, repr text, `==`, hash, `fields` and
 `FrozenInstanceError` messages. `tests/test_record.py` checks each record
 against such a twin. The stdlib compiles about six methods per class
 through `exec`; for setqm's 31 records that was most of the import when
-bytecode is cached. This decorator compiles one.
+bytecode is cached. This decorator compiles one, and `_derived` (below)
+only when it is first read.
 
 - `dataclass(cls, init=False, repr=False, eq=False)` builds only the
   `Field` metadata, so `dataclasses.fields`, `replace` and `is_dataclass`
@@ -32,6 +33,20 @@ bytecode is cached. This decorator compiles one.
   fields (what the stdlib compares and hashes), and `_record_repr`, the
   names of its `repr=True` fields. That read costs about 0.1 us a call
   over a generated method, which no workload calls often enough to show.
+- `_derived` is the unchecked builder for values that setqm derives from
+  checked ones. Every record holds the shared `_BUILDER` descriptor; its
+  first read per class compiles `_derived(cls, <every field, in fields()
+  order>)`, which writes each field to `o.__dict__` and runs no
+  `__init__`, `__post_init__` or check, and installs it on the class. A
+  caller passes exactly what the checked constructor would store,
+  `init=False` fields included, each of the type the record holds (a
+  `BitVec`, not its mask); `tests/conftest.py` checks every build that
+  the tests make. Unlike `__init__` it writes `__dict__`: later field reads
+  cost about 17 ns more, but `object.__setattr__` costs about 28 ns more
+  a build, and `circuits`, which builds a `Register` and a `TraceEntry`
+  per step, ran 5-6% slower with it. Only 8 of the 31 records are ever
+  derived, so compiling on first read keeps the rest out of the import.
+  No field may be named `cls`, `o`, `d` or `_new`.
 """
 
 from __future__ import annotations
@@ -76,19 +91,40 @@ def _key(names: tuple[str, ...]):
     return attrgetter(*names)
 
 
+def _compile(cls, name: str, params: list, body: list[str], bound: dict):
+    """The function `name(<params>)` of `body` lines, with the `bound` names as globals."""
+    lines = [f"def {name}({', '.join(params)}):", *body]
+    namespace = {}
+    exec("\n".join(lines), {"__name__": cls.__module__, **bound}, namespace)
+    fn = namespace[name]
+    fn.__qualname__ = f"{cls.__qualname__}.{name}"
+    return fn
+
+
 def _init(cls, params: list) -> None:
     """Compile and install the straight-line `__init__` over the init fields."""
     names = [f.name for f in params]
-    lines = [f"def __init__(self, {', '.join(names)}):"]
-    lines += [f" _set(self, {name!r}, {name})" for name in names]
+    body = [f" _set(self, {name!r}, {name})" for name in names]
     if hasattr(cls, "__post_init__"):
-        lines.append(" self.__post_init__()")
-    namespace = {}
-    exec("\n".join(lines), {"__name__": cls.__module__, "_set": object.__setattr__}, namespace)
-    init = namespace["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
+        body.append(" self.__post_init__()")
+    init = _compile(cls, "__init__", ["self", *names], body, {"_set": object.__setattr__})
     init.__annotations__ = {f.name: f.type for f in params} | {"return": None}
     cls.__init__ = init
+
+
+class _Builder:
+    """The descriptor behind every record's `_derived`; see the module docstring."""
+
+    def __get__(self, obj, cls):
+        names = [f.name for f in fields(cls)]
+        body = [" o = _new(cls)", " d = o.__dict__", *[f" d[{name!r}] = {name}" for name in names],
+                " return o"]
+        build = classmethod(_compile(cls, "_derived", ["cls", *names], body, {"_new": object.__new__}))
+        cls._derived = build
+        return build.__get__(obj, cls)
+
+
+_BUILDER = _Builder()
 
 
 def record(cls):
@@ -99,6 +135,7 @@ def record(cls):
         _init(cls, [f for f in every if f.init])
     cls._record_key = staticmethod(_key(tuple(f.name for f in every if f.compare)))
     cls._record_repr = tuple(f.name for f in every if f.repr)
+    cls._derived = _BUILDER
     for name, fn in _SHARED.items():
         setattr(cls, name, fn)
     return cls

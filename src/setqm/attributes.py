@@ -23,7 +23,7 @@ from .errors import (
 )
 from .gf2 import _expect, _random_set_bit
 from .partitions import Partition, _least_bit, _rational
-from .space import SubsetKet, Universe, _operands, rat_json
+from .space import SubsetKet, Universe, _ket, _operands, rat_json
 
 Rational = Fraction | int | str
 
@@ -72,7 +72,7 @@ class Attribute:
         return tuple(self.levels)
 
     def level_set(self, r: Rational) -> SubsetKet:
-        return SubsetKet._derived(self.universe, self.levels.get(_rational(r, "eigenvalue"), 0))
+        return _ket(self.universe, self.levels.get(_rational(r, "eigenvalue"), 0))
 
     def to_json(self) -> dict[str, str]:
         return {x: rat_json(v) for x, v in zip(self.universe.labels, self.values)}
@@ -109,7 +109,7 @@ def _check(f: Attribute, s: SubsetKet) -> None:
 def project(f: Attribute, r: Rational, s: SubsetKet) -> SubsetKet:
     """Projection f^-1(r) ∩ S; may be the zero ket."""
     _operands(f, s, Attribute, SubsetKet)
-    return SubsetKet._derived(s.universe, f.levels.get(_rational(r, "eigenvalue"), 0) & s.bits.bits)
+    return _ket(s.universe, f.levels.get(_rational(r, "eigenvalue"), 0) & s.bits.bits)
 
 
 def _split(f: Attribute, s: SubsetKet) -> list[tuple[Fraction, int]]:
@@ -129,7 +129,7 @@ def _collapse(f: Attribute, s: SubsetKet, r: Fraction) -> MeasurementOutcome:
     kept = f.levels.get(r, 0) & s.bits.bits
     if not kept:
         raise ImpossibleOutcome(f"eigenvalue {r} has probability 0 in this state")
-    post = SubsetKet._derived(s.universe, kept)
+    post = _ket(s.universe, kept)
     return MeasurementOutcome(r, Fraction(kept.bit_count(), s.cardinality), post)
 
 
@@ -181,4 +181,4 @@ def eigenkets(fs: Sequence[Attribute]) -> dict[str, tuple[Fraction, ...]]:
 def spectral_apply(f: Attribute, s: SubsetKet) -> list[tuple[Fraction, SubsetKet]]:
     """Formal spectral decomposition: (r, f^-1(r) ∩ S) with nonzero components."""
     _operands(f, s, Attribute, SubsetKet)
-    return [(r, SubsetKet._derived(s.universe, part)) for r, part in _split(f, s)]
+    return [(r, _ket(s.universe, part)) for r, part in _split(f, s)]

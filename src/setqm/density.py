@@ -54,23 +54,6 @@ class DensityMatrix:
             raise InvalidBlocks("density matrix must have trace 1")
         self.__dict__.update(universe=universe, masks=masks, _den=den, _nums=nums)
 
-    @classmethod
-    def _derived(
-        cls, universe: Universe, masks: tuple[int, ...], den: int, nums: tuple[int, ...]
-    ) -> DensityMatrix:
-        """The matrix of block k with weight `nums[k] / den`, built without the checks.
-
-        Only for values that setqm derives from checked ones: the masks
-        must already be nonempty, pairwise disjoint, inside `universe` and
-        ordered by least element, each numerator positive, and `den` the
-        lcm of the weights' reduced denominators with the trace 1. Splitting
-        the blocks of a checked matrix by level masks keeps all of that, as
-        do the uniform blocks of `rho_of_*`.
-        """
-        rho = object.__new__(cls)
-        rho.__dict__.update(universe=universe, masks=masks, _den=den, _nums=nums)
-        return rho
-
     @cached_property
     def blocks(self) -> tuple[tuple[int, Fraction], ...]:
         """Each block as (mask, weight), built from the numerators on first read."""

@@ -312,14 +312,6 @@ class TraceEntry:
     label: str
     register: qc.Register
 
-    @classmethod
-    def _derived(cls, label: str, register: qc.Register) -> TraceEntry:
-        """The entry built by writing its fields, without the frozen __setattr__."""
-        entry = object.__new__(cls)
-        fields = entry.__dict__
-        fields["label"], fields["register"] = label, register
-        return entry
-
 
 @record
 class RunResult:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from ._record import record
 from .errors import DimMismatch, ZeroState
 from .gf2 import BitVec, GF2Matrix, _expect, _random_set_bit, _row_sum, mat_apply, mat_mul
-from .space import BasisFrame, SubsetKet, _preimages, born, to_basis
+from .space import BasisFrame, SubsetKet, Universe, _preimages, born, to_basis
 
 
 @record
@@ -77,10 +77,12 @@ def evolved_frame(d: Dynamics, frame: BasisFrame) -> BasisFrame:
     _expect(BasisFrame, frame)
     if d.dim != frame.dim:
         raise DimMismatch("dynamics dimension differs from the frame")
+    labels = tuple(x + "'" for x in frame.labels)
     return BasisFrame._derived(
         frame.name + "'",
-        tuple(x + "'" for x in frame.labels),
+        labels,
         mat_mul(d.matrix, frame.matrix),
+        Universe(labels),
         mat_mul(d._preimages, frame._expansions),
     )
 

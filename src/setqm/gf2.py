@@ -16,7 +16,11 @@ from operator import xor
 from typing import Iterable, Sequence
 
 from ._record import record
-from .errors import DimMismatch, InvalidArgument, LengthMismatch, NotSquare, Singular
+from .errors import DimMismatch, InvalidArgument, LengthMismatch, NotSquare, Singular, TooLarge
+
+# the bits of an identity or kron matrix, or of a coords, indices or to_lists result at one
+# 64-bit word an entry: 32 MiB, room for a 20-line register's 2^20 coords
+MAX_OUTPUT_BITS = 1 << 28
 
 
 @record
@@ -38,18 +42,6 @@ class BitVec:
     @classmethod
     def zero(cls, length: int) -> BitVec:
         return cls(length, 0)
-
-    @classmethod
-    def _derived(cls, length: int, bits: int) -> BitVec:
-        """The vector of `bits`, built without the constructor's checks.
-
-        Only for a positive `length` and a nonnegative int `bits` below
-        2^length that setqm derives from checked values.
-        """
-        v = object.__new__(cls)
-        fields = v.__dict__
-        fields["length"], fields["bits"] = length, bits
-        return v
 
     @classmethod
     def from_coords(cls, coords: Sequence[int]) -> BitVec:
@@ -77,9 +69,11 @@ class BitVec:
         return cls(length, bits)
 
     def coords(self) -> tuple[int, ...]:
+        _check_size(self.length << 6, "coordinates")
         return tuple(_digits(self.bits).ljust(self.length, b"\0"))
 
     def indices(self) -> tuple[int, ...]:
+        _check_size(self.bits.bit_count() << 6, "indices")
         return tuple(compress(count(), _digits(self.bits)))
 
     def weight(self) -> int:
@@ -94,6 +88,12 @@ class BitVec:
 
 
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _check_size(bits: int, what: str) -> None:
+    """Raise TooLarge, before anything is built, for an output of more than MAX_OUTPUT_BITS."""
+    if bits > MAX_OUTPUT_BITS:
+        raise TooLarge(f"{what} of {bits} bits exceeds the output limit of {MAX_OUTPUT_BITS}")
 
 
 def _digits(bits: int) -> bytes:
@@ -181,20 +181,9 @@ class GF2Matrix:
         return cls(len(rows), packed[0].length, tuple(v.bits for v in packed))
 
     @classmethod
-    def _derived(cls, rows: int, cols: int, row_bits: tuple[int, ...]) -> GF2Matrix:
-        """The matrix of `row_bits`, built without the constructor's checks.
-
-        Only for positive `rows` and `cols` and a tuple of `rows` nonnegative
-        ints below 2^cols that setqm derives from checked values.
-        """
-        m = object.__new__(cls)
-        fields = m.__dict__
-        fields["rows"], fields["cols"], fields["row_bits"] = rows, cols, row_bits
-        return m
-
-    @classmethod
     def identity(cls, n: int) -> GF2Matrix:
         _expect(int, n)
+        _check_size(max(n, 0) ** 2, "an identity matrix")
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     def column(self, j: int) -> BitVec:
@@ -205,6 +194,7 @@ class GF2Matrix:
         return BitVec(self.rows, sum(((r >> j) & 1) << i for i, r in enumerate(self.row_bits)))
 
     def to_lists(self) -> list[list[int]]:
+        _check_size(self.rows * self.cols << 6, "matrix entries")
         return [[(r >> j) & 1 for j in range(self.cols)] for r in self.row_bits]
 
     @property
@@ -416,6 +406,7 @@ def kron(a: GF2Matrix, b: GF2Matrix) -> GF2Matrix:
     lowest set bit.
     """
     _expect(GF2Matrix, a, b)
+    _check_size(a.rows * b.rows * a.cols * b.cols, "a Kronecker product")
     out = []
     for a_row in a.row_bits:
         low = (a_row ^ a_row - 1).bit_length() - 1  # the trailing zeros; 0 for a zero row

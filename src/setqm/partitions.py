@@ -11,7 +11,7 @@ from itertools import product
 from ._record import record
 from .errors import InvalidArgument, InvalidBlocks, OutOfRange, ShapeMismatch
 from .gf2 import _expect, _get
-from .space import SubsetKet, Universe, _fmt_labels, _operands
+from .space import SubsetKet, Universe, _fmt_labels, _ket, _operands
 
 
 def _rational(v: object, what: str) -> Fraction:
@@ -61,24 +61,10 @@ class Partition:
             raise InvalidBlocks("blocks must cover the universe")
         object.__setattr__(self, "masks", masks)
 
-    @classmethod
-    def _derived(cls, universe: Universe, masks: tuple[int, ...]) -> Partition:
-        """The partition of `masks`, built without the constructor's checks.
-
-        Only for masks that setqm derives from checked values: they must
-        already be nonempty, pairwise disjoint, cover `universe` and be
-        ordered by least element. The level masks of a total attribute and
-        the nonempty pairwise intersections of two partitions of one
-        universe are all of that once sorted by least element.
-        """
-        p = object.__new__(cls)
-        p.__dict__.update(universe=universe, masks=masks)
-        return p
-
     @cached_property
     def blocks(self) -> tuple[SubsetKet, ...]:
         """The ket of each block, built from the masks on first read."""
-        return tuple(SubsetKet._derived(self.universe, m) for m in self.masks)
+        return tuple(_ket(self.universe, m) for m in self.masks)
 
     @classmethod
     def from_blocks(cls, universe: Universe, blocks: Iterable[Iterable[str]]) -> Partition:

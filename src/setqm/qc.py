@@ -221,20 +221,7 @@ class Register:
             bits ^= 1 << int(s, 2)
         if not bits:
             raise ZeroState("register state must be nonzero")
-        return cls._derived(lines, bits)
-
-    @classmethod
-    def _derived(cls, lines: int, bits: int) -> Register:
-        """The register of `bits`, built without the constructor's checks.
-
-        Only for a nonzero state below 2^(2^lines) on a checked number of
-        lines, such as the image of a checked register under a nonsingular
-        gate or a nonempty part of its support.
-        """
-        r = object.__new__(cls)
-        fields = r.__dict__
-        fields["lines"], fields["state"] = lines, BitVec._derived(1 << lines, bits)
-        return r
+        return _reg(lines, bits)
 
     def support(self) -> tuple[int, ...]:
         return self.state.indices()
@@ -258,6 +245,13 @@ class Register:
         return "+".join(f"|{s}>" for s in self.bitstrings())
 
 
+def _reg(lines: int, bits: int) -> Register:
+    """The register of `bits`, built unchecked: only for a nonzero state below
+    2^(2^lines) on a checked number of lines, such as the image of a checked
+    register under a nonsingular gate or a nonempty part of its support."""
+    return Register._derived(lines, BitVec._derived(1 << lines, bits))
+
+
 def apply(g: Gate, r: Register, line: int = 0) -> Register:
     """Apply the gate to the contiguous lines starting at `line`, identity elsewhere.
 
@@ -279,7 +273,7 @@ def apply(g: Gate, r: Register, line: int = 0) -> Register:
     if kernel is None:
         return r
     pos = lines - line - width
-    return Register._derived(lines, kernel(r.state.bits, _block_mask(lines, pos, width), 1 << pos))
+    return _reg(lines, kernel(r.state.bits, _block_mask(lines, pos, width), 1 << pos))
 
 
 def _ones(r: Register, line: int) -> int:
@@ -302,7 +296,7 @@ def measure_line(r: Register, line: int, rng: random.Random) -> tuple[int, Regis
     """Measure one line: uniform draw over the support, collapse to the matching kets."""
     ones, bits = _ones(r, line), r.state.bits
     outcome = (ones >> _random_set_bit(bits, rng)) & 1
-    return outcome, Register._derived(r.lines, ones if outcome else bits ^ ones)
+    return outcome, _reg(r.lines, ones if outcome else bits ^ ones)
 
 
 def measure_line_given(r: Register, line: int, outcome: int) -> tuple[int, Register]:
@@ -311,7 +305,7 @@ def measure_line_given(r: Register, line: int, outcome: int) -> tuple[int, Regis
     kept = (r.state.bits ^ ones, ones)[outcome] if is_bit else 0
     if not kept:
         raise ImpossibleOutcome(f"outcome {outcome!r} on line {line} has probability 0")
-    return outcome, Register._derived(r.lines, kept)
+    return outcome, _reg(r.lines, kept)
 
 
 @record
@@ -470,7 +464,7 @@ def parity_sat(f: BooleanFunction) -> ParitySatResult:
     _expect(BooleanFunction, f)
     lines = 1 << (f.arity - 1)
     _check_width(lines)
-    reg = apply_ef(f, Register._derived(lines, (1 << (1 << lines)) - 1))
+    reg = apply_ef(f, _reg(lines, (1 << (1 << lines)) - 1))
     bits = reg.state.bits
     if bits & (bits - 1):
         raise AssertionError("post-evaluation state must be a single basis ket")

@@ -108,15 +108,6 @@ class SubsetKet:
         if self.bits.length != self.universe.size:
             raise DimMismatch("bit vector length does not match universe size")
 
-    @classmethod
-    def _derived(cls, universe: Universe, mask: int) -> SubsetKet:
-        """The ket of `mask`, built without the checks: only for a nonnegative int below
-        bit `universe.size` derived from checked values, such as the AND of checked masks."""
-        ket = object.__new__(cls)
-        fields = ket.__dict__
-        fields["universe"], fields["bits"] = universe, BitVec._derived(universe.size, mask)
-        return ket
-
     @property
     def labels(self) -> tuple[str, ...]:
         return self.universe._labels(self.bits.bits)
@@ -134,14 +125,20 @@ class SubsetKet:
 
     def __add__(self, other: SubsetKet) -> SubsetKet:
         _operands(self, other, SubsetKet, SubsetKet)
-        return SubsetKet._derived(self.universe, self.bits.bits ^ other.bits.bits)
+        return _ket(self.universe, self.bits.bits ^ other.bits.bits)
 
     def intersect(self, other: SubsetKet) -> SubsetKet:
         _operands(self, other, SubsetKet, SubsetKet)
-        return SubsetKet._derived(self.universe, self.bits.bits & other.bits.bits)
+        return _ket(self.universe, self.bits.bits & other.bits.bits)
 
     def __str__(self) -> str:
         return _fmt_labels(self.labels)
+
+
+def _ket(universe: Universe, mask: int) -> SubsetKet:
+    """The ket of `mask`, built unchecked: only for a nonnegative int below bit
+    `universe.size` derived from checked values, such as the AND of checked masks."""
+    return SubsetKet._derived(universe, BitVec._derived(universe.size, mask))
 
 
 def _operands(a, b, a_type: type, b_type: type) -> None:
@@ -200,21 +197,6 @@ class BasisFrame:
             raise DimMismatch("frame needs one label per basis ket")
         object.__setattr__(self, "_expansions", _preimages(self.matrix, "frame"))
 
-    @classmethod
-    def _derived(cls, name: str, labels: tuple[str, ...], matrix: GF2Matrix,
-                 expansions: GF2Matrix) -> BasisFrame:
-        """The frame of `matrix`, given its singleton expansions, built without elimination.
-
-        Only for distinct `labels`, one per column of a square `matrix`,
-        and `expansions` the transpose of its inverse over GF(2), all
-        derived from checked frames.
-        """
-        f = object.__new__(cls)
-        fields = f.__dict__
-        fields["name"], fields["labels"], fields["matrix"] = name, labels, matrix
-        fields["universe"], fields["_expansions"] = Universe(labels), expansions
-        return f
-
     @property
     def dim(self) -> int:
         return self.matrix.rows
@@ -247,7 +229,7 @@ def to_basis(s: SubsetKet, frame: BasisFrame) -> SubsetKet:
     _expect(BasisFrame, frame)
     if frame.dim != s.universe.size:
         raise DimMismatch("frame dimension does not match the ket")
-    return SubsetKet._derived(frame.universe, _row_sum(frame._expansions.row_bits, s.bits.bits))
+    return _ket(frame.universe, _row_sum(frame._expansions.row_bits, s.bits.bits))
 
 
 def from_basis(s: SubsetKet, frame: BasisFrame, canonical: Universe) -> SubsetKet:

@@ -1,12 +1,17 @@
 import random
+import subprocess
+import sys
+from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from setqm import gf2
-from setqm.errors import DimMismatch, InvalidArgument, LengthMismatch, NotSquare, Singular
+from setqm.errors import DimMismatch, InvalidArgument, LengthMismatch, NotSquare, Singular, TooLarge
 from setqm.gf2 import (
+    MAX_OUTPUT_BITS,
     BitVec,
     GF2Matrix,
     add,
@@ -739,3 +744,56 @@ def test_from_rows_matches_the_per_entry_packing(rows):
 def test_from_rows_rejects_bad_rows(rows):
     with pytest.raises(InvalidArgument):
         GF2Matrix.from_rows(rows)
+
+
+# ---- output bounds: one bit over MAX_OUTPUT_BITS raises TooLarge before anything is built
+
+WORDS, SIDE = MAX_OUTPUT_BITS >> 6, isqrt(MAX_OUTPUT_BITS)  # a tuple entry counts 64 bits
+JUST_OVER = {
+    "coords": lambda: BitVec(WORDS + 1, 1).coords(),
+    "indices": lambda: BitVec(WORDS + 1, (1 << WORDS + 1) - 1).indices(),
+    "to_lists": lambda: GF2Matrix(1, WORDS + 1, (1,)).to_lists(),
+    "identity": lambda: GF2Matrix.identity(SIDE + 1),
+    "kron": lambda: kron(GF2Matrix.identity(SIDE), GF2Matrix(1, 2, (3,))),
+}
+
+
+@pytest.mark.parametrize("call", JUST_OVER.values(), ids=JUST_OVER.keys())
+def test_an_output_one_step_over_the_bound_raises_too_large(call):
+    with pytest.raises(TooLarge, match=f"exceeds the output limit of {MAX_OUTPUT_BITS}$"):
+        call()
+
+
+def test_outputs_at_the_bound_are_built():
+    assert len(BitVec(WORDS, 1).coords()) == WORDS
+    assert GF2Matrix.identity(SIDE).rows == SIDE
+    assert kron(GF2Matrix.identity(SIDE >> 1), GF2Matrix.identity(2)).rows == SIDE
+
+
+# Each call runs in a child whose address space is capped at 600 MiB; without the bound,
+# each allocates until MemoryError (from 0.1 to 3 s).
+CAPPED_CALL = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+sys.path.insert(0, {src!r})
+from setqm.gf2 import BitVec, GF2Matrix, kron
+try:
+    {call}
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+OVERSIZED = [
+    "BitVec(1 << 40, 1).coords()",
+    "BitVec(1 << 28, (1 << (1 << 28)) - 1).indices()",
+    "GF2Matrix(1, 1 << 40, (1,)).to_lists()",
+    "GF2Matrix.identity(1 << 20)",
+    "kron(GF2Matrix.identity(4096), GF2Matrix.identity(4096))",
+]
+
+
+@pytest.mark.parametrize("call", OVERSIZED)
+def test_an_oversized_output_raises_too_large_in_a_capped_child(call):
+    src = str(Path(gf2.__file__).resolve().parent.parent)
+    child = subprocess.run([sys.executable, "-c", CAPPED_CALL.format(src=src, call=call)],
+                           capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "TooLarge\n", "")

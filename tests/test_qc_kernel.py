@@ -129,7 +129,7 @@ def test_identity_of_any_width_returns_its_input():
 
 @given(registers())
 def test_derived_register_equals_and_hashes_like_a_checked_one(r):
-    derived = Register._derived(r.lines, r.state.bits)
+    derived = qc._reg(r.lines, r.state.bits)
     assert derived == r and hash(derived) == hash(r)
     assert derived.state == r.state and hash(derived.state) == hash(r.state)
     assert type(derived.state) is BitVec and derived.state.length == 1 << r.lines

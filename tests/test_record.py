@@ -1,4 +1,5 @@
-"""Every record class against the stdlib frozen dataclass it replaces, and the import it costs."""
+"""Every record class against the stdlib frozen dataclass it replaces, its unchecked builder,
+and the import it costs."""
 
 import dataclasses
 import importlib
@@ -15,6 +16,9 @@ import pytest
 import setqm
 from setqm import _record, dsl
 from setqm.density import DensityMatrix
+from setqm.gf2 import BitVec
+from setqm.partitions import Partition
+from setqm.space import SubsetKet, Universe
 from test_errors import SAMPLES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -35,18 +39,12 @@ def values(record) -> dict:
     return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
 
 
-def clone(cls, fields: dict):
-    """An instance of `cls` holding `fields`, built without `__init__`."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
-
-
 def twin(cls, record=False):
     """A class of `cls`'s name, annotations, field options, own `__init__` and `__post_init__`:
-    the stdlib frozen dataclass, or with `record` one more class made by the helper."""
+    the stdlib frozen dataclass, or with `record` one more class made by the helper.
+    Either has the generated `_derived`, which the audit in conftest.py does not wrap."""
     ns = {"__module__": cls.__module__, "__qualname__": cls.__qualname__,
-          "__annotations__": dict(cls.__annotations__)}
+          "__annotations__": dict(cls.__annotations__), "_derived": _record._BUILDER}
     for f in dataclasses.fields(cls):
         if not (f.init and f.repr and f.compare):
             ns[f.name] = dataclasses.field(init=f.init, repr=f.repr, compare=f.compare)
@@ -101,18 +99,20 @@ def test_records_are_frozen(cls):
 @pytest.mark.parametrize("cls", RECORDS, ids=qualname)
 def test_record_matches_its_stdlib_twin(cls):
     reference, fields = twin(cls), values(SAMPLE_OF[cls])
-    a, b, ta, tb = clone(cls, fields), clone(cls, fields), clone(reference, fields), clone(reference, fields)
+    a, b = cls._derived(**fields), cls._derived(**fields)
+    ta, tb = reference._derived(**fields), reference._derived(**fields)
     assert repr(a) == repr(ta)
     assert outcome(hash, a) == outcome(hash, ta)
     assert (a == b, a != b) == (ta == tb, ta != tb) == (True, False)
     # another record class, and another stdlib one, with equal fields
-    other, other_twin = clone(twin(cls, record=True), fields), clone(twin(cls), fields)
+    other, other_twin = twin(cls, record=True)._derived(**fields), twin(cls)._derived(**fields)
     assert (a == other, a != other) == (ta == other_twin, ta != other_twin) == (False, True)
+    # a field value no constructor takes: built on the record twin, as the audit rejects it on `cls`
     for f in dataclasses.fields(cls):
         changed = {**fields, f.name: object()}
-        c, tc = clone(cls, changed), clone(reference, changed)
-        assert (a == c, a != c, repr(c)) == (ta == tc, ta != tc, repr(tc))
-        assert (outcome(hash, c) == outcome(hash, a)) == (outcome(hash, tc) == outcome(hash, ta))
+        c, tc = type(other)._derived(**changed), reference._derived(**changed)
+        assert (other == c, other != c, repr(c)) == (ta == tc, ta != tc, repr(tc))
+        assert (outcome(hash, c) == outcome(hash, other)) == (outcome(hash, tc) == outcome(hash, ta))
     assert str(inspect.signature(cls)) == str(inspect.signature(reference))
     assert inspect.signature(cls) == inspect.signature(reference)
     assert field_options(cls) == field_options(reference)
@@ -124,6 +124,66 @@ def test_record_matches_its_stdlib_twin(cls):
     for attr, act in (("setattr", lambda x: setattr(x, first, 0)), ("delattr", lambda x: delattr(x, first)),
                       ("new attribute", lambda x: setattr(x, "extra", 0))):
         assert outcome(act, a) == outcome(act, ta), attr
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=qualname)
+def test_derived_takes_every_field_in_order_and_stores_each_as_given(cls):
+    sample = values(SAMPLE_OF[cls])
+    assert list(inspect.signature(cls._derived).parameters) == list(sample)
+    built = cls._derived(*sample.values())
+    assert type(built) is cls and built == SAMPLE_OF[cls]
+    assert vars(built).keys() == sample.keys()
+    assert all(vars(built)[name] is value for name, value in sample.items())
+
+
+def test_every_record_builder_is_audited():
+    import conftest
+
+    assert [cls.__qualname__ for cls in RECORDS
+            if vars(cls).get("_derived") is not conftest.AUDITED.get(cls)] == []
+
+
+U2 = Universe(("a", "b"))
+BAD_BUILDS = {
+    "bits beyond the length": (lambda: BitVec._derived(2, 4),
+                               "^BitVec._derived stores what the constructor rejects"),
+    "a bare mask for a BitVec": (lambda: SubsetKet._derived(U2, 1),
+                                 "^SubsetKet._derived stores what the constructor rejects"),
+    "a list for a tuple": (lambda: Partition._derived(U2, [1, 2]),
+                           r"^Partition._derived stores masks=\[1, 2\], the constructor \(1, 2\)$"),
+    "unsorted masks": (lambda: Partition._derived(U2, (2, 1)),
+                       r"^Partition._derived stores masks=\(2, 1\), the constructor \(1, 2\)$"),
+}
+
+
+@pytest.mark.parametrize("build, problem", BAD_BUILDS.values(), ids=BAD_BUILDS.keys())
+def test_the_audit_rejects_a_build_the_constructor_would_not_make(build, problem):
+    import conftest
+
+    before = len(conftest.MISMATCHES)
+    with pytest.raises(AssertionError, match=problem):
+        build()
+    assert len(conftest.MISMATCHES) == before + 1
+    del conftest.MISMATCHES[before:]  # an expected mismatch must not fail the session
+
+
+# Run in a fresh interpreter: import every setqm module, then print the number of records
+# and the names of those whose `_derived` is no longer the shared descriptor.
+FRESH_BUILDERS = """
+import dataclasses, importlib, json, pkgutil, setqm
+from setqm._record import _BUILDER
+records = {obj for m in pkgutil.iter_modules(setqm.__path__)
+           for obj in vars(importlib.import_module(f"setqm.{m.name}")).values()
+           if isinstance(obj, type) and dataclasses.is_dataclass(obj)}
+print(json.dumps([len(records), [c.__qualname__ for c in records if vars(c)["_derived"] is not _BUILDER]]))
+"""
+
+
+def test_a_fresh_import_compiles_no_builder():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", FRESH_BUILDERS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [len(RECORDS), []]
 
 
 # Run in a fresh interpreter with src/setqm's directory as argv[1]: import every module that

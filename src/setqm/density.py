@@ -18,10 +18,14 @@ from typing import Iterable
 
 from ._record import record
 from .attributes import Attribute
-from .errors import InvalidBlocks, ShapeMismatch, UniverseMismatch, ZeroState
+from .errors import InvalidBlocks, ShapeMismatch, TooLarge, UniverseMismatch, ZeroState
 from .gf2 import _expect
 from .partitions import Partition, _block_masks, _nested
 from .space import SubsetKet, Universe, _operands, rat_json
+
+# the most entries of the |U| x |U| grid that `entries`, and so `to_json` and `to_text`,
+# build: |U| = 1024, where `to_json` peaks near 100 MiB and takes under a second
+MAX_GRID_ENTRIES = 1 << 20
 
 
 @record
@@ -65,7 +69,11 @@ class DensityMatrix:
 
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The |U| x |U| grid, built afresh on each access."""
+        """The |U| x |U| grid, built afresh on each access; TooLarge, before any row is
+        built, above MAX_GRID_ENTRIES entries."""
+        if self.dim ** 2 > MAX_GRID_ENTRIES:
+            raise TooLarge(f"the {self.dim} x {self.dim} grid exceeds the limit of "
+                           f"{MAX_GRID_ENTRIES} entries")
         zero = Fraction(0)
         rows = [(zero,) * self.dim] * self.dim
         for mask, weight in self.blocks:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import random
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union, get_args
 
 from ._record import record
@@ -29,12 +30,10 @@ from .errors import (
     InvalidArgument, ParseError, RegisterTooWide, SetQMError, TooLarge, ZeroInitial, ZeroState,
 )
 from . import qc
-from .gf2 import _expect
+from .gf2 import BitVec, _expect, _random_set_bit
 from .space import rat_json
 
 _ONE_LINE_GATES = tuple(name for name, g in qc._LIBRARY.items() if g.width == 1)
-# a CNOT step's gate by target - control; lines that are not adjacent have none
-_CNOT_NAMES = {1: "CNOT_A", -1: "CNOT_B"}
 # The most kets, summed over a run's trace, that its JSON object or `setqm run`
 # prints; each ket is a bitstring of one character per line. A 20-step run on
 # 12 lines has at most 21 * 4096 = 86016.
@@ -350,16 +349,64 @@ class RunResult:
         }
 
 
+def _gate_plan(lines: int, step: GateStep | CnotStep) -> tuple:
+    """The cached plan of a gate step, once the step is checked against what `parse` builds.
+
+    The check runs before the cache lookup: `lru_cache` takes 1, 1.0 and
+    True as one key, so a cached plan would let a float or bool line
+    through, and an unhashable name would escape as TypeError.
+    """
+    if type(step) is GateStep:
+        name, line = step.name, step.line
+        if not (type(name) is str and name in _ONE_LINE_GATES
+                and type(line) is int and 0 <= line < lines):
+            raise InvalidArgument(f"{step}: a gate step is one of {' '.join(_ONE_LINE_GATES)}"
+                                  f" on a line in 0..{lines - 1}")
+        return _plan(lines, name, line)
+    control, target = step.control, step.target
+    if not (type(control) is int and type(target) is int
+            and abs(target - control) == 1 and 0 <= min(control, target) < lines - 1):
+        raise InvalidArgument(
+            f"{step}: CNOT control and target must be adjacent lines in 0..{lines - 1}"
+        )
+    if control < target:
+        return _plan(lines, "CNOT_A", control)
+    return _plan(lines, "CNOT_B", target)
+
+
+# The gate steps on 6-12 lines have 490 keys: 6 one-line gates on 63 lines and 2 Cnots on
+# 56 line pairs. An entry holds a short label and three small values, about 0.25 KiB with
+# its key, so 512 entries stay near 128 KiB; it holds no mask (`qc._block_mask` caches those).
+@lru_cache(maxsize=512)
+def _plan(lines: int, name: str, line: int) -> tuple:
+    """(trace label, kernel or None for the identity, pos, width) of a library gate whose
+    top line is `line`, with pos and width as `qc._block_mask` takes them."""
+    g = qc._LIBRARY[name]
+    if name == "CNOT_A":
+        label = f"gate CNOT {line} {line + 1}"
+    elif name == "CNOT_B":
+        label = f"gate CNOT {line + 1} {line}"
+    else:
+        label = f"gate {name} {line}"
+    return label, g._kernel, lines - line - g.width, g.width
+
+
 def run(ast: CircuitAst, seed: int) -> RunResult:
     """Execute a circuit; deterministic for a fixed seed.
 
-    The generator is only consulted when a measurement is genuinely random;
-    measurements with a certain outcome never draw from it.
+    The state stays one packed int from step to step. A gate step runs its
+    kernel on it through a cached plan, an EF step its 2x2 factors line by
+    line, and a measurement reads the kets with a 1 on its line. Every
+    step is first checked once against what `parse` would build: a step of
+    no known type, a gate name `parse` does not know, a line that is not
+    an int inside the register (a bool or a float included), CNOT lines
+    that are not adjacent, or an EF table that does not span the register
+    raise InvalidArgument, as do `steps` that are not iterable.
 
-    A hand-built AST is held to what `parse` would build: `steps` that are
-    not iterable, a step of no known type, a CNOT whose lines are not
-    adjacent ints, or an EF table that does not span the register raise
-    InvalidArgument.
+    The trace still holds a real `TraceEntry` and `Register` for every
+    step. `random.Random(seed)` is built at the first measurement that is
+    genuinely random, and gives the sequence it would have given if built
+    up front; a measurement with a certain outcome never draws from it.
     """
     _expect(CircuitAst, ast)
     _expect(int, seed)
@@ -369,47 +416,58 @@ def run(ast: CircuitAst, seed: int) -> RunResult:
     except ZeroState:
         raise ZeroInitial("initial ket expression cancels to the zero vector") from None
 
-    rng = random.Random(seed)
-    entry = TraceEntry._derived
+    lines, bits, rng = reg.lines, reg.state.bits, None
+    size, block_mask = 1 << lines, qc._block_mask
+    vec, new_reg, entry = BitVec._derived, qc.Register._derived, TraceEntry._derived
     trace = [entry("init", reg)]
     measurements: list[MeasureRecord] = []
-
-    def do_measure(line: int) -> None:
-        # the outcome is certain, and the register kept, when no ket or every ket has a 1
-        nonlocal reg
-        total = reg.state.weight()
-        ones = qc._ones(reg, line).bit_count()
-        if 0 < ones < total:
-            outcome, reg = qc.measure_line(reg, line, rng)
-        else:
-            outcome = 1 if ones else 0
-        measurements.append(MeasureRecord(line, outcome, Fraction(reg.state.weight(), total)))
-        trace.append(entry(f"measure {line} -> {outcome}", reg))
-
     for step in steps:
         kind = type(step)
-        if kind is MeasureStep:
-            for line in range(ast.lines) if step.line is None else (step.line,):
-                do_measure(line)
-            continue
-        if kind is GateStep:
-            reg = qc.apply(qc.standard_gate(step.name), reg, step.line)
-        elif kind is CnotStep:
-            try:
-                name = _CNOT_NAMES.get(step.target - step.control)
-            except TypeError:  # a line that is not an int
-                name = None
-            if name is None:  # as `parse` requires
-                raise InvalidArgument(f"{step}: CNOT control and target must be adjacent lines")
-            reg = qc.apply(qc.standard_gate(name), reg, min(step.control, step.target))
-        elif kind is EfStep:
-            f = qc.BooleanFunction.from_bits(step.table)
-            if len(f.table) != 2 * ast.lines:  # as `parse` requires
+        if kind is GateStep or kind is CnotStep:
+            label, kernel, pos, width = _gate_plan(lines, step)
+            if kernel is not None:
+                bits = kernel(bits, block_mask(lines, pos, width), 1 << pos)
+                reg = new_reg(lines, vec(size, bits))
+            trace.append(entry(label, reg))
+        elif kind is MeasureStep:
+            line = step.line
+            if line is None:
+                measured = range(lines)
+            elif type(line) is int and 0 <= line < lines:
+                measured = (line,)
+            else:
                 raise InvalidArgument(
-                    f"{step}: EF on {ast.lines} lines needs a {2 * ast.lines}-bit truth table"
+                    f"{step}: a measure step is `all` or a line in 0..{lines - 1}"
                 )
-            reg = qc.apply_ef(f, reg)
+            for line in measured:
+                pos = lines - 1 - line
+                ones = bits & block_mask(lines, pos, 1) << (1 << pos)
+                total, count = bits.bit_count(), ones.bit_count()
+                # the outcome is certain, and the register kept, when no ket or every ket has a 1
+                if 0 < count < total:
+                    if rng is None:
+                        rng = random.Random(seed)
+                    outcome = (ones >> _random_set_bit(bits, rng)) & 1
+                    bits = ones if outcome else bits ^ ones
+                    reg = new_reg(lines, vec(size, bits))
+                else:
+                    outcome = 1 if count else 0
+                measurements.append(MeasureRecord(line, outcome, Fraction(bits.bit_count(), total)))
+                trace.append(entry(f"measure {line} -> {outcome}", reg))
+        elif kind is EfStep:
+            table = step.table
+            if not isinstance(table, str) or len(table) != 2 * lines:  # as `parse` requires
+                raise InvalidArgument(
+                    f"{step}: EF on {lines} lines needs a {2 * lines}-bit truth table"
+                )
+            # InvalidArgument from `from_bits` for bits other than 0/1 or a line count that
+            # is not a power of two
+            factors = qc._ef_factors(qc.BooleanFunction.from_bits(table))
+            for line, g in enumerate(factors):
+                pos = lines - 1 - line
+                bits = g._kernel(bits, block_mask(lines, pos, 1), 1 << pos)
+            reg = new_reg(lines, vec(size, bits))
+            trace.append(entry(f"gate EF {table}", reg))
         else:
             raise _not_a_step(step)
-        trace.append(entry(str(step), reg))
     return RunResult(ast, tuple(trace), tuple(measurements))

@@ -1,11 +1,17 @@
+import subprocess
+import sys
 from fractions import Fraction
+from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from setqm.attributes import Attribute, inverse_image_partition, is_complete
+from setqm import density
 from setqm.density import (
+    MAX_GRID_ENTRIES,
     DensityMatrix,
     entropy_increase,
     expectation,
@@ -15,7 +21,7 @@ from setqm.density import (
     rho_of_partition,
     rho_of_subset,
 )
-from setqm.errors import InvalidBlocks, ShapeMismatch, UniverseMismatch, ZeroState
+from setqm.errors import InvalidBlocks, ShapeMismatch, TooLarge, UniverseMismatch, ZeroState
 from setqm.partitions import Partition, iter_partitions, join, logical_entropy
 from setqm.presets import universe_abc
 from setqm.gf2 import BitVec
@@ -578,3 +584,58 @@ def test_entropy_increase_when_a_block_starts_outside_before():
     assert entropy_increase(before, after) == ref_entropy_increase(before, after) == F(2, 9)
     inside = DensityMatrix(u, ((0b0001, F(1, 2)), (0b0100, F(1, 2))))
     assert entropy_increase(before, inside) == ref_entropy_increase(before, inside) == F(1, 3)
+
+
+# ---- the printed grid: one element over sqrt(MAX_GRID_ENTRIES) raises TooLarge before any row
+
+SIDE = isqrt(MAX_GRID_ENTRIES)
+
+
+def whole(n):
+    """rho of the whole universe of n elements: one block, so its grid is one shared row."""
+    u = Universe(range(n))
+    return rho_of_subset(u.subset(u.labels))
+
+
+READS = {"entries": lambda rho: rho.entries, "to_json": DensityMatrix.to_json, "str": str}
+
+
+@pytest.mark.parametrize("read", READS.values(), ids=READS.keys())
+def test_a_grid_one_element_over_the_bound_raises_too_large(read):
+    with pytest.raises(TooLarge, match=f"exceeds the limit of {MAX_GRID_ENTRIES} entries$"):
+        read(whole(SIDE + 1))
+
+
+def test_a_grid_at_the_bound_is_built():
+    assert SIDE >= 512  # every benchmark size and the planned sweeps to |U| = 512
+    entries = whole(SIDE).entries
+    assert len(entries) == SIDE and set(entries[-1]) == {F(1, SIDE)}
+
+
+# Each call runs in a child whose address space is capped at 600 MiB; without the bound,
+# printing the grid of 20,000 elements allocates until MemoryError (after some 14 s).
+CAPPED_CALL = """\
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+sys.path.insert(0, {src!r})
+from setqm.density import rho_of_partition
+from setqm.partitions import Partition
+from setqm.space import Universe
+try:
+    {call}
+except Exception as exc:
+    print(type(exc).__name__)
+"""
+OVERSIZED = [
+    "rho_of_partition(Partition.discrete(Universe(range(20000)))).to_json()",
+    "rho_of_partition(Partition.discrete(Universe(range(20000)))).to_text()",
+    "str(rho_of_partition(Partition.indiscrete(Universe(range(1 << 16)))))",
+]
+
+
+@pytest.mark.parametrize("call", OVERSIZED)
+def test_an_oversized_grid_raises_too_large_in_a_capped_child(call):
+    src = str(Path(density.__file__).resolve().parent.parent)
+    child = subprocess.run([sys.executable, "-c", CAPPED_CALL.format(src=src, call=call)],
+                           capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stdout, child.stderr) == (0, "TooLarge\n", "")

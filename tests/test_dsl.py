@@ -110,18 +110,37 @@ def test_parse_rejects_too_many_lines():
         run(CircuitAst(40, ("1" * 40,), (MeasureStep(0),)), seed=0)
 
 
+GATE_STEP = "a gate step is one of I X H0 H1 XH0 XH1 on a line in 0..2"
+MEASURE_STEP = "a measure step is `all` or a line in 0..2"
+
+
 @pytest.mark.parametrize(
     "step,message",
     [(None, "expected a circuit step, got NoneType"), ("gate X 0", "got str"),
      (CnotStep(0, 2), "adjacent lines"), (CnotStep(2, 0), "adjacent lines"),
      (CnotStep(0, 0), "adjacent lines"), (CnotStep("0", 1), "adjacent lines"),
-     (EfStep("0110"), "EF on 3 lines needs a 6-bit truth table")],
+     (CnotStep(True, 2), "adjacent lines"), (CnotStep(2, 3), "adjacent lines in 0..2"),
+     (EfStep("0110"), "EF on 3 lines needs a 6-bit truth table"),
+     (EfStep(""), "EF on 3 lines"), (EfStep(None), "EF on 3 lines"),
+     (GateStep("CNOT_A", 0), GATE_STEP), (GateStep("H0", True), GATE_STEP),
+     (GateStep("H0", 1.0), GATE_STEP), (GateStep(["H0"], 0), GATE_STEP),
+     (GateStep("H0", 3), GATE_STEP), (GateStep("H0", -1), GATE_STEP),
+     (MeasureStep(True), MEASURE_STEP), (MeasureStep(1.0), MEASURE_STEP),
+     (MeasureStep(3), MEASURE_STEP)],
     ids=["none", "text", "cnot-skips-a-line", "cnot-skips-a-line-upward", "cnot-one-line",
-         "cnot-str-line", "ef-narrower-than-the-register"],
+         "cnot-str-line", "cnot-bool-line", "cnot-below-the-register",
+         "ef-narrower-than-the-register", "ef-empty", "ef-none", "gate-two-line-name",
+         "gate-bool-line", "gate-float-line", "gate-list-name", "gate-line-outside",
+         "gate-negative-line", "measure-bool-line", "measure-float-line",
+         "measure-line-outside"],
 )
 def test_run_rejects_a_step_that_parse_never_builds(step, message):
-    # an AST built without the parser; parse(render(ast)) rejects the same steps
-    with pytest.raises(InvalidArgument, match=message):
+    # an AST built without the parser; parse(render(ast)) rejects the same steps. The
+    # valid steps run first leave their plans cached, and a cached plan must not stand in
+    # for the check: `lru_cache` takes the lines 1, 1.0 and True as one key.
+    warm = (GateStep("H0", 1), GateStep("X", 1), CnotStep(0, 1), MeasureStep(1))
+    assert len(run(CircuitAst(3, ("100",), warm), seed=0).trace) == 5
+    with pytest.raises(InvalidArgument, match=re.escape(message)):
         run(CircuitAst(3, ("100",), (step,)), seed=0)
 
 
@@ -286,10 +305,10 @@ def steps(draw, n):
 
 
 @st.composite
-def circuit_asts(draw):
-    n = draw(st.integers(1, 8))
+def circuit_asts(draw, max_lines=8, max_steps=6):
+    n = draw(st.integers(1, max_lines))
     initial = tuple(draw(st.lists(bitstrings(n), min_size=1, max_size=3)))
-    return CircuitAst(n, initial, tuple(draw(st.lists(steps(n), min_size=1, max_size=6))))
+    return CircuitAst(n, initial, tuple(draw(st.lists(steps(n), min_size=1, max_size=max_steps))))
 
 
 @given(circuit_asts())
@@ -340,8 +359,13 @@ def reference_run(ast, seed):
     return trace, records
 
 
-@given(circuit_asts(), st.integers(0, 2 ** 32))
+@settings(max_examples=200)
+@given(circuit_asts(max_lines=12, max_steps=12), st.integers(0, 2 ** 32))
 def test_run_and_render_match_the_reference(ast, seed):
+    # `run` keeps the state as an int and calls the kernels itself; the reference steps a
+    # Register through public `apply`, `apply_ef` and `measure_line` with the generator built
+    # up front: one-line gates, both Cnot directions, `measure <k>`, `measure all` and EF on
+    # 1, 2, 4 and 8 lines, on 1 to 12 lines
     assert render(ast).splitlines()[2:] == [reference_statement(s) for s in ast.steps]
     try:
         result = run(ast, seed)

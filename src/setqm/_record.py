@@ -44,7 +44,7 @@ only when it is first read.
   the tests make. Unlike `__init__` it writes `__dict__`: later field reads
   cost about 17 ns more, but `object.__setattr__` costs about 28 ns more
   a build, and `circuits`, which builds a `Register` and a `TraceEntry`
-  per step, ran 5-6% slower with it. Only 8 of the 31 records are ever
+  per step, ran 5-6% slower with it. Only 9 of the 31 records are ever
   derived, so compiling on first read keeps the rest out of the import.
   No field may be named `cls`, `o`, `d` or `_new`.
 """

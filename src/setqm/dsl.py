@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union, get_args
 
 from ._record import record
-from .errors import (
-    InvalidArgument, ParseError, RegisterTooWide, SetQMError, TooLarge, ZeroInitial, ZeroState,
-)
+from .errors import InvalidArgument, ParseError, RegisterTooWide, TooLarge, ZeroInitial, ZeroState
 from . import qc
 from .gf2 import BitVec, _expect, _random_set_bit
 from .space import rat_json
@@ -82,16 +80,72 @@ class MeasureStep:
         return f"measure {'all' if self.line is None else self.line}"
 
 
-Step = Union[GateStep, CnotStep, EfStep, MeasureStep]
+Step = GateStep | CnotStep | EfStep | MeasureStep
 
 
 @record
 class CircuitAst:
-    """A parsed circuit: its line count, `init` bitstrings and steps in order."""
+    """A circuit: its line count, `init` bitstrings and steps in order.
+
+    Built by hand, its fields must be what `parse` would build, or it
+    raises InvalidArgument (RegisterTooWide above `qc.MAX_LINES` lines).
+    `initial` and `steps` may be any iterables other than a str and are
+    stored as tuples. `parse` builds with the unchecked `_derived`.
+    """
 
     lines: int
     initial: tuple[str, ...]
     steps: tuple[Step, ...]
+
+    def __post_init__(self) -> None:
+        lines = self.lines
+        qc._check_width(lines)
+        for name in "initial", "steps":
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Iterable):
+                raise InvalidArgument(f"circuit {name} must be iterable and not a str, "
+                                      f"got {type(value).__name__}")
+            object.__setattr__(self, name, tuple(value))
+        if not self.initial or not all(type(k) is str and len(k) == lines and not k.strip("01")
+                                       for k in self.initial):
+            raise InvalidArgument(f"circuit initial must hold {lines}-bit bitstrings, "
+                                  f"got {self.initial!r}")
+        if not self.steps:
+            raise InvalidArgument("circuit needs at least one step")
+        for step in self.steps:
+            _check_step(step, lines)
+
+
+def _check_step(step: object, lines: int) -> None:
+    """Raise InvalidArgument unless `parse` builds `step` in a circuit of `lines` lines."""
+    kind = type(step)
+    if kind is GateStep:
+        name, line = step.name, step.line
+        if type(name) is str and name in _ONE_LINE_GATES and type(line) is int \
+                and 0 <= line < lines:
+            return
+        problem = f"a gate step is one of {' '.join(_ONE_LINE_GATES)} on a line in 0..{lines - 1}"
+    elif kind is CnotStep:
+        control, target = step.control, step.target
+        if (type(control) is int and type(target) is int
+                and abs(target - control) == 1 and 0 <= min(control, target) < lines - 1):
+            return
+        problem = f"CNOT control and target must be adjacent lines in 0..{lines - 1}"
+    elif kind is MeasureStep:
+        line = step.line
+        if line is None or type(line) is int and 0 <= line < lines:
+            return
+        problem = f"a measure step is `all` or a line in 0..{lines - 1}"
+    elif kind is EfStep:
+        table = step.table
+        if type(table) is str and len(table) == 2 * lines and not table.strip("01") \
+                and not lines & (lines - 1):
+            return
+        problem = (f"EF on {lines} lines needs a {2 * lines}-bit truth table of 0/1 bits"
+                   " and a power-of-two line count")
+    else:
+        raise InvalidArgument(f"expected a circuit step, got {kind.__name__}")
+    raise InvalidArgument(f"{step}: {problem}")
 
 
 # A statement is (line number, text before any '#', its whitespace-separated words).
@@ -188,7 +242,7 @@ def parse(text: str) -> CircuitAst:
         raise ParseError(last[0], _column(last, 0), "circuit needs at least one step")
     if initial is None:
         initial = ("0" * n,)
-    return CircuitAst(n, initial, tuple(steps))
+    return CircuitAst._derived(n, initial, tuple(steps))
 
 
 def _parse_init(stmt: _Statement, n: int) -> tuple[str, ...]:
@@ -247,52 +301,12 @@ def _parse_measure(stmt: _Statement, n: int) -> MeasureStep:
     return MeasureStep(_line_word(stmt, 1, n))
 
 
-def _items(ast: CircuitAst, field: str) -> tuple:
-    """The AST's `initial` or `steps` as a tuple; InvalidArgument when it is not iterable."""
-    value = getattr(ast, field)
-    try:
-        return tuple(value)
-    except TypeError:
-        raise InvalidArgument(
-            f"circuit {field} must be iterable, not {type(value).__name__}"
-        ) from None
-
-
-def _not_a_step(step: object) -> InvalidArgument:
-    return InvalidArgument(f"expected a circuit step, got {type(step).__name__}")
-
-
 def render(ast: CircuitAst) -> str:
-    """Canonical text for an AST, each step as its str; parse(render(ast)) == ast.
-
-    A hand-built AST whose `initial` is a str, empty or holds a non-str,
-    or whose `steps` is not iterable or holds a step of no known type,
-    raises InvalidArgument rather than rendering text that `parse` rejects.
-    So does one whose fields `parse` would not give back, such as a gate
-    name it does not know or a line outside the register: the text is
-    parsed again and must yield the AST.
-    """
+    """Canonical text for an AST, each step as its str; parse(render(ast)) == ast."""
     _expect(CircuitAst, ast)
-    initial, steps = _items(ast, "initial"), _items(ast, "steps")
-    if isinstance(ast.initial, str) or not initial or not all(isinstance(k, str) for k in initial):
-        raise InvalidArgument(f"circuit initial must hold bitstrings, got {ast.initial!r}")
-    for step in steps:
-        if type(step) not in get_args(Step):
-            raise _not_a_step(step)
-    out = [f"lines {ast.lines}"]
-    if len(initial) == 1:
-        out.append(f"init {initial[0]}")
-    else:
-        out.append("init ket " + "+".join(initial))
-    out.extend(map(str, steps))
-    text = "\n".join(out) + "\n"
-    try:
-        back = parse(text)
-    except SetQMError as exc:
-        raise InvalidArgument(f"circuit does not render as text that parses: {exc}") from None
-    if back != CircuitAst(ast.lines, initial, steps):
-        raise InvalidArgument("circuit renders as text that parses to another circuit")
-    return text
+    initial = ast.initial
+    init = f"init {initial[0]}" if len(initial) == 1 else "init ket " + "+".join(initial)
+    return "\n".join([f"lines {ast.lines}", init, *map(str, ast.steps)]) + "\n"
 
 
 @record
@@ -349,31 +363,6 @@ class RunResult:
         }
 
 
-def _gate_plan(lines: int, step: GateStep | CnotStep) -> tuple:
-    """The cached plan of a gate step, once the step is checked against what `parse` builds.
-
-    The check runs before the cache lookup: `lru_cache` takes 1, 1.0 and
-    True as one key, so a cached plan would let a float or bool line
-    through, and an unhashable name would escape as TypeError.
-    """
-    if type(step) is GateStep:
-        name, line = step.name, step.line
-        if not (type(name) is str and name in _ONE_LINE_GATES
-                and type(line) is int and 0 <= line < lines):
-            raise InvalidArgument(f"{step}: a gate step is one of {' '.join(_ONE_LINE_GATES)}"
-                                  f" on a line in 0..{lines - 1}")
-        return _plan(lines, name, line)
-    control, target = step.control, step.target
-    if not (type(control) is int and type(target) is int
-            and abs(target - control) == 1 and 0 <= min(control, target) < lines - 1):
-        raise InvalidArgument(
-            f"{step}: CNOT control and target must be adjacent lines in 0..{lines - 1}"
-        )
-    if control < target:
-        return _plan(lines, "CNOT_A", control)
-    return _plan(lines, "CNOT_B", target)
-
-
 # The gate steps on 6-12 lines have 490 keys: 6 one-line gates on 63 lines and 2 Cnots on
 # 56 line pairs. An entry holds a short label and three small values, about 0.25 KiB with
 # its key, so 512 entries stay near 128 KiB; it holds no mask (`qc._block_mask` caches those).
@@ -396,21 +385,14 @@ def run(ast: CircuitAst, seed: int) -> RunResult:
 
     The state stays one packed int from step to step. A gate step runs its
     kernel on it through a cached plan, an EF step its 2x2 factors line by
-    line, and a measurement reads the kets with a 1 on its line. Every
-    step is first checked once against what `parse` would build: a step of
-    no known type, a gate name `parse` does not know, a line that is not
-    an int inside the register (a bool or a float included), CNOT lines
-    that are not adjacent, or an EF table that does not span the register
-    raise InvalidArgument, as do `steps` that are not iterable.
-
-    The trace still holds a real `TraceEntry` and `Register` for every
-    step. `random.Random(seed)` is built at the first measurement that is
+    line, and a measurement reads the kets with a 1 on its line. The trace
+    holds a real `TraceEntry` and `Register` for every step.
+    `random.Random(seed)` is built at the first measurement that is
     genuinely random, and gives the sequence it would have given if built
     up front; a measurement with a certain outcome never draws from it.
     """
     _expect(CircuitAst, ast)
     _expect(int, seed)
-    steps = _items(ast, "steps")
     try:
         reg = qc.Register.from_bitstrings(ast.lines, ast.initial)
     except ZeroState:
@@ -421,25 +403,22 @@ def run(ast: CircuitAst, seed: int) -> RunResult:
     vec, new_reg, entry = BitVec._derived, qc.Register._derived, TraceEntry._derived
     trace = [entry("init", reg)]
     measurements: list[MeasureRecord] = []
-    for step in steps:
+    for step in ast.steps:
         kind = type(step)
         if kind is GateStep or kind is CnotStep:
-            label, kernel, pos, width = _gate_plan(lines, step)
+            if kind is GateStep:
+                plan = _plan(lines, step.name, step.line)
+            elif step.control < step.target:
+                plan = _plan(lines, "CNOT_A", step.control)
+            else:
+                plan = _plan(lines, "CNOT_B", step.target)
+            label, kernel, pos, width = plan
             if kernel is not None:
                 bits = kernel(bits, block_mask(lines, pos, width), 1 << pos)
                 reg = new_reg(lines, vec(size, bits))
             trace.append(entry(label, reg))
         elif kind is MeasureStep:
-            line = step.line
-            if line is None:
-                measured = range(lines)
-            elif type(line) is int and 0 <= line < lines:
-                measured = (line,)
-            else:
-                raise InvalidArgument(
-                    f"{step}: a measure step is `all` or a line in 0..{lines - 1}"
-                )
-            for line in measured:
+            for line in range(lines) if step.line is None else (step.line,):
                 pos = lines - 1 - line
                 ones = bits & block_mask(lines, pos, 1) << (1 << pos)
                 total, count = bits.bit_count(), ones.bit_count()
@@ -454,20 +433,12 @@ def run(ast: CircuitAst, seed: int) -> RunResult:
                     outcome = 1 if count else 0
                 measurements.append(MeasureRecord(line, outcome, Fraction(bits.bit_count(), total)))
                 trace.append(entry(f"measure {line} -> {outcome}", reg))
-        elif kind is EfStep:
+        else:  # an EfStep: `CircuitAst` holds no other kind
             table = step.table
-            if not isinstance(table, str) or len(table) != 2 * lines:  # as `parse` requires
-                raise InvalidArgument(
-                    f"{step}: EF on {lines} lines needs a {2 * lines}-bit truth table"
-                )
-            # InvalidArgument from `from_bits` for bits other than 0/1 or a line count that
-            # is not a power of two
             factors = qc._ef_factors(qc.BooleanFunction.from_bits(table))
             for line, g in enumerate(factors):
                 pos = lines - 1 - line
                 bits = g._kernel(bits, block_mask(lines, pos, 1), 1 << pos)
             reg = new_reg(lines, vec(size, bits))
             trace.append(entry(f"gate EF {table}", reg))
-        else:
-            raise _not_a_step(step)
     return RunResult(ast, tuple(trace), tuple(measurements))

@@ -169,7 +169,8 @@ def _block_mask(lines: int, pos: int, width: int) -> int:
 
 
 def _check_width(lines: int) -> None:
-    _expect(int, lines)
+    if type(lines) is bool or not isinstance(lines, int):
+        raise InvalidArgument(f"line count must be an int, got {type(lines).__name__}")
     if lines < 1:
         raise InvalidArgument("register needs at least one line")
     if lines > MAX_LINES:
@@ -177,11 +178,13 @@ def _check_width(lines: int) -> None:
 
 
 def _check_index(index: int) -> None:
-    if not (isinstance(index, int) and index >= 0):
+    if type(index) is bool or not (isinstance(index, int) and index >= 0):
         raise InvalidArgument(f"basis index {index!r} must be a nonnegative int")
 
 
 def _check_line(r: Register, line: int) -> None:
+    if type(line) is bool:
+        raise InvalidArgument(f"line must be an int, got {type(line).__name__}")
     if not (isinstance(line, int) and 0 <= line < r.lines):
         raise LineOutOfRange(f"line {line!r} outside 0..{r.lines - 1}")
 
@@ -203,6 +206,7 @@ class Register:
 
     @classmethod
     def basis(cls, lines: int, index: int) -> Register:
+        _check_index(index)
         return cls.from_indices(lines, [index])
 
     @classmethod

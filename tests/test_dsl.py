@@ -107,7 +107,7 @@ def test_parse_rejects_too_many_lines():
         parse(f"lines {MAX_LINES + 1}\nmeasure 0\n")
     assert parse(f"lines {MAX_LINES}\nmeasure 0\n").lines == MAX_LINES
     with pytest.raises(RegisterTooWide):  # an AST built without the parser
-        run(CircuitAst(40, ("1" * 40,), (MeasureStep(0),)), seed=0)
+        CircuitAst(40, ("1" * 40,), (MeasureStep(0),))
 
 
 GATE_STEP = "a gate step is one of I X H0 H1 XH0 XH1 on a line in 0..2"
@@ -134,48 +134,62 @@ MEASURE_STEP = "a measure step is `all` or a line in 0..2"
          "gate-negative-line", "measure-bool-line", "measure-float-line",
          "measure-line-outside"],
 )
-def test_run_rejects_a_step_that_parse_never_builds(step, message):
-    # an AST built without the parser; parse(render(ast)) rejects the same steps. The
-    # valid steps run first leave their plans cached, and a cached plan must not stand in
-    # for the check: `lru_cache` takes the lines 1, 1.0 and True as one key.
-    warm = (GateStep("H0", 1), GateStep("X", 1), CnotStep(0, 1), MeasureStep(1))
-    assert len(run(CircuitAst(3, ("100",), warm), seed=0).trace) == 5
+def test_circuit_ast_rejects_a_step_that_parse_never_builds(step, message):
     with pytest.raises(InvalidArgument, match=re.escape(message)):
-        run(CircuitAst(3, ("100",), (step,)), seed=0)
+        CircuitAst(3, ("100",), (step,))
 
 
-def test_run_rejects_an_ef_table_that_does_not_span_the_register():
+def test_circuit_ast_rejects_an_ef_table_that_does_not_span_the_register():
     # on 2 lines a 2-bit table would act on line 0 alone
     with pytest.raises(InvalidArgument, match="EF on 2 lines needs a 4-bit truth table"):
-        run(CircuitAst(2, ("00",), (EfStep("01"),)), seed=0)
+        CircuitAst(2, ("00",), (EfStep("01"),))
+    with pytest.raises(InvalidArgument, match="EF on 2 lines needs a 4-bit truth table"):
+        CircuitAst(2, ("00",), (EfStep("0120"),))
     assert run(CircuitAst(2, ("00",), (EfStep("0110"),)), seed=0).final.lines == 2
 
 
 @pytest.mark.parametrize(
-    "ast,message",
-    [(CircuitAst(2, ("00",), (None,)), "expected a circuit step, got NoneType"),
-     (CircuitAst(2, ("00",), None), "steps must be iterable"),
-     (CircuitAst(2, "00", (MeasureStep(0),)), "initial must hold bitstrings"),
-     (CircuitAst(2, ("00", 1), (MeasureStep(0),)), "initial must hold bitstrings"),
-     (CircuitAst(2, (), (MeasureStep(0),)), "initial must hold bitstrings"),
-     (CircuitAst(2, None, (MeasureStep(0),)), "initial must be iterable"),
-     # steps of known types whose fields parse rejects or reads back otherwise
-     (CircuitAst(2, ("00",), (GateStep(None, None), MeasureStep("x"))), "unknown gate near 'None'"),
-     (CircuitAst(2, ("00",), (CnotStep(1, 2),)), "line index outside 0..1 near '2'"),
-     (CircuitAst(2, ("00",), (MeasureStep("0"),)), "parses to another circuit"),
-     (CircuitAst("2", ("00",), (GateStep("X", 0),)), "parses to another circuit")],
+    "fields,error,message",
+    [((2, ("00",), (None,)), InvalidArgument, "expected a circuit step, got NoneType"),
+     ((2, ("00",), None), InvalidArgument, "steps must be iterable"),
+     ((2, "00", (MeasureStep(0),)), InvalidArgument, "initial must be iterable and not a str"),
+     ((2, ("00", 1), (MeasureStep(0),)), InvalidArgument, "initial must hold 2-bit bitstrings"),
+     ((2, (), (MeasureStep(0),)), InvalidArgument, "initial must hold 2-bit bitstrings"),
+     ((2, None, (MeasureStep(0),)), InvalidArgument, "initial must be iterable"),
+     # steps of known types whose fields `parse` never builds
+     ((2, ("00",), (GateStep(None, None), MeasureStep("x"))), InvalidArgument,
+      "gate None None: a gate step is one of"),
+     ((2, ("00",), (CnotStep(1, 2),)), InvalidArgument,
+      "gate CNOT 1 2: CNOT control and target must be adjacent lines in 0..1"),
+     ((2, ("00",), (MeasureStep("0"),)), InvalidArgument,
+      "measure 0: a measure step is `all` or a line in 0..1"),
+     (("2", ("00",), (GateStep("X", 0),)), InvalidArgument, "line count must be an int, got str"),
+     # fields of the circuit that `parse` never builds
+     ((True, ("1",), (MeasureStep(0),)), InvalidArgument, "line count must be an int, got bool"),
+     ((0, ("",), (MeasureStep(None),)), InvalidArgument, "at least one line"),
+     ((MAX_LINES + 1, ("0" * (MAX_LINES + 1),), (MeasureStep(0),)), RegisterTooWide,
+      f"{MAX_LINES + 1} lines exceed the limit of {MAX_LINES}"),
+     ((2, ("0",), (MeasureStep(0),)), InvalidArgument, "initial must hold 2-bit bitstrings"),
+     ((2, ("0a",), (MeasureStep(0),)), InvalidArgument, "initial must hold 2-bit bitstrings"),
+     ((2, ("00",), ()), InvalidArgument, "circuit needs at least one step"),
+     ((2, ("00",), "gate X 0"), InvalidArgument, "steps must be iterable and not a str"),
+     # "01" iterates as the 1-line kets 0 and 1, and so once ran from |0>+|1>
+     ((1, "01", (MeasureStep(0),)), InvalidArgument, "initial must be iterable and not a str")],
     ids=["none-step", "none-steps", "str-initial", "int-in-initial", "empty-initial",
          "none-initial", "none-gate-fields", "cnot-line-outside", "str-measure-line",
-         "str-line-count"],
+         "str-line-count", "bool-line-count", "no-lines", "too-many-lines",
+         "narrow-initial", "letter-in-initial", "no-steps", "str-steps", "str-initial-of-kets"],
 )
-def test_render_rejects_an_ast_that_parse_never_builds(ast, message):
-    with pytest.raises(InvalidArgument, match=message):
-        render(ast)
+def test_circuit_ast_rejects_fields_that_parse_never_builds(fields, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        CircuitAst(*fields)
 
 
 def test_render_takes_a_list_initial_as_a_tuple():
     ast = CircuitAst(2, ["00", "11"], [GateStep("X", 0)])
     assert render(ast) == "lines 2\ninit ket 00+11\ngate X 0\n"
+    assert (ast.initial, ast.steps) == (("00", "11"), (GateStep("X", 0),))
+    assert hash(ast) == hash(parse(render(ast)))
 
 
 def test_comments_and_blank_lines():
@@ -314,6 +328,72 @@ def circuit_asts(draw, max_lines=8, max_steps=6):
 @given(circuit_asts())
 def test_parse_inverts_render(ast):
     assert parse(render(ast)) == ast
+
+
+# ---- the AST contract as a law: fields drawn near what `parse` builds either raise at
+# construction or give an AST that renders to text `parse` reads back as it, and that runs.
+# With the record audit in `conftest.py`, which builds every AST `parse` returns again
+# through the checked constructor, the two encodings of the grammar agree both ways.
+
+def mostly(good, bad):
+    """`good` about four draws in five, else `bad` (hypothesis favours the first and last
+    of a sampled tuple, so `bad` sits in the middle)."""
+    return st.sampled_from((good, good, bad, good, good)).flatmap(lambda s: s)
+
+
+def near_lines(n):
+    """A line of the register, else one just outside it or not an int."""
+    return mostly(st.integers(0, n - 1), st.sampled_from((-1, n, True, False, 1.0, "0", None)))
+
+
+@st.composite
+def near_steps(draw, n):
+    kind = draw(mostly(st.sampled_from(("gate", "cnot", "ef", "measure")), st.just("other")))
+    if kind == "gate":
+        name = draw(mostly(st.sampled_from(("I", "X", "H0", "H1", "XH0", "XH1")),
+                           st.sampled_from(("CNOT_A", "H9", None))))
+        return GateStep(name, draw(near_lines(n)))
+    if kind == "cnot":
+        control = draw(near_lines(n))
+        if type(control) is int and draw(mostly(st.just(True), st.just(False))):  # adjacent
+            return CnotStep(control, control + draw(st.sampled_from((-1, 1))))
+        return CnotStep(control, draw(near_lines(n)))
+    if kind == "ef":
+        bad = st.text("01", min_size=2 * n - 1, max_size=2 * n + 1) | st.just("2" * 2 * n)
+        return EfStep(draw(mostly(bitstrings(2 * n), bad)))
+    if kind == "measure":
+        return MeasureStep(draw(mostly(near_lines(n), st.none())))
+    return draw(st.sampled_from((None, "gate X 0", 0)))
+
+
+@st.composite
+def near_ast_fields(draw):
+    n = draw(mostly(st.integers(1, 4), st.sampled_from((0, MAX_LINES + 1, True, 1.0, "2"))))
+    width = n if type(n) is int and 1 <= n <= 4 else 1
+    ket = mostly(bitstrings(width), st.text("012", max_size=width + 1))
+    kets = draw(st.lists(ket, min_size=1, max_size=3))
+    steps = draw(st.lists(near_steps(width), min_size=1, max_size=3))
+    container = st.sampled_from((tuple, list))  # lists in place of tuples
+    initial = draw(mostly(container.map(lambda c: c(kets)),
+                          st.sampled_from(("".join(kets), (), None))))
+    return n, initial, draw(mostly(container.map(lambda c: c(steps)), st.sampled_from(((), None))))
+
+
+@settings(max_examples=400)
+@given(near_ast_fields())
+def test_a_circuit_ast_is_either_refused_or_what_parse_builds(fields):
+    try:
+        ast = CircuitAst(*fields)
+    except (InvalidArgument, RegisterTooWide):
+        return
+    assert parse(render(ast)) == ast
+    assert type(ast.initial) is tuple and type(ast.steps) is tuple
+    try:
+        result = run(ast, 0)
+    except ZeroInitial:  # the kets cancel, as they do for the same `init ket` text
+        assert all(ast.initial.count(k) % 2 == 0 for k in ast.initial)
+        return
+    assert len(result.trace) > len(ast.steps)
 
 
 def reference_statement(step):

@@ -189,13 +189,17 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
         lambda: dsl.run(dsl.parse("lines 1\nmeasure 0\n"), [1]),
         lambda: dsl.run(dsl.parse("lines 1\nmeasure 0\n"), None),
         # a hand-built AST that `parse` never builds
-        lambda: dsl.run(dsl.CircuitAst(2, ("00",), None), 0),
-        lambda: dsl.run(dsl.CircuitAst(2, ("00",), (dsl.CnotStep("0", 1),)), 0),
-        lambda: dsl.run(dsl.CircuitAst(2, ("00",), (dsl.EfStep("01"),)), 0),
-        lambda: dsl.render(dsl.CircuitAst(2, ("00",), (None,))),
-        lambda: dsl.render(dsl.CircuitAst(2, ("00",), None)),
-        lambda: dsl.render(dsl.CircuitAst(2, "00", ())),
-        lambda: dsl.render(dsl.CircuitAst(2, (0,), ())),
+        lambda: dsl.CircuitAst(2, ("00",), None),
+        lambda: dsl.CircuitAst(2, ("00",), (dsl.CnotStep("0", 1),)),
+        lambda: dsl.CircuitAst(2, ("00",), (dsl.EfStep("01"),)),
+        lambda: dsl.CircuitAst(2, ("00",), (None,)),
+        lambda: dsl.CircuitAst(2, "00", ()),
+        lambda: dsl.CircuitAst(2, (0,), ()),
+        # a bool where a count, basis index or line goes: True == 1, but a register of
+        # True lines formats its kets with "0Trueb"
+        lambda: Register.from_indices(True, [0]),
+        lambda: Register.basis(2, True),
+        lambda: measure_line(Register.basis(2, 1), True, random.Random(0)),
     ],
     ids=["basis-float-index", "from-indices-float", "bitvec-float-bits",
          "from-indices-str", "from-bits-letter", "from-bits-other-digits", "table-float-entry",
@@ -226,9 +230,10 @@ def test_bad_constructor_arguments_raise_a_domain_value_error(call, message):
          "row-for-none-labels", "from-rows-int", "from-bitstrings-none-strings",
          "from-bits-none", "ket-none-universe", "product-state-none-space",
          "product-universe-none-left", "discrete-none", "iter-partitions-none",
-         "joint-distribution-none", "run-list-seed", "run-none-seed", "run-none-steps",
-         "run-str-cnot-line", "run-narrow-ef-table", "render-none-step", "render-none-steps",
-         "render-str-initial", "render-int-initial"],
+         "joint-distribution-none", "run-list-seed", "run-none-seed", "ast-none-steps",
+         "ast-str-cnot-line", "ast-narrow-ef-table", "ast-none-step", "ast-str-initial",
+         "ast-int-initial", "from-indices-bool-lines", "basis-bool-index",
+         "measure-line-bool-line"],
 )
 def test_wrongly_typed_arguments_raise_invalid_argument(call):
     with pytest.raises(InvalidArgument):
